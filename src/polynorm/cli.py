@@ -54,15 +54,6 @@ class InputError(ValueError):
 
 
 @dataclass(frozen=True)
-class CacheEntry:
-    """One stored report: content-hash key, serialized report, tool version."""
-
-    key: str
-    value: dict
-    tool_version: str
-
-
-@dataclass(frozen=True)
 class ExploreRecord:
     """A flagged random sample, carrying its full report for re-verification."""
 
@@ -133,25 +124,52 @@ def cache_key(p: Polytope) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _read_cache_entry(path: Path, key: str) -> dict | None:
+    """The stored report at path, or None for a miss.
+
+    A missing, unreadable, truncated or foreign file is a miss, and so is an
+    entry written under another key or tool version.
+    """
+    try:
+        stored = json.loads(path.read_bytes())
+    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
+        return None
+    if not isinstance(stored, dict):
+        return None
+    value = stored.get("value")
+    if (stored.get("tool_version") != __version__ or stored.get("key") != key
+            or not isinstance(value, dict)):
+        return None
+    return value
+
+
+def _write_cache_entry(path: Path, key: str, data: dict) -> None:
+    """Store an entry atomically: readers see the old file or the whole new
+    one, never a partial write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = json.dumps({"key": key, "tool_version": __version__, "value": data},
+                         indent=2)
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def report_dict_for(p: Polytope, cache_dir: Path | None, max_k: int) -> dict:
     """Compute (or fetch) the serialized report; cached entries are reused
     only when the tool version matches."""
     key = cache_key(p)
     path = cache_dir / f"{key}.json" if cache_dir else None
-    if path is not None and path.is_file():
-        try:
-            stored = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            stored = None
-        if stored and stored.get("tool_version") == __version__ and stored.get("key") == key:
-            return stored["value"]
+    if path is not None:
+        cached = _read_cache_entry(path, key)
+        if cached is not None:
+            return cached
     data = report_to_dict(full_report(p, max_k=max_k))
     if path is not None:
-        entry = CacheEntry(key=key, value=data, tool_version=__version__)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            {"key": entry.key, "tool_version": entry.tool_version, "value": entry.value},
-            indent=2))
+        _write_cache_entry(path, key, data)
     return data
 
 
@@ -255,7 +273,7 @@ def run_check_suite(p: Polytope, max_k: int | None = None):
     report = full_report(p, max_k=max_k)
     n = report.num_vertices
     record("thresholds_ordered",
-           "PASS" if report.d_P <= report.nu_P <= max(n - 1, 1) else "FAIL",
+           "PASS" if report.d_P <= report.nu_P <= max(report.dim, 1) else "FAIL",
            f"d_P={report.d_P} nu_P={report.nu_P} n={n}")
     vol_tri = inv.volume_triangulation(p)
     record("volume_dual_oracle",

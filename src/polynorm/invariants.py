@@ -2,11 +2,15 @@
 
 k-normality is decided by explicit iterated Minkowski sumsets of the lattice
 points; the decomposition thresholds d_P and nu_P come out of the finite
-failure ranges k <= dim-2 and k <= n-2 (for a d-dimensional polytope the map
+failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
 P∩M + kP∩M -> (k+1)P∩M is onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M
-is onto for every k >= n-1, so larger k never fail).  Normalized volume is
-computed by two independent routes, point-count interpolation and pulling
-triangulation, which the test suite requires to agree exactly.
+is onto for every k >= d, so larger k never fail).  The vertex bound is
+Carathéodory's theorem: a lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at
+most d+1 nonzero λ_i, so some λ_i >= 1/(d+1), and for k >= d the point x - v_i
+has the nonnegative coefficients (k+1)λ_j - [j = i] summing to k, hence lies in
+kP∩M.  Normalized volume is computed by two independent routes, point-count
+interpolation and pulling triangulation, which the test suite requires to
+agree exactly.
 """
 
 from __future__ import annotations
@@ -99,11 +103,17 @@ def compute_d_P(p: Polytope) -> int:
 def compute_nu_P(p: Polytope) -> int:
     """Analogue of d_P with the vertex set as the added summand.
 
-    Only k <= n-2 can fail (n the number of vertices).
+    Only k <= dim-1 can fail, so nu_P <= max(dim, 1).  By Carathéodory a
+    lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at most dim+1 nonzero
+    λ_i, so some λ_i >= 1/(dim+1); for k >= dim, x - v_i = Σμ_j v_j with
+    μ_i = (k+1)λ_i - 1 >= 0, the other μ_j = (k+1)λ_j and Σμ_j = k, so
+    x - v_i is a lattice point of kP.  Since n >= dim+1, this range is never
+    longer than the k <= n-2 that the same argument gives with n in place of
+    dim+1.
     """
     verts = p.vertices
     last_failing = 0
-    for k in range(1, p.num_vertices - 1):
+    for k in range(1, p.dim):
         if _sumset(verts, p.lattice_points(k)) != set(p.lattice_points(k + 1)):
             last_failing = k
     return last_failing + 1

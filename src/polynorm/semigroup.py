@@ -89,6 +89,13 @@ def shortest_representations(gs: GeneratorSet, targets):
     representation of any target stay inside the union of the targets' lower
     sets, so one search over that union serves every target, and the first
     BFS layer reaching a target gives its minimal length.
+
+    y lies in that union iff its image under the cone normals dominates some
+    target's image componentwise.  Only the Pareto-minimal images can decide
+    this: if o <= td componentwise, then dy >= td implies dy >= o.  So the
+    test runs against the minimal images alone and answers exactly as it
+    would against all of them, which leaves the search and every
+    certificate unchanged.
     """
     targets = tuple(dict.fromkeys(targets))
     results = {t: None for t in targets}
@@ -100,7 +107,7 @@ def shortest_representations(gs: GeneratorSet, targets):
     # y stays in the lower set iff target - y is still in the cone for some
     # target, i.e. the normal image of y dominates some target's image.
     normals = gs.cone_normals
-    target_dots = [tuple(dot(n, t) for n in normals) for t in live]
+    target_dots = _pareto_minimal(tuple(dot(n, t) for n in normals) for t in live)
 
     def in_lower_set(y):
         dy = tuple(dot(n, y) for n in normals)
@@ -127,6 +134,19 @@ def shortest_representations(gs: GeneratorSet, targets):
             parts.sort()
             results[t] = ReprCertificate(t, tuple(parts), len(parts))
     return results
+
+
+def _pareto_minimal(images):
+    """The componentwise-minimal members of a set of integer vectors.
+
+    In lexicographic order every vector comes after all vectors below it, so
+    one pass that keeps a vector unless a kept one lies below it finds them.
+    """
+    kept = []
+    for td in sorted(set(images)):
+        if not any(all(a <= b for a, b in zip(o, td)) for o in kept):
+            kept.append(td)
+    return kept
 
 
 def sigma(gs: GeneratorSet, target: Vector):
@@ -157,7 +177,8 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
                 return MPResult(False, None, None, (x, v))
             if best is None or cert.length > best.certificate.length:
                 best = MPWitness(x, v, cert)
-    assert best is not None
+    if best is None:
+        raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
     return MPResult(True, best.certificate.length, best, None)
 
 

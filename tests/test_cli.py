@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from polynorm import cli
 from polynorm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -101,6 +102,43 @@ class TestCache:
         _, out, _ = run(capsys, "analyze", "cube:2", "--format", "json",
                         "--cache-dir", str(cache))
         assert json.loads(out)["k_P"] == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        b"[1]",
+        b"\xff\xfe\x80 not utf-8 \xc3",
+        "truncated",
+        b'{"key": "other", "tool_version": "x", "value": {}}',
+    ])
+    def test_corrupt_entry_recomputes(self, capsys, tmp_path, corrupt):
+        cache = tmp_path / "cache"
+        _, plain, _ = run(capsys, "analyze", "cube:2", "--format", "json")
+        run(capsys, "analyze", "cube:2", "--format", "json", "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        good = entry.read_bytes()
+        if corrupt == "truncated":
+            corrupt = good[:len(good) // 2]
+        entry.write_bytes(corrupt)
+        code, out, _ = run(capsys, "analyze", "cube:2", "--format", "json",
+                           "--cache-dir", str(cache))
+        assert code == EXIT_OK
+        assert out == plain
+        assert entry.read_bytes() == good
+        assert list(cache.iterdir()) == [entry]
+
+    def test_failed_write_leaves_old_entry(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        run(capsys, "analyze", "cube:2", "--format", "json", "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        entry.write_bytes(b"[1]")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError):
+            main(["analyze", "cube:2", "--format", "json", "--cache-dir", str(cache)])
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == b"[1]"
 
     def test_env_cache_dir(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

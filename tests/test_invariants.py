@@ -77,7 +77,7 @@ class TestDecompositionThresholds:
     def test_ordering_on_catalog(self, report):
         for spec in CATALOG_SPECS:
             r = report(spec)
-            assert 1 <= r.d_P <= r.nu_P <= max(r.num_vertices - 1, 1)
+            assert 1 <= r.d_P <= r.nu_P <= max(r.dim, 1)
 
 
 class TestKP:

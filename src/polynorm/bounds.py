@@ -9,6 +9,7 @@ ground truth at report time.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from . import invariants as inv
@@ -320,8 +321,12 @@ def report_to_dict(report: InvariantReport) -> dict:
     return _jsonable(raw)
 
 
+def dict_json_bytes(data: dict) -> bytes:
+    """Canonical JSON encoding of a serialized report: two-space indent, key
+    order kept, one trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=False).encode() + b"\n"
+
+
 def report_json_bytes(report: InvariantReport) -> bytes:
     """Canonical JSON encoding; byte-identical for identical inputs."""
-    import json
-
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=False).encode() + b"\n"
+    return dict_json_bytes(report_to_dict(report))

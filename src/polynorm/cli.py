@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -23,6 +22,7 @@ from .bounds import (
     BOUND_KEY_ORDER,
     BOUND_TARGETS,
     PipelineError,
+    dict_json_bytes,
     full_report,
     report_to_dict,
 )
@@ -51,17 +51,6 @@ DEFAULT_MAX_K = 64
 
 class InputError(ValueError):
     """Unusable command-line input (missing file, bad family spec, ...)."""
-
-
-@dataclass(frozen=True)
-class ExploreRecord:
-    """A flagged random sample, carrying its full report for re-verification."""
-
-    spec: str
-    seed: int
-    flags: tuple[str, ...]
-    summary: dict
-    report: dict
 
 
 # -- input handling ---------------------------------------------------------------
@@ -146,7 +135,6 @@ def _read_cache_entry(path: Path, key: str) -> dict | None:
 def _write_cache_entry(path: Path, key: str, data: dict) -> None:
     """Store an entry atomically: readers see the old file or the whole new
     one, never a partial write."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({"key": key, "tool_version": __version__, "value": data},
                          indent=2)
     tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp")
@@ -160,21 +148,23 @@ def _write_cache_entry(path: Path, key: str, data: dict) -> None:
 
 def report_dict_for(p: Polytope, cache_dir: Path | None, max_k: int) -> dict:
     """Compute (or fetch) the serialized report; cached entries are reused
-    only when the tool version matches."""
+    only when the tool version matches.  On a miss the cache directory is
+    created before the report is computed, so an unusable directory fails
+    fast as an input error."""
     key = cache_key(p)
     path = cache_dir / f"{key}.json" if cache_dir else None
     if path is not None:
         cached = _read_cache_entry(path, key)
         if cached is not None:
             return cached
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot use cache directory {cache_dir}: {e}") from e
     data = report_to_dict(full_report(p, max_k=max_k))
     if path is not None:
         _write_cache_entry(path, key, data)
     return data
-
-
-def dict_json_bytes(data: dict) -> bytes:
-    return json.dumps(data, indent=2, sort_keys=False).encode() + b"\n"
 
 
 # -- rendering --------------------------------------------------------------------
@@ -408,15 +398,15 @@ def cmd_explore(args) -> int:
             continue
         for f in flags:
             counts[f] += 1
-        record = ExploreRecord(
-            spec=spec, seed=child, flags=flags,
-            summary={"d_P": report.d_P, "nu_P": report.nu_P, "m_P": report.m_P,
-                     "k_P": report.k_P, "volume_normalized": report.volume_normalized,
-                     "degree": report.degree, "smooth": report.smooth},
-            report=report_to_dict(report),
-        )
+        record = {
+            "spec": spec, "seed": child, "flags": list(flags),
+            "summary": {"d_P": report.d_P, "nu_P": report.nu_P, "m_P": report.m_P,
+                        "k_P": report.k_P, "volume_normalized": report.volume_normalized,
+                        "degree": report.degree, "smooth": report.smooth},
+            "report": report_to_dict(report),
+        }
         fresh = report_to_dict(full_report(resolve_input(spec), max_k=max_k))
-        if fresh != record.report:
+        if fresh != record["report"]:
             reverify_failures += 1
             print(f"# re-verification FAILED for {spec}", file=sys.stderr)
         flagged_records.append(record)
@@ -424,11 +414,7 @@ def cmd_explore(args) -> int:
         store.parent.mkdir(parents=True, exist_ok=True)
         with store.open("a") as fh:
             for record in flagged_records:
-                fh.write(json.dumps({
-                    "spec": record.spec, "seed": record.seed,
-                    "flags": list(record.flags), "summary": record.summary,
-                    "report": record.report,
-                }) + "\n")
+                fh.write(json.dumps(record) + "\n")
     print(f"explored {args.count} samples (dim={args.dim}, seed={args.seed}, "
           f"bound={args.bound}): flagged={len(flagged_records)} "
           f"(eg_violation={counts['eg_violation']}, oda_gap={counts['oda_gap']}, "

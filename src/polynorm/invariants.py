@@ -1,7 +1,9 @@
 """Core combinatorial invariants of lattice polytopes.
 
 k-normality is decided by explicit iterated Minkowski sumsets of the lattice
-points; the decomposition thresholds d_P and nu_P come out of the finite
+points, built one level at a time in a memo on the polytope, with every point
+packed into one int by a linear map so that a vector sum is an int sum; the
+decomposition thresholds d_P and nu_P come out of the finite
 failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
 P∩M + kP∩M -> (k+1)P∩M is onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M
 is onto for every k >= d, so larger k never fail).  The vertex bound is
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
-from .exactmath import Vector, add, det_exact, solve_rational, sub
+from .exactmath import Vector, det_exact, solve_rational, sub
 from .polytope import Polytope, from_points
 
 UNDEFINED = "undefined"
@@ -67,22 +70,110 @@ class SmoothData:
     m_prime: int | None
 
 
-def _sumset(a, b):
-    return {add(x, y) for x in a for y in b}
+# -- packed sumsets and the k-normality tower ---------------------------------
+
+# Levels a fresh tower's packing serves at least; a deeper request re-packs
+# from scratch with twice the depth, so the radix never has to wrap.
+_MIN_LEVELS = 64
+
+
+def _weights(p: Polytope, levels: int) -> tuple[int, ...]:
+    """Weights (1, R, R^2, ...) of a packing that is injective on jP∩M for
+    every j <= levels.
+
+    R is the least power of two above levels·w, w the widest side of the
+    bounding box of P.  Two points x != y of jP differ by at most j·w < R in
+    every coordinate.  At the lowest index i where they differ,
+    pack(x) - pack(y) is R^i·(x_i - y_i) plus a multiple of R^(i+1), and R
+    does not divide 0 < |x_i - y_i| < R, so pack(x) != pack(y).  Packing is
+    linear, so pack(x + y) = pack(x) + pack(y) and a Minkowski sum of packed
+    sets is a set of int sums.
+    """
+    width = max((max(c) - min(c) for c in zip(*p.vertices)), default=0)
+    radix = 1 << (levels * width).bit_length()
+    return tuple(radix ** i for i in range(p.dim))
+
+
+def _pack(point: Vector, weights: tuple[int, ...]) -> int:
+    return sum(map(mul, point, weights))
+
+
+def _sumset(a, b) -> frozenset[int]:
+    """Minkowski sum {x + y : x in a, y in b} of two sets of packed points."""
+    return frozenset(x + y for x in a for y in b)
+
+
+@dataclass(frozen=True)
+class _Tower:
+    """Immutable state of one polytope's k-normality memo.
+
+    top is the packed j-fold sumset S_j of P∩M, j = len(holes), and
+    holes[i] is the hole set of (i+1)P; the lower levels S_i are not kept.
+    weights pack injectively on every level up to capacity.
+    """
+
+    weights: tuple[int, ...]
+    capacity: int
+    base: frozenset[int]
+    top: frozenset[int]
+    holes: tuple[frozenset[Vector], ...]
+
+    def extended(self, p: Polytope) -> "_Tower":
+        """The tower one level up: S_i = S_(i-1) + P∩M, i = j+1, and its holes.
+
+        S_i lies in iP∩M and the packing is injective there, so iP has no
+        holes exactly when |S_i| = |iP∩M|; otherwise the holes are the
+        points of iP∩M whose packed form is not in S_i.
+        """
+        top = _sumset(self.top, self.base)
+        points = p.lattice_points(len(self.holes) + 1)
+        if len(top) == len(points):
+            holes = frozenset()
+        else:
+            holes = frozenset(x for x in points if _pack(x, self.weights) not in top)
+        return _Tower(self.weights, self.capacity, self.base, top, self.holes + (holes,))
+
+
+def _holes(p: Polytope, k: int) -> frozenset[Vector]:
+    """Holes of kP, read from the polytope's tower and extending it to level
+    k if needed; each extension is published by one assignment."""
+    tower = p._tower
+    if tower is not None and k <= len(tower.holes):
+        return tower.holes[k - 1]
+    if tower is None or k > tower.capacity:
+        capacity = max(2 * k, _MIN_LEVELS)
+        weights = _weights(p, capacity)
+        base = frozenset(_pack(x, weights) for x in p.lattice_points(1))
+        tower = _Tower(weights, capacity, base, frozenset({0}), ())
+    while len(tower.holes) < k:
+        tower = tower.extended(p)
+        p._tower = tower
+    return tower.holes[k - 1]
+
+
+def _fills_next_dilate(p: Polytope, summand, k: int) -> bool:
+    """Whether summand + kP∩M = (k+1)P∩M, summand a set of lattice points of P.
+
+    The sum lies in (k+1)P∩M and the packing is injective there, so the two
+    sets are equal exactly when the packed sum has |(k+1)P∩M| elements.
+    """
+    weights = _weights(p, k + 1)
+    image = _sumset([_pack(x, weights) for x in p.lattice_points(k)],
+                    [_pack(x, weights) for x in summand])
+    return len(image) == len(p.lattice_points(k + 1))
 
 
 def is_k_normal(p: Polytope, k: int):
     """Whether every lattice point of kP is a sum of k lattice points of P.
 
-    Returns (flag, holes); holes are the unreachable points of kP.
+    Returns (flag, holes); holes are the unreachable points of kP.  The
+    answer is read from the polytope's memoized sumset tower, which builds
+    each level S_j = S_(j-1) + P∩M at most once, so scanning k = 1..K costs
+    K sumsets, not K²/2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = p.lattice_points(1)
-    reach = set(pts)
-    for _ in range(k - 1):
-        reach = _sumset(reach, pts)
-    holes = frozenset(p.lattice_points(k) - reach)
+    holes = _holes(p, k)
     return (not holes, holes)
 
 
@@ -95,7 +186,7 @@ def compute_d_P(p: Polytope) -> int:
     pts = p.lattice_points(1)
     last_failing = 0
     for k in range(1, p.dim - 1):
-        if _sumset(pts, p.lattice_points(k)) != set(p.lattice_points(k + 1)):
+        if not _fills_next_dilate(p, pts, k):
             last_failing = k
     return last_failing + 1
 
@@ -111,10 +202,9 @@ def compute_nu_P(p: Polytope) -> int:
     longer than the k <= n-2 that the same argument gives with n in place of
     dim+1.
     """
-    verts = p.vertices
     last_failing = 0
     for k in range(1, p.dim):
-        if _sumset(verts, p.lattice_points(k)) != set(p.lattice_points(k + 1)):
+        if not _fills_next_dilate(p, p.vertices, k):
             last_failing = k
     return last_failing + 1
 
@@ -130,13 +220,10 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
     if m_P is None:
         raise InvariantError("k_P undefined: polytope is not very ample")
     cap = (m_P - d_P) * p.num_vertices + 1
-    pts = p.lattice_points(1)
-    reach = set(pts)
     k = 1
     last_failing = 0
     while True:
-        normal_here = p.lattice_points(k) <= reach
-        if not normal_here:
+        if _holes(p, k):
             last_failing = k
         elif k >= d_P:
             break
@@ -146,7 +233,6 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
         if max_k is not None and k > max_k:
             raise SearchCapExceeded(
                 f"k-normality scan reached the safety cap max_k={max_k}")
-        reach = _sumset(reach, pts)
     return last_failing + 1
 
 

@@ -66,12 +66,15 @@ class EdgeFan:
 class Polytope:
     """Full-dimensional lattice polytope.
 
-    Immutable after construction except for the internal memo table of
-    lattice points per dilation factor, which is filled idempotently
-    (safe for concurrent readers).
+    Immutable after construction except for two internal memos, both safe
+    for concurrent readers: the lattice points per dilation factor, filled
+    idempotently, and the k-normality tower of `invariants`, an immutable
+    state that is replaced whole by one assignment, so a reader sees the old
+    tower or the extended one and never a half-extended one.
     """
 
-    __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache")
+    __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache",
+                 "_tower")
 
     def __init__(self, vertices: tuple[Vector, ...], dim: int,
                  facets: tuple[HalfSpace, ...], name: str | None = None):
@@ -81,6 +84,7 @@ class Polytope:
         self.name = name
         self._vertex_set = frozenset(vertices)
         self._point_cache: dict[int, frozenset[Vector]] = {}
+        self._tower = None
         self._validate()
 
     # -- construction invariants -------------------------------------------
@@ -139,7 +143,15 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def lattice_points(self, k: int = 1) -> frozenset[Vector]:
-        """All lattice points of the k-th dilate, by bounding-box scan."""
+        """All lattice points of the k-th dilate, scanned row by row.
+
+        The first dim-1 coordinates run over the bounding box of kP.  For each
+        such prefix every facet a·x <= k·c bounds the last coordinate z by
+        a_z·z <= r, with r = k·c minus the prefix part of a·x: z <= r // a_z
+        when a_z > 0 and z >= ceil(r/a_z) = -(r // -a_z) when a_z < 0, in exact
+        integer division.  A facet with a_z = 0 either holds on the whole row
+        (r >= 0) or empties it.
+        """
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
         cached = self._point_cache.get(k)
@@ -148,14 +160,22 @@ class Polytope:
         if self.dim == 0:
             points = frozenset({()})
         else:
-            lows = [min(k * v[i] for v in self.vertices) for i in range(self.dim)]
-            highs = [max(k * v[i] for v in self.vertices) for i in range(self.dim)]
-            axes = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
-            facets = [(f.normal, k * f.offset) for f in self.facets]
-            points = frozenset(
-                p for p in itertools.product(*axes)
-                if all(dot(n, p) <= c for n, c in facets)
-            )
+            axes = [range(k * min(c), k * max(c) + 1)
+                    for c in itertools.islice(zip(*self.vertices), self.dim - 1)]
+            upper = [(f.normal[:-1], f.normal[-1], k * f.offset)
+                     for f in self.facets if f.normal[-1] > 0]
+            lower = [(f.normal[:-1], -f.normal[-1], k * f.offset)
+                     for f in self.facets if f.normal[-1] < 0]
+            flat = [(f.normal[:-1], k * f.offset) for f in self.facets if f.normal[-1] == 0]
+            # a bounded polytope has facets with a_z > 0 and with a_z < 0
+            found = []
+            for prefix in itertools.product(*axes):
+                if any(dot(head, prefix) > c for head, c in flat):
+                    continue
+                hi = min((c - dot(head, prefix)) // a for head, a, c in upper)
+                lo = -min((c - dot(head, prefix)) // b for head, b, c in lower)
+                found.extend(prefix + (z,) for z in range(lo, hi + 1))
+            points = frozenset(found)
         # setdefault keeps the fill idempotent under concurrent callers
         return self._point_cache.setdefault(k, points)
 

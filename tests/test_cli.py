@@ -140,6 +140,16 @@ class TestCache:
         assert list(cache.iterdir()) == [entry]
         assert entry.read_bytes() == b"[1]"
 
+    def test_cache_dir_is_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("x")
+        code, out, err = run(capsys, "analyze", "cube:2", "--format", "json",
+                             "--cache-dir", str(blocker))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text() == "x"
+
     def test_env_cache_dir(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"
         monkeypatch.setenv("POLYNORM_CACHE", str(cache))

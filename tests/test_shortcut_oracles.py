@@ -1,16 +1,32 @@
-"""The slow paths behind two shortcuts, kept as oracles.
+"""The slow paths behind the shortcuts, kept as oracles.
 
 - compute_nu_P scans k = 1..dim-1 (Carathéodory); the oracle scans the
   original k = 1..n-2 range, n the number of vertices.
 - shortest_representations tests BFS candidates against the Pareto-minimal
   target images only; the oracle tests them against every image, and the
   certificates must agree part for part.
+- Polytope.lattice_points scans rows with an exact interval for the last
+  coordinate; the oracle tests every point of the bounding box.
+- is_k_normal and compute_k_P read a memoized tower of packed-int sumsets;
+  the oracle rebuilds tuple sumsets of the lattice points level by level.
 """
 
-from polynorm import semigroup
-from polynorm.catalog import SplitMix64, random_polytope
-from polynorm.exactmath import add, scale, sub
-from polynorm.invariants import compute_d_P, compute_nu_P
+import itertools
+
+import pytest
+
+from polynorm import invariants, semigroup
+from polynorm.catalog import SplitMix64, build_family, random_polytope
+from polynorm.cli import run_check_suite
+from polynorm.exactmath import add, dot, scale, sub
+from polynorm.invariants import (
+    _pack,
+    compute_d_P,
+    compute_k_P,
+    compute_nu_P,
+    is_k_normal,
+)
+from polynorm.polytope import from_points
 from polynorm.semigroup import generator_set, shortest_representations
 
 from conftest import CATALOG_SPECS
@@ -88,3 +104,149 @@ def test_pareto_minimal_against_pairwise_filter():
             a for a in images
             if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in images)})
         assert semigroup._pareto_minimal(images) == pairwise
+
+
+# -- lattice points: row scan against the bounding-box scan --------------------
+
+
+def lattice_points_box_scan(p, k):
+    """Every point of the bounding box of kP that satisfies all facets."""
+    axes = [range(k * min(c), k * max(c) + 1) for c in zip(*p.vertices)]
+    return frozenset(x for x in itertools.product(*axes)
+                     if all(dot(f.normal, x) <= k * f.offset for f in p.facets))
+
+
+def translated(p, shift):
+    return from_points([sub(v, shift) for v in p.vertices], name=p.name)
+
+
+def test_row_scan_matches_box_scan(poly):
+    cases = [poly(s) for s in CATALOG_SPECS] + list(random_cases())
+    # the same shapes moved so that every coordinate range crosses zero
+    cases += [translated(p, (2,) * p.dim) for p in random_cases()]
+    assert any(min(min(v) for v in p.vertices) < 0 for p in cases)
+    for p in cases:
+        for k in range(1, 5):
+            assert p.lattice_points(k) == lattice_points_box_scan(p, k), (p.name, k)
+
+
+# -- k-normality: packed tower against tuple sumsets ----------------------------
+
+
+def tuple_holes(p, levels):
+    """Holes of kP for k = 1..levels from tuple sumsets S_k = S_(k-1) + P∩M."""
+    pts = lattice_points_box_scan(p, 1)
+    reach = set(pts)
+    holes = []
+    for k in range(1, levels + 1):
+        if k > 1:
+            reach = {add(x, y) for x in reach for y in pts}
+        holes.append(lattice_points_box_scan(p, k) - reach)
+    return holes
+
+
+def k_P_tuple_scan(p, m_P, d_P):
+    """compute_k_P with tuple sumsets rebuilt one level at a time."""
+    cap = (m_P - d_P) * p.num_vertices + 1
+    pts = p.lattice_points(1)
+    reach = set(pts)
+    k = 1
+    last_failing = 0
+    while True:
+        if not p.lattice_points(k) <= reach:
+            last_failing = k
+        elif k >= d_P:
+            break
+        k += 1
+        assert k <= cap
+        reach = {add(x, y) for x in reach for y in pts}
+    return last_failing + 1
+
+
+def scan_depth(r):
+    """k_P + 1, or d_P + 2 when k_P is undefined (reeve)."""
+    return r.k_P + 1 if r.k_P is not None else r.d_P + 2
+
+
+@pytest.mark.parametrize("min_levels", [None, 2])
+def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
+    # min_levels = 2 forces the tower to re-pack with a larger radix
+    # several times on the way up
+    if min_levels is not None:
+        monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
+    deep = 0
+    for spec in CATALOG_SPECS:
+        r = report(spec)
+        levels = scan_depth(r)
+        expected = tuple_holes(build_family(spec), levels)
+        deep += any(expected)
+        # fresh polytopes, so each tower is built by the order of the queries
+        ascending, descending = build_family(spec), build_family(spec)
+        for k in range(1, levels + 1):
+            assert is_k_normal(ascending, k) == (not expected[k - 1], expected[k - 1])
+        for k in range(levels, 0, -1):
+            assert is_k_normal(descending, k)[1] == expected[k - 1], (spec, k)
+        if r.very_ample:
+            fresh = build_family(spec)
+            k_P = compute_k_P(fresh, r.m_P, r.d_P)
+            assert k_P == r.k_P == k_P_tuple_scan(fresh, r.m_P, r.d_P), spec
+    assert deep >= 5
+
+
+def test_tower_builds_each_level_once(monkeypatch):
+    built = []
+    extended = invariants._Tower.extended
+
+    def counting(self, p):
+        built.append(len(self.holes) + 1)
+        return extended(self, p)
+
+    monkeypatch.setattr(invariants._Tower, "extended", counting)
+    p = build_family("bruns:6")
+    # full_report (k_P scan and hole witness) plus the k = 1..k_P+1 flags
+    results, ok = run_check_suite(p)
+    scan = invariants.scan_normality(p, through_k=3)
+    assert ok and scan.k_P > 3
+    assert built == list(range(1, scan.k_P + 2))
+
+
+# -- packing: round trip at the corners of the bounding box ----------------------
+
+
+def unpack(value, level, lows, radix):
+    """Inverse of _pack on level·P, reading base-radix digits above level·lows."""
+    offset = tuple(level * c for c in lows)
+    rest = value - _pack(offset, tuple(radix ** i for i in range(len(lows))))
+    digits = []
+    for _ in lows:
+        rest, digit = divmod(rest, radix)
+        digits.append(digit)
+    assert rest == 0
+    return tuple(o + d for o, d in zip(offset, digits))
+
+
+@pytest.mark.parametrize("min_levels", [None, 2])
+def test_packing_round_trips_at_box_corners(report, monkeypatch, min_levels):
+    if min_levels is not None:
+        monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
+    cases = [(build_family(s), scan_depth(report(s))) for s in CATALOG_SPECS]
+    cases += [(translated(build_family(s), (1, 3, 2)), scan_depth(report(s)))
+              for s in ("bruns:5", "reeve")]
+    for p, levels in cases:
+        for k in range(1, levels + 1):  # one level at a time, as compute_k_P does
+            is_k_normal(p, k)
+        tower = p._tower
+        assert len(tower.holes) == levels <= tower.capacity
+        weights, radix = tower.weights, tower.weights[1]
+        lows = tuple(min(c) for c in zip(*p.vertices))
+        highs = tuple(max(c) for c in zip(*p.vertices))
+        for level in sorted({1, levels, tower.capacity}):
+            corners = list(itertools.product(
+                *((level * lo, level * hi) for lo, hi in zip(lows, highs))))
+            packed = [_pack(x, weights) for x in corners]
+            assert len(set(packed)) == len(corners)
+            for x, value in zip(corners, packed):
+                assert unpack(value, level, lows, radix) == x, (p.name, level, x)
+            # linearity: a sum of packed corners is the packed vector sum
+            for x, y in itertools.combinations(corners, 2):
+                assert _pack(x, weights) + _pack(y, weights) == _pack(add(x, y), weights)

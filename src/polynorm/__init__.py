@@ -65,7 +65,6 @@ from .semigroup import (
     compute_m_P,
     generator_set,
     sigma,
-    very_ample_check,
 )
 
 __all__ = [
@@ -81,5 +80,5 @@ __all__ = [
     "EdgeFan", "GeometryError", "HalfSpace", "Polytope", "from_points",
     "hrep_from_vrep", "join", "product", "union_if_convex",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
-    "sigma", "very_ample_check",
+    "sigma",
 ]

@@ -6,7 +6,8 @@ the finite set {y : y and target - y both lie in the tangent cone at v},
 reaches it; the BFS layer index of first arrival is the minimal number of
 generators needed.  Exhausting that set without arrival certifies
 infeasibility, because every partial sum of any representation stays inside
-it.
+it.  The search stops as soon as every target has been reached, so it
+exhausts that set only when some target is infeasible.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ def shortest_representations(gs: GeneratorSet, targets):
     test runs against the minimal images alone and answers exactly as it
     would against all of them, which leaves the search and every
     certificate unchanged.
+
+    The search stops once every target has a parent entry, and it does not
+    run at all when the only target in the cone is 0.  That leaves every
+    certificate as a search run to exhaustion would give it: entries are
+    never overwritten, and a target's certificate reads only the entries on
+    its own path, each set no later than the target's own entry.  An
+    infeasible target never gets an entry, so with one among the targets
+    the search still exhausts the lower set, which certifies infeasibility.
     """
     targets = tuple(dict.fromkeys(targets))
     results = {t: None for t in targets}
@@ -113,17 +122,7 @@ def shortest_representations(gs: GeneratorSet, targets):
         dy = tuple(dot(n, y) for n in normals)
         return any(all(a >= b for a, b in zip(dy, td)) for td in target_dots)
 
-    parent: dict[Vector, tuple[Vector, Vector] | None] = {zero: None}
-    frontier = [zero]
-    while frontier:
-        next_frontier = []
-        for y in sorted(frontier):
-            for g in gs.generators:
-                z = add(y, g)
-                if z not in parent and in_lower_set(z):
-                    parent[z] = (y, g)
-                    next_frontier.append(z)
-        frontier = next_frontier
+    parent = _search(gs.generators, in_lower_set, set(live) - {zero}, zero)
     for t in live:
         if t in parent:
             parts = []
@@ -134,6 +133,28 @@ def shortest_representations(gs: GeneratorSet, targets):
             parts.sort()
             results[t] = ReprCertificate(t, tuple(parts), len(parts))
     return results
+
+
+def _search(generators, in_lower_set, pending, zero):
+    """BFS parents from zero inside the lower set: each reached node maps to
+    (previous node, generator), zero to None.  Returns as soon as no target
+    is pending, even in the middle of a layer.
+    """
+    parent: dict[Vector, tuple[Vector, Vector] | None] = {zero: None}
+    frontier = [zero]
+    while pending and frontier:
+        next_frontier = []
+        for y in sorted(frontier):
+            for g in generators:
+                z = add(y, g)
+                if z not in parent and in_lower_set(z):
+                    parent[z] = (y, g)
+                    next_frontier.append(z)
+                    pending.discard(z)
+                    if not pending:
+                        return parent
+        frontier = next_frontier
+    return parent
 
 
 def _pareto_minimal(images):
@@ -181,14 +202,3 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
         raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
     return MPResult(True, best.certificate.length, best, None)
 
-
-def very_ample_check(p: Polytope, d_P: int):
-    """Decide very-ampleness by checking every (x, vertex) pair at r = d_P.
-
-    Feasibility of all pairs at r = d_P is equivalent to saturation of every
-    vertex semigroup.  Returns (True, extremal witness) or (False, (x, v)).
-    """
-    res = compute_m_P(p, d_P)
-    if res.very_ample:
-        return True, res.witness
-    return False, res.failure

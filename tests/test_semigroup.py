@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from polynorm import semigroup
 from polynorm.exactmath import add, scale, sub
 from polynorm.semigroup import (
     INFEASIBLE,
@@ -10,7 +11,6 @@ from polynorm.semigroup import (
     generator_set,
     shortest_representations,
     sigma,
-    very_ample_check,
 )
 from polynorm.polytope import from_points
 
@@ -61,6 +61,23 @@ class TestSigma:
     def test_outside_cone_infeasible(self):
         gs = generator_set(SQUARE, (0, 0))
         assert sigma(gs, (-1, 0)) == INFEASIBLE
+
+    def test_search_stops_once_every_target_is_reached(self, poly, monkeypatch):
+        sums = []
+
+        def counting_add(a, b):
+            sums.append(a)
+            return add(a, b)
+
+        monkeypatch.setattr(semigroup, "add", counting_add)
+        gs = generator_set(poly("bruns:4"), (0, 0, 0))
+        assert sigma(gs, (0, 0, 0)).length == 0
+        assert sums == []  # the zero target needs no search
+        for g in gs.generators:
+            sums.clear()
+            assert sigma(gs, g).length == 1
+            # layer 1 up to g, then the certificate's own re-sum
+            assert len(sums) == gs.generators.index(g) + 2
 
 
 class TestCertificates:
@@ -145,8 +162,7 @@ class TestVeryAmple:
         from polynorm.invariants import compute_d_P, is_k_normal
         p = bruns_gubeladze(7)
         d_P = compute_d_P(p)
-        ok, _ = very_ample_check(p, d_P)
-        assert ok
+        assert compute_m_P(p, d_P).very_ample
         flag, holes = is_k_normal(p, 5)
         assert not flag and (1, 1, 6) in holes
 
@@ -155,9 +171,9 @@ class TestVeryAmple:
 
     def test_reeve_witness(self, poly):
         p = poly("reeve")
-        ok, witness = very_ample_check(p, 2)
-        assert not ok
-        assert witness == ((1, 1, 1), (0, 0, 0))
+        res = compute_m_P(p, 2)
+        assert not res.very_ample
+        assert res.failure == ((1, 1, 1), (0, 0, 0))
 
     def test_generator_cone_membership(self, poly):
         for spec in ("bruns:4", "reeve", "cube:3"):

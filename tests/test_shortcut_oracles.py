@@ -9,6 +9,9 @@
   coordinate; the oracle tests every point of the bounding box.
 - is_k_normal and compute_k_P read a memoized tower of packed-int sumsets;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
+- The BFS of shortest_representations stops once every target is reached;
+  the oracle runs it to exhaustion, and the certificates must agree part
+  for part.  A third oracle for sigma reads minimal lengths off the tower.
 """
 
 import itertools
@@ -27,7 +30,12 @@ from polynorm.invariants import (
     is_k_normal,
 )
 from polynorm.polytope import from_points
-from polynorm.semigroup import generator_set, shortest_representations
+from polynorm.semigroup import (
+    INFEASIBLE,
+    generator_set,
+    shortest_representations,
+    sigma,
+)
 
 from conftest import CATALOG_SPECS
 
@@ -92,6 +100,51 @@ def test_pruned_targets_give_identical_certificates(poly, monkeypatch):
     monkeypatch.setattr(semigroup, "_pareto_minimal", list)
     for (p, d_P), got in zip(cases, pruned):
         assert got == all_certificates(p, d_P), p.name
+
+
+def search_to_exhaustion(generators, in_lower_set, pending, zero):
+    """semigroup._search without the early stop: every node of the lower set."""
+    parent = {zero: None}
+    frontier = [zero]
+    while frontier:
+        next_frontier = []
+        for y in sorted(frontier):
+            for g in generators:
+                z = add(y, g)
+                if z not in parent and in_lower_set(z):
+                    parent[z] = (y, g)
+                    next_frontier.append(z)
+        frontier = next_frontier
+    return parent
+
+
+def single_target_certificates(p, d_P):
+    """sigma on each m_P target of the first vertex, one target per search."""
+    v = p.vertices[0]
+    gs = generator_set(p, v)
+    shift = scale(d_P, v)
+    return {x: sigma(gs, sub(x, shift)) for x in sorted(p.lattice_points(d_P))}
+
+
+def test_early_stop_gives_identical_certificates(poly, monkeypatch):
+    # reeve and random:4,3,9,11 are not very ample, so some targets are
+    # infeasible and their searches must still run to exhaustion
+    many = [(p, compute_d_P(p))
+            for p in oracle_cases(poly) + [build_family("random:4,3,9,11")]]
+    cases = many[:-1]  # one search per target costs too much on the last one
+    stopped = [all_certificates(p, d_P) for p, d_P in many]
+    single = [single_target_certificates(p, d_P) for p, d_P in cases]
+    monkeypatch.setattr(semigroup, "_search", search_to_exhaustion)
+    for (p, d_P), got in zip(many, stopped):
+        assert got == all_certificates(p, d_P), p.name
+    for (p, d_P), got in zip(cases, single):
+        assert got == single_target_certificates(p, d_P), p.name
+    infeasible = sum(cert is None for certs in stopped
+                     for by_target in certs.values() for cert in by_target.values())
+    assert infeasible > 0
+    assert any(cert == INFEASIBLE for got in single for cert in got.values())
+    assert any(cert != INFEASIBLE and cert.length == 0
+               for got in single for cert in got.values())
 
 
 def test_pareto_minimal_against_pairwise_filter():
@@ -250,3 +303,40 @@ def test_packing_round_trips_at_box_corners(report, monkeypatch, min_levels):
             # linearity: a sum of packed corners is the packed vector sum
             for x, y in itertools.combinations(corners, 2):
                 assert _pack(x, weights) + _pack(y, weights) == _pack(add(x, y), weights)
+
+
+# -- sigma: BFS lengths against the sumset tower ----------------------------------
+
+
+def tower_length(p, x, v, d_P, cap):
+    """Least j <= cap with x - d_P·v a sum of j generators, read off the tower.
+
+    x - d_P·v is a sum of at most j generators u_i - v exactly when
+    x + (j - d_P)·v is a sum of j lattice points of P (a point u_i = v adds
+    nothing), i.e. a point of jP that is not a hole of jP.  The least such
+    j is sigma.
+    """
+    if x == scale(d_P, v):
+        return 0
+    for j in range(1, cap + 1):
+        y = add(x, scale(j - d_P, v))
+        if p.contains(y, j) and y not in is_k_normal(p, j)[1]:
+            return j
+    return None
+
+
+def test_sigma_matches_tower(poly):
+    cases = [poly(s) for s in ORACLE_SPECS]
+    cases += [p for p in random_cases() if p.dim <= 3]
+    pairs = 0
+    for p in cases:
+        d_P = compute_d_P(p)
+        for v in p.vertices:
+            gs = generator_set(p, v)
+            for x in sorted(p.lattice_points(d_P)):
+                cert = sigma(gs, sub(x, scale(d_P, v)))
+                if cert != INFEASIBLE:
+                    assert tower_length(p, x, v, d_P, cert.length) == cert.length, (
+                        p.name, v, x)
+                    pairs += 1
+    assert pairs >= 4000

@@ -5,10 +5,10 @@ regularity max(k_P, deg) + 1.  The *_table variants reproduce published
 comparison-table entries and are listed for reference only.
 """
 
-from polynorm.bounds import BOUND_KEY_ORDER, BOUND_TARGETS, full_report
+from polynorm.bounds import BOUND_TARGETS, full_report
 from polynorm.catalog import default_catalog
 
-HEAD = ["polytope", "k_P", "reg"] + list(BOUND_KEY_ORDER) + ["eg_rhs", "eg"]
+HEAD = ["polytope", "k_P", "reg"] + list(BOUND_TARGETS) + ["eg_rhs", "eg"]
 
 
 def fmt(value):
@@ -19,13 +19,13 @@ rows = []
 for p in default_catalog():
     r = full_report(p)
     row = [p.name, fmt(r.k_P), fmt(r.regularity)]
-    row += [fmt(r.bounds[b]) for b in BOUND_KEY_ORDER]
+    row += [fmt(r.bounds[b]) for b in BOUND_TARGETS]
     row += [fmt(r.eg_rhs), fmt(r.eg_holds)]
     rows.append(row)
 
 widths = [max(len(HEAD[i]), *(len(row[i]) for row in rows)) for i in range(len(HEAD))]
 print("  ".join(h.ljust(w) for h, w in zip(HEAD, widths)))
-targets = ["", "", ""] + [BOUND_TARGETS[b] for b in BOUND_KEY_ORDER] + ["reg", ""]
+targets = ["", "", ""] + list(BOUND_TARGETS.values()) + ["reg", ""]
 print("  ".join(t.ljust(w) for t, w in zip(targets, widths)))
 for row in rows:
     print("  ".join(c.ljust(w) for c, w in zip(row, widths)))

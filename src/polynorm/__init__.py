@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bounds import (
     InvariantReport,
     classical_bounds,
-    d_P_bound_checks,
     eg_check,
     full_report,
     refined_bound,
@@ -57,7 +56,6 @@ from .polytope import (
     hrep_from_vrep,
     join,
     product,
-    union_if_convex,
 )
 from .semigroup import (
     GeneratorSet,
@@ -68,7 +66,7 @@ from .semigroup import (
 )
 
 __all__ = [
-    "InvariantReport", "classical_bounds", "d_P_bound_checks", "eg_check",
+    "InvariantReport", "classical_bounds", "eg_check",
     "full_report", "refined_bound", "regularity", "report_json_bytes",
     "report_to_dict", "smooth_bounds", "theorem_bound",
     "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
@@ -78,7 +76,7 @@ __all__ = [
     "is_smooth", "m_prime", "scan_normality", "volume_ehrhart",
     "volume_triangulation",
     "EdgeFan", "GeometryError", "HalfSpace", "Polytope", "from_points",
-    "hrep_from_vrep", "join", "product", "union_if_convex",
+    "hrep_from_vrep", "join", "product",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",
 ]

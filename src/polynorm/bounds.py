@@ -10,7 +10,7 @@ ground truth at report time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import invariants as inv
 from . import semigroup as sg
@@ -113,22 +113,12 @@ def eg_check(k_P: int | None, vol: int, lattice_points: int, d: int):
     return k_P <= rhs, rhs
 
 
-def d_P_bound_checks(d_P: int, deg: int, vol: int, lattice_points: int, d: int) -> dict:
-    """Truth values of d_P <= deg(P) and d_P <= Vol + d + 1 - |P∩M|.
-
-    Callers must skip the first check for unimodular simplices and the
-    second for polytopes that are not very ample, where the inequalities
-    are not certified.
-    """
-    return {
-        "d_P_le_deg": d_P <= deg,
-        "d_P_le_volume_excess": d_P <= vol + d + 1 - lattice_points,
-    }
-
-
 @dataclass(frozen=True)
 class InvariantReport:
-    """Every computed invariant, flag, bound, and witness for one polytope."""
+    """Every computed invariant, flag, bound, and witness for one polytope.
+
+    The field order is the report's key order in every output format.
+    """
 
     name: str | None
     dim: int
@@ -266,16 +256,6 @@ def full_report(p: Polytope, name: str | None = None, max_k: int | None = None) 
 
 # -- serialization ----------------------------------------------------------------
 
-# JSON key order is part of the output contract (CSV columns follow it).
-REPORT_KEYS = (
-    "name", "dim", "num_vertices", "num_lattice_points", "volume_normalized",
-    "degree", "d_P", "nu_P", "m_P", "k_P", "very_ample", "smooth", "normal",
-    "gamma", "m_prime", "regularity", "bounds", "bound_targets", "eg_rhs",
-    "eg_holds", "witnesses",
-)
-
-BOUND_KEY_ORDER = tuple(BOUND_TARGETS)
-
 _SAFE_INT = (1 << 53) - 1
 
 
@@ -294,30 +274,17 @@ def _jsonable(value):
 
 
 def report_to_dict(report: InvariantReport) -> dict:
-    """Serializable dict with the documented stable key order."""
-    raw = {
-        "name": report.name,
-        "dim": report.dim,
-        "num_vertices": report.num_vertices,
-        "num_lattice_points": report.num_lattice_points,
-        "volume_normalized": report.volume_normalized,
-        "degree": report.degree,
-        "d_P": report.d_P,
-        "nu_P": report.nu_P,
-        "m_P": report.m_P,
-        "k_P": report.k_P,
-        "very_ample": report.very_ample,
-        "smooth": report.smooth,
-        "normal": report.normal,
-        "gamma": report.gamma,
-        "m_prime": report.m_prime,
-        "regularity": report.regularity,
-        "bounds": {k: report.bounds.get(k) for k in BOUND_KEY_ORDER},
-        "bound_targets": dict(BOUND_TARGETS),
-        "eg_rhs": report.eg_rhs,
-        "eg_holds": report.eg_holds,
-        "witnesses": report.witnesses,
-    }
+    """Serializable dict in the field order of InvariantReport, with
+    bound_targets right after bounds.  This order is the output contract:
+    the table lines and the CSV columns follow it."""
+    raw = {}
+    for field in fields(InvariantReport):
+        value = getattr(report, field.name)
+        if field.name == "bounds":
+            raw["bounds"] = {k: value.get(k) for k in BOUND_TARGETS}
+            raw["bound_targets"] = dict(BOUND_TARGETS)
+        else:
+            raw[field.name] = value
     return _jsonable(raw)
 
 

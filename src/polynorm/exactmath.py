@@ -13,10 +13,6 @@ from math import gcd
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-# Rational coefficients (barycentric weights, linear-system solutions) are plain
-# `fractions.Fraction` values: always reduced, denominator always positive.
-Rational = Fraction
-
 NO_SOLUTION = "no solution"
 UNDERDETERMINED = "underdetermined"
 
@@ -48,10 +44,6 @@ def scale(c: int, v: Vector) -> Vector:
 
 def dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def primitive(v: Vector) -> Vector:
@@ -151,8 +143,3 @@ def solve_rational(a: Matrix, b: Vector):
     if len(pivots) < ncols:
         return UNDERDETERMINED
     return [aug[i][ncols] for i in range(ncols)]
-
-
-def mat_vec(a: Matrix, x) -> list:
-    """Matrix-vector product, exact for int or Fraction entries."""
-    return [sum(c * xi for c, xi in zip(row, x, strict=True)) for row in a]

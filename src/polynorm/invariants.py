@@ -24,8 +24,6 @@ from operator import mul
 from .exactmath import Vector, det_exact, solve_rational, sub
 from .polytope import Polytope, from_points
 
-UNDEFINED = "undefined"
-
 
 class InvariantError(ValueError):
     """An invariant was requested outside its domain of definition."""
@@ -62,10 +60,10 @@ class NormalityScan:
 
 @dataclass(frozen=True)
 class SmoothData:
-    """Edge-fan data for a smooth polytope; gamma/m_prime are None otherwise."""
+    """Smoothness flag, with gamma and m_prime for a smooth polytope (None
+    otherwise)."""
 
     is_smooth: bool
-    fans: tuple
     gamma: int | None
     m_prime: int | None
 
@@ -430,17 +428,16 @@ def m_prime(p: Polytope) -> int:
 
 
 def smooth_data(p: Polytope) -> SmoothData:
-    """Bundle of smoothness flag, edge fans, gamma and m_prime.
+    """Bundle of smoothness flag, gamma and m_prime.
 
     gamma bounds a coefficient sum and m_prime a single coefficient, so the
     two are related by gamma <= dim * m_prime (each of the dim coefficients
     is at most m_prime).
     """
     smooth = is_smooth(p)
-    fans = tuple(p.edge_fan(v) for v in p.vertices) if p.dim > 0 else ()
     if not smooth:
-        return SmoothData(False, fans, None, None)
+        return SmoothData(False, None, None)
     g, mp = gamma(p), m_prime(p)
     if g > p.dim * mp:
         raise AssertionError(f"gamma={g} exceeds dim*m_prime={p.dim * mp} (bug)")
-    return SmoothData(True, fans, g, mp)
+    return SmoothData(True, g, mp)

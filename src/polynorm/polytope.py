@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .exactmath import (
     Vector,
-    add,
     det_exact,
     dot,
     neg,
@@ -26,8 +24,6 @@ from .exactmath import (
     sub,
     vec,
 )
-
-NOT_CONVEX = "not convex"
 
 
 class GeometryError(ValueError):
@@ -300,7 +296,7 @@ def from_points(points, name: str | None = None) -> Polytope:
     return Polytope(tuple(verts), d, facets, name)
 
 
-# -- product / join / union ----------------------------------------------------
+# -- product / join ------------------------------------------------------------
 
 
 def product(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
@@ -320,86 +316,6 @@ def join(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
     points = [u + zq + (0,) for u in p.vertices]
     points += [zp + w + (1,) for w in q.vertices]
     return from_points(points, name)
-
-
-def union_if_convex(parts):
-    """Convex hull of a union of polytopes, if the union is that hull.
-
-    Returns the hull polytope when the parts exactly cover it, else the
-    sentinel NOT_CONVEX.  Coverage is decided exactly: after a cheap
-    lattice-point screen, every candidate uncovered region (hull intersected
-    with one violated facet per part) is tested for emptiness by
-    Fourier-Motzkin elimination over the rationals.
-    """
-    parts = list(parts)
-    if not parts:
-        raise GeometryError("empty union")
-    d = parts[0].dim
-    if any(q.dim != d for q in parts):
-        raise GeometryError("union parts must share ambient dimension")
-    hull = from_points([v for q in parts for v in q.vertices])
-    if d == 0:
-        return hull
-    for k in (1, 2):
-        covered = set()
-        for q in parts:
-            covered |= q.lattice_points(k)
-        if hull.lattice_points(k) != covered:
-            return NOT_CONVEX
-    base = [(f.normal, f.offset, False) for f in hull.facets]
-
-    def uncovered_region_exists(i, constraints):
-        if not fm_feasible(constraints, d):
-            return False
-        if i == len(parts):
-            return True
-        return any(
-            uncovered_region_exists(i + 1, constraints + [(neg(f.normal), -f.offset, True)])
-            for f in parts[i].facets
-        )
-
-    if uncovered_region_exists(0, base):
-        return NOT_CONVEX
-    return hull
-
-
-def fm_feasible(constraints, nvars: int) -> bool:
-    """Feasibility of {x : coeffs·x <= rhs, strict where flagged} over QQ.
-
-    Fourier-Motzkin elimination; exact, complete for rational polyhedra.
-    Constraints are (coeffs, rhs, strict) triples.
-    """
-    cons = {(tuple(coeffs), Fraction(rhs), strict) for coeffs, rhs, strict in constraints}
-    for j in range(nvars):
-        uppers, lowers, rest = [], [], set()
-        for coeffs, rhs, strict in cons:
-            cj = coeffs[j]
-            if cj > 0:
-                uppers.append((coeffs, rhs, strict))
-            elif cj < 0:
-                lowers.append((coeffs, rhs, strict))
-            else:
-                rest.add((coeffs, rhs, strict))
-        for (cu, ru, su) in uppers:
-            for (cl, rl, sl) in lowers:
-                a, b = cu[j], -cl[j]
-                coeffs = tuple(b * x + a * y for x, y in zip(cu, cl))
-                new = (coeffs, b * ru + a * rl, su or sl)
-                rest.add(_fm_normalize(new))
-        cons = rest
-    for coeffs, rhs, strict in cons:
-        if rhs < 0 or (rhs == 0 and strict):
-            return False
-    return True
-
-
-def _fm_normalize(constraint):
-    coeffs, rhs, strict = constraint
-    g = gcd(*(abs(c) for c in coeffs)) if any(coeffs) else 0
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = rhs / g
-    return (coeffs, rhs, strict)
 
 
 # -- input formats ---------------------------------------------------------------

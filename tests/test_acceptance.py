@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from polynorm.bounds import full_report, report_to_dict
-from polynorm.catalog import bruns_gubeladze, default_catalog, random_polytope
+from polynorm.catalog import bruns_gubeladze, random_polytope
 from polynorm.cli import main, render_table, run_check_suite
 from polynorm.exactmath import add, sub
 from polynorm.invariants import is_k_normal, volume_ehrhart, volume_triangulation

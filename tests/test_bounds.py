@@ -3,11 +3,8 @@ import json
 import pytest
 
 from polynorm.bounds import (
-    BOUND_KEY_ORDER,
     BOUND_TARGETS,
-    REPORT_KEYS,
     classical_bounds,
-    d_P_bound_checks,
     eg_check,
     full_report,
     refined_bound,
@@ -128,20 +125,6 @@ class TestEGCheck:
                 assert r.eg_holds is None
 
 
-class TestDPBoundChecks:
-    def test_bruns(self, report):
-        r = report("bruns:4")
-        got = d_P_bound_checks(r.d_P, r.degree, r.volume_normalized,
-                               r.num_lattice_points, r.dim)
-        assert got == {"d_P_le_deg": True, "d_P_le_volume_excess": True}
-
-    def test_polygon_trivial(self, report):
-        r = report("cube:2")
-        got = d_P_bound_checks(r.d_P, r.degree, r.volume_normalized,
-                               r.num_lattice_points, r.dim)
-        assert got["d_P_le_deg"] and got["d_P_le_volume_excess"]
-
-
 class TestFullReport:
     def test_bruns4_snapshot(self, report):
         r = report("bruns:4")
@@ -213,8 +196,18 @@ class TestFullReport:
 class TestSerialization:
     def test_key_order(self, report):
         data = report_to_dict(report("bruns:4"))
-        assert tuple(data.keys()) == REPORT_KEYS
-        assert tuple(data["bounds"].keys()) == BOUND_KEY_ORDER
+        assert tuple(data.keys()) == (
+            "name", "dim", "num_vertices", "num_lattice_points", "volume_normalized",
+            "degree", "d_P", "nu_P", "m_P", "k_P", "very_ample", "smooth", "normal",
+            "gamma", "m_prime", "regularity", "bounds", "bound_targets", "eg_rhs",
+            "eg_holds", "witnesses",
+        )
+        assert tuple(data["bounds"].keys()) == (
+            "theorem", "refined", "smooth_corner", "smooth_volume", "smooth_min",
+            "mumford_general", "mumford_table", "sturmfels", "sturmfels_kp",
+            "sturmfels_table",
+        )
+        assert tuple(data["bound_targets"].keys()) == tuple(data["bounds"].keys())
 
     def test_targets_tagged(self, report):
         data = report_to_dict(report("cube:2"))

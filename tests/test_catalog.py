@@ -14,7 +14,6 @@ from polynorm.catalog import (
     reeve_like,
     standard_simplex,
 )
-from polynorm.polytope import GeometryError
 
 
 class TestCube:

@@ -3,17 +3,98 @@ import time
 
 import pytest
 
-from polynorm import cli
+from polynorm import cli, invariants
 from polynorm.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
     cache_key,
-    csv_header,
     main,
     run_check_suite,
 )
-from polynorm.catalog import bruns_gubeladze, cube
+from polynorm.catalog import bruns_gubeladze
+
+# The CSV header and the table layout are part of the output contract, so
+# they are pinned here literally rather than derived from the report fields.
+CSV_HEADER = (
+    "name,dim,num_vertices,num_lattice_points,volume_normalized,degree,d_P,nu_P,"
+    "m_P,k_P,very_ample,smooth,normal,gamma,m_prime,regularity,bounds.theorem,"
+    "bounds.refined,bounds.smooth_corner,bounds.smooth_volume,bounds.smooth_min,"
+    "bounds.mumford_general,bounds.mumford_table,bounds.sturmfels,"
+    "bounds.sturmfels_kp,bounds.sturmfels_table,eg_rhs,eg_holds"
+)
+
+BRUNS4_TABLE = """\
+name                bruns:4
+dim                 3
+num_vertices        8
+num_lattice_points  8
+volume_normalized   10
+degree              2
+d_P                 2
+nu_P                2
+m_P                 3
+k_P                 3
+very_ample          True
+smooth              False
+normal              False
+gamma               undefined
+m_prime             undefined
+regularity          4
+bounds:
+  theorem           9             (bounds k_P)
+  refined           3             (bounds k_P)
+  smooth_corner     n/a           (bounds k_P)
+  smooth_volume     n/a           (bounds k_P)
+  smooth_min        n/a           (bounds k_P)
+  mumford_general   34            (bounds reg)
+  mumford_table     33            (bounds k_P)
+  sturmfels         120           (bounds reg)
+  sturmfels_kp      319           (bounds k_P)
+  sturmfels_table   240           (bounds reg)
+eg_rhs              6
+eg_holds            True
+witness hole: {"k": 2, "point": [1, 1, 3]}
+witness sigma_max: {"x": [1, 1, 3], "vertex": [0, 0, 0], "parts": [[0, 0, 1], [0, 1, 1], [1, 0, 1]], "length": 3}
+"""
+
+REEVE_TABLE = """\
+name                reeve
+dim                 3
+num_vertices        4
+num_lattice_points  4
+volume_normalized   2
+degree              2
+d_P                 2
+nu_P                2
+m_P                 undefined
+k_P                 undefined
+very_ample          False
+smooth              False
+normal              False
+gamma               undefined
+m_prime             undefined
+regularity          undefined
+bounds:
+  theorem           n/a           (bounds k_P)
+  refined           n/a           (bounds k_P)
+  smooth_corner     n/a           (bounds k_P)
+  smooth_volume     n/a           (bounds k_P)
+  smooth_min        n/a           (bounds k_P)
+  mumford_general   n/a           (bounds reg)
+  mumford_table     n/a           (bounds k_P)
+  sturmfels         n/a           (bounds reg)
+  sturmfels_kp      n/a           (bounds k_P)
+  sturmfels_table   n/a           (bounds reg)
+eg_rhs              2
+eg_holds            undefined
+witness non_saturation: {"x": [1, 1, 1], "vertex": [0, 0, 0]}
+"""
+
+BRUNS4_CSV = (CSV_HEADER + "\r\n"
+              + "bruns:4,3,8,8,10,2,2,2,3,3,True,False,False,,,4,9,3,,,,34,33,120,319,240,6,True\r\n")
+REEVE_CSV = (CSV_HEADER + "\r\n"
+             + "reeve,3,4,4,2,2,2,2,,,False,False,False,,,,,,,,,,,,,,2,\r\n")
 
 
 def run(capsys, *argv):
@@ -41,7 +122,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "cube:2", "--format", "csv")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
-        assert lines[0] == ",".join(csv_header())
+        assert lines[0] == CSV_HEADER
         assert lines[1].startswith("cube:2,2,4,4,2,")
 
     def test_missing_file(self, capsys):
@@ -76,6 +157,29 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_INPUT
         assert "full-dimensional" in err
+
+
+EXPECTED_OUTPUT = {
+    ("bruns:4", "table"): BRUNS4_TABLE,
+    ("reeve", "table"): REEVE_TABLE,
+    ("bruns:4", "csv"): BRUNS4_CSV,
+    ("reeve", "csv"): REEVE_CSV,
+}
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("spec, fmt", EXPECTED_OUTPUT)
+    def test_exact_bytes(self, capsys, tmp_path, spec, fmt):
+        expected = EXPECTED_OUTPUT[spec, fmt]
+        code, out, _ = run(capsys, "analyze", spec, "--format", fmt)
+        assert code == EXIT_OK
+        assert out == expected
+        # a cached report renders the same bytes
+        cache = str(tmp_path / "cache")
+        for _ in range(2):
+            code, out, _ = run(capsys, "analyze", spec, "--format", fmt, "--cache-dir", cache)
+            assert code == EXIT_OK
+            assert out == expected
 
 
 class TestCache:
@@ -214,6 +318,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "cube:4")
         assert code == EXIT_OK
         assert time.monotonic() - start < 60
+
+    def test_volume_oracles_still_enforced(self, capsys, monkeypatch):
+        # check reports the volume that full_report compared with the
+        # triangulation, so a disagreement must still stop the suite
+        real = invariants.volume_triangulation
+        monkeypatch.setattr(invariants, "volume_triangulation", lambda p: real(p) + 1)
+        code, out, err = run(capsys, "check", "bruns:4")
+        assert code == EXIT_INPUT
+        assert "stage 'volume'" in err
+        assert "volume_dual_oracle" not in out
 
     def test_suite_importable(self, poly):
         results, ok = run_check_suite(poly("higashitani:3,1"))

@@ -9,7 +9,6 @@ from polynorm.exactmath import (
     NO_SOLUTION,
     UNDERDETERMINED,
     det_exact,
-    mat_vec,
     primitive,
     rank,
     solve_rational,
@@ -113,10 +112,13 @@ class TestSolveRational:
         a = tuple(tuple(r) for r in rows)
         if det_exact(a) == 0:
             return
-        b = tuple(mat_vec(a, x))
+        def product(v):
+            return [sum(c * vi for c, vi in zip(row, v)) for row in a]
+
+        b = tuple(product(x))
         solved = solve_rational(a, b)
         assert solved == list(x)
-        assert mat_vec(a, solved) == list(b)
+        assert product(solved) == list(b)
 
 
 def test_vec_rejects_non_integers():

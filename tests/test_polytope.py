@@ -4,7 +4,6 @@ import pytest
 
 from polynorm.catalog import bruns_gubeladze, cube, standard_simplex
 from polynorm.polytope import (
-    NOT_CONVEX,
     GeometryError,
     HalfSpace,
     from_points,
@@ -13,7 +12,6 @@ from polynorm.polytope import (
     parse_points_json,
     parse_points_text,
     product,
-    union_if_convex,
 )
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -188,43 +186,6 @@ class TestProductJoin:
             for k in (1, 2, 3):
                 expected = {x + y for x in a.lattice_points(k) for y in b.lattice_points(k)}
                 assert prod.lattice_points(k) == expected
-
-
-class TestUnionIfConvex:
-    def test_edge_sharing_squares(self):
-        left = from_points(SQUARE)
-        right = from_points([(1, 0), (2, 0), (1, 1), (2, 1)])
-        merged = union_if_convex([left, right])
-        assert merged != NOT_CONVEX
-        assert set(merged.vertices) == {(0, 0), (2, 0), (0, 1), (2, 1)}
-
-    def test_vertex_sharing_squares(self):
-        left = from_points(SQUARE)
-        kitty = from_points([(1, 1), (2, 1), (1, 2), (2, 2)])
-        assert union_if_convex([left, kitty]) == NOT_CONVEX
-
-    def test_split_triangle(self):
-        whole = from_points([(0, 0), (2, 0), (0, 2)])
-        lower = from_points([(0, 0), (2, 0), (1, 1)])
-        upper = from_points([(0, 0), (1, 1), (0, 2)])
-        assert union_if_convex([lower, upper]) == whole
-
-    def test_cube_from_prisms(self):
-        lower = from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0),
-                             (0, 0, 1), (1, 0, 1), (0, 1, 1)])
-        upper = from_points([(1, 0, 0), (0, 1, 0), (1, 1, 0),
-                             (1, 0, 1), (0, 1, 1), (1, 1, 1)])
-        assert union_if_convex([lower, upper]) == cube(3)
-
-    def test_gap_detected(self):
-        # the two parts leave the middle of the hull uncovered
-        left = from_points([(0, 0), (1, 0), (0, 3), (1, 3)])
-        right = from_points([(3, 0), (4, 0), (3, 3), (4, 3)])
-        assert union_if_convex([left, right]) == NOT_CONVEX
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GeometryError):
-            union_if_convex([from_points(SQUARE), cube(3)])
 
 
 class TestParsing:

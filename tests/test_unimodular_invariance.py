@@ -1,13 +1,13 @@
-"""The thresholds are lattice invariants: a unimodular map (a GL_d(Z) matrix
-plus an integer translation) of a polytope leaves them unchanged."""
+"""The report is a lattice invariant: a unimodular map (a GL_d(Z) matrix
+plus an integer translation) of a polytope leaves every invariant, flag and
+bound unchanged, and every witness keeps its level and length."""
 
 from hypothesis import given, settings, strategies as st
 
+from polynorm.bounds import full_report, report_to_dict
 from polynorm.catalog import build_family, random_polytope
 from polynorm.exactmath import add, dot
-from polynorm.invariants import compute_d_P, compute_k_P, compute_nu_P
 from polynorm.polytope import from_points
-from polynorm.semigroup import compute_m_P
 
 
 @st.composite
@@ -52,17 +52,21 @@ def mapped_pairs(draw):
     return p, image
 
 
-def thresholds(p):
-    d_P = compute_d_P(p)
-    mres = compute_m_P(p, d_P)
-    k_P = compute_k_P(p, mres.m_P, d_P) if mres.very_ample else None
-    sigma_max = mres.witness.certificate.length if mres.witness else None
-    return {"d_P": d_P, "nu_P": compute_nu_P(p), "m_P": mres.m_P, "k_P": k_P,
-            "very_ample": mres.very_ample, "sigma_max": sigma_max}
+def invariant_part(p):
+    """The report without the name and the witness coordinates, which move
+    with the polytope."""
+    data = report_to_dict(full_report(p))
+    del data["name"]
+    hole, sigma_max, failure = (data["witnesses"][key] for key in
+                                ("hole", "sigma_max", "non_saturation"))
+    data["witnesses"] = {"hole": hole and hole["k"],
+                         "sigma_max": sigma_max and sigma_max["length"],
+                         "non_saturation": failure is not None}
+    return data
 
 
 @settings(max_examples=60, deadline=None)
 @given(mapped_pairs())
 def test_thresholds_are_unimodular_invariants(pair):
     p, image = pair
-    assert thresholds(image) == thresholds(p)
+    assert invariant_part(image) == invariant_part(p)

@@ -273,18 +273,24 @@ def _jsonable(value):
     return value
 
 
+# The serialized report's keys: the fields of InvariantReport in order, with
+# bound_targets right after bounds.  This order is the output contract: the
+# table lines and the CSV columns follow it.
+REPORT_KEYS = tuple(key for field in fields(InvariantReport)
+                    for key in ((field.name, "bound_targets")
+                                if field.name == "bounds" else (field.name,)))
+
+
 def report_to_dict(report: InvariantReport) -> dict:
-    """Serializable dict in the field order of InvariantReport, with
-    bound_targets right after bounds.  This order is the output contract:
-    the table lines and the CSV columns follow it."""
+    """Serializable dict with the keys REPORT_KEYS, in that order."""
     raw = {}
-    for field in fields(InvariantReport):
-        value = getattr(report, field.name)
-        if field.name == "bounds":
-            raw["bounds"] = {k: value.get(k) for k in BOUND_TARGETS}
-            raw["bound_targets"] = dict(BOUND_TARGETS)
+    for key in REPORT_KEYS:
+        if key == "bounds":
+            raw[key] = {k: report.bounds.get(k) for k in BOUND_TARGETS}
+        elif key == "bound_targets":
+            raw[key] = dict(BOUND_TARGETS)
         else:
-            raw[field.name] = value
+            raw[key] = getattr(report, key)
     return _jsonable(raw)
 
 

@@ -20,6 +20,7 @@ from . import __version__
 from . import invariants as inv
 from .bounds import (
     PipelineError,
+    REPORT_KEYS,
     dict_json_bytes,
     full_report,
     report_to_dict,
@@ -68,14 +69,14 @@ def resolve_input(text: str) -> Polytope:
     path = Path(text)
     if not path.is_file():
         raise InputError(f"no such file or family: {text}")
-    content = path.read_text()
     try:
+        content = path.read_text()
         if path.suffix == ".json":
             points, name = parse_points_json(content)
         else:
             points, name = parse_points_text(content)
         return from_points(points, name=name or path.stem)
-    except (GeometryError, ValueError) as e:
+    except (OSError, GeometryError, ValueError) as e:  # ValueError covers bad UTF-8
         raise InputError(f"{path}: {e}") from e
 
 
@@ -115,7 +116,8 @@ def _read_cache_entry(path: Path, key: str) -> dict | None:
     """The stored report at path, or None for a miss.
 
     A missing, unreadable, truncated or foreign file is a miss, and so is an
-    entry written under another key or tool version.
+    entry written under another key or tool version, or one whose value does
+    not have exactly the report's keys in the report's order.
     """
     try:
         stored = json.loads(path.read_bytes())
@@ -125,7 +127,7 @@ def _read_cache_entry(path: Path, key: str) -> dict | None:
         return None
     value = stored.get("value")
     if (stored.get("tool_version") != __version__ or stored.get("key") != key
-            or not isinstance(value, dict)):
+            or not isinstance(value, dict) or tuple(value) != REPORT_KEYS):
         return None
     return value
 

@@ -332,6 +332,8 @@ def parse_points_json(text: str):
     rows = data["vertices"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise GeometryError('"vertices" must be an array of coordinate arrays')
+    if any(not r for r in rows):
+        raise GeometryError("points must have at least one coordinate")
     try:
         points = [vec(r) for r in rows]
     except TypeError as e:

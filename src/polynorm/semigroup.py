@@ -8,12 +8,19 @@ generators needed.  Exhausting that set without arrival certifies
 infeasibility, because every partial sum of any representation stays inside
 it.  The search stops as soon as every target has been reached, so it
 exhausts that set only when some target is infeasible.
+
+m_P reads most minimal lengths off the k-normality sumset tower of
+`invariants` instead: x - d_P·v is a sum of at most j generators exactly
+when x + (j - d_P)·v is a sum of j lattice points of P, and one tower
+answers that for every vertex at once.  The BFS runs only for the pairs the
+first few levels leave open and for the certificate of the extremal pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import invariants as inv
 from .exactmath import Vector, add, dot, scale, sub
 from .polytope import Polytope
 
@@ -184,21 +191,75 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     """Maximum of sigma(x, d_P·v) over x in d_P·P∩M and vertices v.
 
     Any infeasible pair short-circuits: the polytope is then not very ample
-    and (x, v) is the witness.
+    and (x, v) is the witness, the first infeasible x in sorted order at the
+    first vertex, in vertex order, that has one.
+
+    The tower decides most pairs.  With S_j the j-fold sumset of P∩M and
+    y_j = x + (j - d_P)·v, sigma(x, d_P·v) is the least j with y_j in S_j:
+    a representation by j generators u_i - v gives y_j = Σ u_i, and padding
+    with u_i = v turns a shorter one into j points.  S_0 = {0}, so sigma is
+    0 exactly when x = d_P·v.  For j >= 1, y_j is in S_j exactly when it is
+    a lattice point of jP and not a hole of jP; for j >= d_P it always lies
+    in jP, as x lies in d_P·P and v in P.
+
+    Depth.  Levels j = 1 .. d_P + 1 are read, through is_k_normal, so the
+    tower never goes past dim (d_P <= dim - 1) and compute_k_P reuses every
+    level it builds.  The scan stops at the first level j >= d_P without
+    holes: there y_j lies in jP∩M = S_j for every pair, so no pair is left.
+
+    BFS.  At each vertex, in order, one search covers the pairs the tower
+    left open; their lengths exceed the last level read.  Then one
+    single-target search gives the certificate of the extremal pair: the
+    first pair, in vertex order and then sorted x, of the largest sigma.
+    That certificate is the one a search over every target at the vertex
+    would give.  Let L(t) be the nodes y with t - y still in the tangent
+    cone.  A predecessor y = z - g of a node z of L(t) lies in L(t) as well,
+    since t - y = (t - z) + g and the cone holds g.  So every node of L(t)
+    reaches the same BFS layer with the same candidate parents in both
+    searches, and as the frontier is visited in sorted order, it gets the
+    same parent entry and the certificate the same parts.
     """
-    best: MPWitness | None = None
-    for v in p.vertices:
-        gs = generator_set(p, v)
+    vertices = p.vertices
+    xs = sorted(p.lattice_points(d_P))
+    lengths = {(v, scale(d_P, v)): 0 for v in vertices}
+    open_xs = {v: [x for x in xs if (v, x) not in lengths] for v in vertices}
+    for depth in range(1, d_P + 2):
+        points = p.lattice_points(depth)
+        _, holes = inv.is_k_normal(p, depth)
+        for v, pending in open_xs.items():
+            shift = scale(depth - d_P, v)
+            still_open = []
+            for x in pending:
+                y = add(x, shift)
+                if y in points and y not in holes:
+                    lengths[v, x] = depth
+                else:
+                    still_open.append(x)
+            open_xs[v] = still_open
+        if depth >= d_P and not holes:
+            break
+
+    searches = {}
+    for v in vertices:
+        gs = searches[v] = generator_set(p, v)
         shift = scale(d_P, v)
-        xs = sorted(p.lattice_points(d_P))
-        certs = shortest_representations(gs, tuple(sub(x, shift) for x in xs))
-        for x in xs:
+        pending = open_xs[v]
+        if not pending:
+            continue
+        certs = shortest_representations(gs, tuple(sub(x, shift) for x in pending))
+        for x in pending:
             cert = certs[sub(x, shift)]
             if cert is None:
                 return MPResult(False, None, None, (x, v))
-            if best is None or cert.length > best.certificate.length:
-                best = MPWitness(x, v, cert)
-    if best is None:
-        raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
-    return MPResult(True, best.certificate.length, best, None)
+            if cert.length <= depth:
+                raise AssertionError(
+                    f"sigma={cert.length} of an open pair is within the tower (bug)")
+            lengths[v, x] = cert.length
 
+    if not lengths:
+        raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
+    v, x = max(((v, x) for v in vertices for x in xs), key=lengths.__getitem__)
+    cert = sigma(searches[v], sub(x, scale(d_P, v)))
+    if cert == INFEASIBLE or cert.length != lengths[v, x]:
+        raise AssertionError(f"extremal certificate {cert} disagrees with sigma (bug)")
+    return MPResult(True, cert.length, MPWitness(x, v, cert), None)

@@ -32,6 +32,13 @@ class TestTheoremBound:
             if r.normal:
                 assert r.bounds["theorem"] == 1
 
+    def test_m_P_at_most_first_normal_level(self, report):
+        # every pair is decided by the first hole-free level j >= d_P, since
+        # x + (j - d_P)·v lies in jP∩M = S_j there; that level is max(k_P, d_P)
+        for spec in VERY_AMPLE_SPECS:
+            r = report(spec)
+            assert r.m_P <= max(r.k_P, r.d_P), spec
+
 
 class TestRefinedBound:
     def test_bruns_closed_form(self, report):

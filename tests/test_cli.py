@@ -158,6 +158,22 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "full-dimensional" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "square.txt"
+        path.write_bytes(b"\xff\xfe0 0\n1 0\n0 1\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    def test_points_without_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices": [[], []]}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {path}: points must have at least one coordinate\n"
+
 
 EXPECTED_OUTPUT = {
     ("bruns:4", "table"): BRUNS4_TABLE,
@@ -180,6 +196,21 @@ class TestOutputContract:
             code, out, _ = run(capsys, "analyze", spec, "--format", fmt, "--cache-dir", cache)
             assert code == EXIT_OK
             assert out == expected
+
+
+def damaged(entry: bytes, how: str) -> bytes:
+    """A cache entry cut in half, or with its key and version kept and a
+    value that is not a report."""
+    if how == "truncated":
+        return entry[:len(entry) // 2]
+    stored = json.loads(entry)
+    report = stored["value"]
+    stored["value"] = {
+        "value not a report": {"name": "x"},
+        "value keys reordered": dict(reversed(report.items())),
+        "value key added": {**report, "note": "hand-edited"},
+    }[how]
+    return json.dumps(stored).encode()
 
 
 class TestCache:
@@ -212,6 +243,9 @@ class TestCache:
         b"\xff\xfe\x80 not utf-8 \xc3",
         "truncated",
         b'{"key": "other", "tool_version": "x", "value": {}}',
+        "value not a report",
+        "value keys reordered",
+        "value key added",
     ])
     def test_corrupt_entry_recomputes(self, capsys, tmp_path, corrupt):
         cache = tmp_path / "cache"
@@ -219,8 +253,8 @@ class TestCache:
         run(capsys, "analyze", "cube:2", "--format", "json", "--cache-dir", str(cache))
         entry = next(cache.glob("*.json"))
         good = entry.read_bytes()
-        if corrupt == "truncated":
-            corrupt = good[:len(good) // 2]
+        if isinstance(corrupt, str):
+            corrupt = damaged(good, corrupt)
         entry.write_bytes(corrupt)
         code, out, _ = run(capsys, "analyze", "cube:2", "--format", "json",
                            "--cache-dir", str(cache))

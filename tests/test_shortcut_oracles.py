@@ -12,6 +12,9 @@
 - The BFS of shortest_representations stops once every target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
+- compute_m_P reads sigma off that tower and searches only the pairs it
+  leaves open, plus the extremal pair alone; the oracle runs one search over
+  every target at every vertex, and the results must agree part for part.
 """
 
 import itertools
@@ -32,6 +35,9 @@ from polynorm.invariants import (
 from polynorm.polytope import from_points
 from polynorm.semigroup import (
     INFEASIBLE,
+    MPResult,
+    MPWitness,
+    compute_m_P,
     generator_set,
     shortest_representations,
     sigma,
@@ -100,6 +106,50 @@ def test_pruned_targets_give_identical_certificates(poly, monkeypatch):
     monkeypatch.setattr(semigroup, "_pareto_minimal", list)
     for (p, d_P), got in zip(cases, pruned):
         assert got == all_certificates(p, d_P), p.name
+
+
+def m_P_per_vertex(p, d_P):
+    """compute_m_P without the tower: one search over every target at each
+    vertex, failing at the first infeasible pair in vertex and sorted-x order."""
+    best = None
+    for v in p.vertices:
+        gs = generator_set(p, v)
+        shift = scale(d_P, v)
+        xs = sorted(p.lattice_points(d_P))
+        certs = shortest_representations(gs, tuple(sub(x, shift) for x in xs))
+        for x in xs:
+            cert = certs[sub(x, shift)]
+            if cert is None:
+                return MPResult(False, None, None, (x, v))
+            if best is None or cert.length > best.certificate.length:
+                best = MPWitness(x, v, cert)
+    return MPResult(True, best.certificate.length, best, None)
+
+
+def test_m_P_matches_per_vertex_search(poly, monkeypatch):
+    cases = oracle_cases(poly)
+    cases += [build_family(s) for s in ("random:4,3,9,11", "random:3,3,7,5")]
+    searched = [0]
+
+    def counting(gs, targets):
+        searched[0] += len(targets)
+        return shortest_representations(gs, targets)
+
+    monkeypatch.setattr(semigroup, "shortest_representations", counting)
+    left_open, very_ample = [], []
+    for p in cases:
+        d_P = compute_d_P(p)
+        searched[0] = 0
+        got = compute_m_P(p, d_P)
+        assert got == m_P_per_vertex(p, d_P), p.name
+        # a very ample polytope adds one single-target search for its
+        # extremal certificate
+        left_open.append(searched[0] - got.very_ample)
+        very_ample.append(got.very_ample)
+    # both paths occur: pairs left to the BFS, and the tower alone
+    assert any(n > 0 for n in left_open)
+    assert any(n == 0 for n in left_open)
+    assert not all(very_ample)
 
 
 def search_to_exhaustion(generators, in_lower_set, pending, zero):

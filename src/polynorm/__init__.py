@@ -39,16 +39,12 @@ from .invariants import (
     compute_nu_P,
     decompose_point,
     degree,
-    gamma,
     is_k_normal,
-    is_smooth,
-    m_prime,
     scan_normality,
     volume_ehrhart,
     volume_triangulation,
 )
 from .polytope import (
-    EdgeFan,
     GeometryError,
     HalfSpace,
     Polytope,
@@ -72,10 +68,9 @@ __all__ = [
     "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
     "NormalityScan", "SmoothData", "compute_d_P", "compute_k_P",
-    "compute_nu_P", "decompose_point", "degree", "gamma", "is_k_normal",
-    "is_smooth", "m_prime", "scan_normality", "volume_ehrhart",
-    "volume_triangulation",
-    "EdgeFan", "GeometryError", "HalfSpace", "Polytope", "from_points",
+    "compute_nu_P", "decompose_point", "degree", "is_k_normal",
+    "scan_normality", "volume_ehrhart", "volume_triangulation",
+    "GeometryError", "HalfSpace", "Polytope", "from_points",
     "hrep_from_vrep", "join", "product",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",

@@ -144,14 +144,6 @@ def random_polytope(d: int, coordinate_bound: int, point_count: int, seed: int) 
     raise GeometryError("random sampling failed to span the space after 1000 attempts")
 
 
-def is_unimodular_simplex(p: Polytope) -> bool:
-    """Simplex of normalized volume 1 (lattice-equivalent to the standard
-    simplex); the d_P <= deg bound does not apply to these."""
-    from .invariants import volume_triangulation
-
-    return p.num_vertices == p.dim + 1 and volume_triangulation(p) == 1
-
-
 def default_catalog() -> list[Polytope]:
     """The fixed regression set used across the test and check suites."""
     polys = [cube(2), cube(3), cube(4)]

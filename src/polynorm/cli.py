@@ -28,7 +28,6 @@ from .bounds import (
 from .catalog import (
     SplitMix64,
     build_family,
-    is_unimodular_simplex,
     parse_family,
     random_polytope,
 )
@@ -268,7 +267,8 @@ def run_check_suite(p: Polytope, max_k: int | None = None):
            "PASS" if report.degree <= report.dim else "FAIL",
            f"deg={report.degree} dim={report.dim}")
 
-    if is_unimodular_simplex(p):
+    # a unimodular simplex has d_P = 1 and degree 0
+    if report.num_vertices == report.dim + 1 and report.volume_normalized == 1:
         record("d_P_le_deg", "SKIP", "unimodular simplex")
     else:
         record("d_P_le_deg",
@@ -441,11 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polynorm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(sp):
+    def add_input(sp, max_k_help="safety cap for k-normality scans "
+                                 f"(default: $POLYNORM_MAX_K or {DEFAULT_MAX_K})"):
         sp.add_argument("input", help="family spec (e.g. bruns:4) or vertex file path")
-        sp.add_argument("--max-k", type=int, default=None,
-                        help="safety cap for k-normality scans "
-                             f"(default: $POLYNORM_MAX_K or {DEFAULT_MAX_K})")
+        sp.add_argument("--max-k", type=int, default=None, help=max_k_help)
 
     ap = sub.add_parser("analyze", help="compute all invariants and bounds")
     add_input(ap)
@@ -457,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.set_defaults(func=cmd_analyze)
 
     hp = sub.add_parser("holes", help="list unreachable lattice points per dilation")
-    add_input(hp)
+    add_input(hp, "list k = 1 .. max(k_P, N) and exit 2 if k_P > N (default: "
+                  f"list through k_P, capped by $POLYNORM_MAX_K or {DEFAULT_MAX_K})")
     hp.set_defaults(func=cmd_holes)
 
     cp = sub.add_parser("check", help="run the structural property suite")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
-from .exactmath import Vector, det_exact, solve_rational, sub
+from .exactmath import Vector, det_exact, rank, solve_rational, sub
+# unused here; perfbench's tracer test reads it as an aliased import
 from .polytope import Polytope, from_points
 
 
@@ -331,113 +332,68 @@ def volume_ehrhart(p: Polytope) -> int:
 def volume_triangulation(p: Polytope) -> int:
     """Normalized volume as a sum of |det| over a pulling triangulation."""
     total = 0
-    for simplex in _triangulate(p):
+    for simplex in _triangulate(p, p.vertices, p.dim):
         edges = tuple(sub(v, simplex[0]) for v in simplex[1:])
         total += abs(det_exact(edges))
     return total
 
 
-def _triangulate(p: Polytope):
-    """Pulling triangulation from the lexicographically least vertex.
+def _triangulate(p: Polytope, face: tuple[Vector, ...], dim: int):
+    """Pulling triangulation of a dim-dimensional face of P, given as the
+    tuple of its vertices in the order of p.vertices, from its first vertex v0.
 
-    Facets avoiding the pulled vertex are triangulated recursively in a
-    projected coordinate system (dropping one coordinate where the facet
-    normal is nonzero, a bijection on the facet's affine hull).
+    The facets of the face that avoid v0 are read off the facets of P: a
+    facet G of the face is a face of P, hence the intersection of the facets
+    of P that contain it, and not all of those contain the face, so some
+    facet f of P meets the face exactly in G, and f.slack(v0) > 0 because v0
+    is not in G.  Conversely each f with f.slack(v0) > 0 meets the face in
+    the face {v : f.slack(v) == 0}, which is a facet of it when its vertices
+    have affine rank dim - 1.  Several f can cut the same G, so the vertex
+    tuples are deduplicated.
     """
-    d = p.dim
-    verts = p.vertices
-    if len(verts) == d + 1:
-        return [verts]
-    v0 = verts[0]
-    simplices = []
+    if len(face) == dim + 1:
+        return [face]
+    v0 = face[0]
+    facets = {}
     for f in p.facets:
         if f.slack(v0) == 0:
             continue
-        fverts = [v for v in verts if f.slack(v) == 0]
-        j = next(i for i, c in enumerate(f.normal) if c != 0)
-        lift = {v[:j] + v[j + 1:]: v for v in fverts}
-        face = from_points(lift.keys())
-        for cell in _triangulate(face):
-            simplices.append((v0,) + tuple(lift[q] for q in cell))
-    return simplices
-
-
-def is_smooth(p: Polytope) -> bool:
-    """True iff each vertex has dim edges whose primitive directions are a
-    lattice basis (|det| = 1)."""
-    d = p.dim
-    if d == 0:
-        return True
-    for v in p.vertices:
-        fan = p.edge_fan(v)
-        if len(fan.edge_directions) != d:
-            return False
-        if abs(det_exact(fan.edge_directions)) != 1:
-            return False
-    return True
-
-
-def _edge_coefficients(p: Polytope, fan, target: Vector):
-    """Nonnegative integer coordinates of target in the edge-direction basis."""
-    basis_cols = tuple(zip(*fan.edge_directions))  # columns are directions
-    sol = solve_rational(basis_cols, target)
-    if isinstance(sol, str):
-        raise AssertionError(f"edge basis is singular at {fan.vertex} (bug)")
-    coeffs = []
-    for a in sol:
-        if a.denominator != 1 or a < 0:
-            raise AssertionError(
-                f"non-integral or negative edge coefficient {a} at {fan.vertex} (bug)")
-        coeffs.append(int(a))
-    return coeffs
-
-
-def gamma(p: Polytope) -> int:
-    """Least scaling of every vertex corner simplex that contains P.
-
-    Equals the maximum coefficient sum when writing vertex differences in
-    the edge-direction bases; only defined for smooth polytopes.
-    """
-    if not is_smooth(p):
-        raise InvariantError("gamma requires a smooth polytope")
-    if p.dim == 0:
-        return 1
-    best = 0
-    for v in p.vertices:
-        fan = p.edge_fan(v)
-        for u in p.vertices:
-            if u != v:
-                best = max(best, sum(_edge_coefficients(p, fan, sub(u, v))))
-    return best
-
-
-def m_prime(p: Polytope) -> int:
-    """Largest single edge-basis coefficient over all lattice points and
-    vertices of a smooth polytope."""
-    if not is_smooth(p):
-        raise InvariantError("m_prime requires a smooth polytope")
-    if p.dim == 0:
-        return 1
-    best = 0
-    for v in p.vertices:
-        fan = p.edge_fan(v)
-        for u in sorted(p.lattice_points(1)):
-            if u != v:
-                best = max(best, max(_edge_coefficients(p, fan, sub(u, v))))
-    return best
+        sub_face = tuple(v for v in face if f.slack(v) == 0)
+        if len(sub_face) >= dim and rank(
+                tuple(sub(v, sub_face[0]) for v in sub_face[1:])) == dim - 1:
+            facets[sub_face] = None
+    return [(v0,) + cell for sub_face in facets
+            for cell in _triangulate(p, sub_face, dim - 1)]
 
 
 def smooth_data(p: Polytope) -> SmoothData:
-    """Bundle of smoothness flag, gamma and m_prime.
+    """Smoothness flag, gamma and m_prime, read off the facets in one pass.
 
-    gamma bounds a coefficient sum and m_prime a single coefficient, so the
-    two are related by gamma <= dim * m_prime (each of the dim coefficients
-    is at most m_prime).
+    P is smooth when the primitive edge directions at every vertex form a
+    lattice basis.  Such a vertex v is simple: exactly dim facets are tight
+    there, and their normals are minus the dual basis of the edge
+    directions, so they have |det| = 1.  Conversely dim tight normals with
+    |det| = 1 span a unimodular simplicial cone, whose dual, the tangent
+    cone at v, is unimodular too, so the count and the determinant decide
+    smoothness.  In the dual basis the edge coefficients of u - v are
+    -normal·(u - v) = f.slack(u) over the facets f tight at v.  gamma is the
+    largest coefficient sum over pairs of vertices (the least scaling of
+    every vertex corner simplex that contains P), and m_prime the largest
+    single coefficient over vertices v and lattice points u != v.  Each of
+    the dim coefficients is at most m_prime, so gamma <= dim * m_prime.
     """
-    smooth = is_smooth(p)
-    if not smooth:
-        return SmoothData(False, None, None)
-    g, mp = gamma(p), m_prime(p)
+    if p.dim == 0:
+        return SmoothData(True, 1, 1)
+    corners = []
+    for v in p.vertices:
+        tight = [f for f in p.facets if f.slack(v) == 0]
+        if len(tight) != p.dim or abs(det_exact(tuple(f.normal for f in tight))) != 1:
+            return SmoothData(False, None, None)
+        corners.append((v, tight))
+    points = p.lattice_points(1)
+    g = max(sum(f.slack(u) for f in tight)
+            for v, tight in corners for u in p.vertices if u != v)
+    mp = max(f.slack(u) for v, tight in corners for u in points if u != v for f in tight)
     if g > p.dim * mp:
         raise AssertionError(f"gamma={g} exceeds dim*m_prime={p.dim * mp} (bug)")
     return SmoothData(True, g, mp)

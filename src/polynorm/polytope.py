@@ -46,19 +46,6 @@ class HalfSpace:
         return k * self.offset - dot(self.normal, point)
 
 
-@dataclass(frozen=True)
-class EdgeFan:
-    """The edges incident to one vertex: primitive directions and neighbors."""
-
-    vertex: Vector
-    edge_directions: tuple[Vector, ...]
-    neighbor_vertices: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if len(set(self.edge_directions)) != len(self.edge_directions):
-            raise GeometryError("edge directions must be pairwise distinct")
-
-
 class Polytope:
     """Full-dimensional lattice polytope.
 
@@ -180,26 +167,6 @@ class Polytope:
         return frozenset(p for p in self.lattice_points(k) if self.strictly_contains(p, k))
 
     # -- derived constructions ------------------------------------------------
-
-    def edge_fan(self, v: Vector) -> EdgeFan:
-        """Primitive edge directions at a vertex.
-
-        A second vertex u spans an edge with v exactly when the facets tight
-        at both have normals of rank dim-1.
-        """
-        if not self.is_vertex(v):
-            raise GeometryError(f"{v} is not a vertex")
-        d = self.dim
-        active_v = [f for f in self.facets if f.slack(v) == 0]
-        pairs = []
-        for u in self.vertices:
-            if u == v:
-                continue
-            common = tuple(f.normal for f in active_v if f.slack(u) == 0)
-            if rank(common) == d - 1:
-                pairs.append((primitive(sub(u, v)), u))
-        pairs.sort()
-        return EdgeFan(v, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     def dilate(self, m: int, name: str | None = None) -> "Polytope":
         """The dilate m*P, constructed directly from the scaled data."""

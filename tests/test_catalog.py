@@ -8,10 +8,8 @@ from polynorm.catalog import (
     cube,
     default_catalog,
     higashitani,
-    is_unimodular_simplex,
     parse_family,
     random_polytope,
-    reeve_like,
     standard_simplex,
 )
 
@@ -34,12 +32,6 @@ class TestSimplex:
     def test_counts(self):
         assert standard_simplex(2).num_vertices == 3
         assert standard_simplex(5).num_vertices == 6
-
-    def test_unimodular(self):
-        for d in (2, 3, 4):
-            assert is_unimodular_simplex(standard_simplex(d))
-        assert not is_unimodular_simplex(cube(2))
-        assert not is_unimodular_simplex(reeve_like())
 
 
 class TestBruns:

@@ -334,6 +334,20 @@ class TestHoles:
         assert "k_P = undefined" in out
         assert "k=2: 1 hole(s): (1, 1, 1)" in out
 
+    def test_max_k_below_k_P_is_the_cap(self, capsys):
+        # bruns:6 has k_P = 5
+        code, out, err = run(capsys, "holes", "bruns:6", "--max-k", "2")
+        assert code == EXIT_VIOLATION
+        assert out == ""
+        assert err == "error: k-normality scan reached the safety cap max_k=2\n"
+
+    def test_max_k_above_k_P_extends_the_listing(self, capsys):
+        code, out, _ = run(capsys, "holes", "bruns:6", "--max-k", "7")
+        assert code == EXIT_OK
+        listed = [line.split(":")[0] for line in out.splitlines()[1:]]
+        assert listed == [f"k={k}" for k in range(1, 8)]
+        assert "k=4: 10 hole(s)" in out and "k=5: no holes" in out
+
 
 class TestCheck:
     def test_bruns5_all_pass(self, capsys):
@@ -362,6 +376,14 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert "stage 'volume'" in err
         assert "volume_dual_oracle" not in out
+
+    @pytest.mark.parametrize("spec", ["simplex:2", "simplex:3", "simplex:4", "cube:2", "reeve"])
+    def test_d_P_le_deg_skipped_for_unimodular_simplex(self, capsys, spec):
+        code, out, _ = run(capsys, "check", spec)
+        skipped = spec.startswith("simplex:")
+        assert code == EXIT_OK
+        assert ("SKIP  d_P_le_deg  [unimodular simplex]" in out) == skipped
+        assert ("PASS  d_P_le_deg" in out) != skipped
 
     def test_suite_importable(self, poly):
         results, ok = run_check_suite(poly("higashitani:3,1"))

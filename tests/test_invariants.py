@@ -6,16 +6,15 @@ from polynorm.catalog import bruns_gubeladze, cube, reeve_like, standard_simplex
 from polynorm.exactmath import solve_rational
 from polynorm.invariants import (
     InvariantError,
+    SmoothData,
     compute_d_P,
     compute_k_P,
     compute_nu_P,
     decompose_point,
     degree,
     dilate_normality_profile,
-    gamma,
     is_k_normal,
-    is_smooth,
-    m_prime,
+    smooth_data,
     volume_ehrhart,
     volume_triangulation,
 )
@@ -192,29 +191,26 @@ class TestVolume:
 
 class TestSmooth:
     def test_examples(self, poly):
-        assert is_smooth(poly("cube:3"))
-        assert is_smooth(poly("simplex:3"))
-        assert not is_smooth(poly("reeve"))
+        assert smooth_data(poly("cube:3")).is_smooth
+        assert smooth_data(poly("simplex:3")).is_smooth
+        assert not smooth_data(poly("reeve")).is_smooth
 
     def test_gamma_examples(self):
-        assert gamma(SQUARE) == 2
-        assert gamma(standard_simplex(2)) == 1
-        assert gamma(standard_simplex(4)) == 1
-        assert gamma(cube(3)) == 3
+        assert smooth_data(SQUARE).gamma == 2
+        assert smooth_data(standard_simplex(2)).gamma == 1
+        assert smooth_data(standard_simplex(4)).gamma == 1
+        assert smooth_data(cube(3)).gamma == 3
         doubled = from_points([(0, 0), (2, 0), (0, 2)])
-        assert gamma(doubled) == 2
+        assert smooth_data(doubled).gamma == 2
 
     def test_m_prime_examples(self):
-        assert m_prime(SQUARE) == 1
-        assert m_prime(cube(3)) == 1
+        assert smooth_data(SQUARE).m_prime == 1
+        assert smooth_data(cube(3)).m_prime == 1
         doubled = from_points([(0, 0), (2, 0), (0, 2)])
-        assert m_prime(doubled) == 2
+        assert smooth_data(doubled).m_prime == 2
 
     def test_gamma_requires_smooth(self, poly):
-        with pytest.raises(InvariantError):
-            gamma(poly("reeve"))
-        with pytest.raises(InvariantError):
-            m_prime(poly("reeve"))
+        assert smooth_data(poly("reeve")) == SmoothData(False, None, None)
 
     def test_gamma_against_m_prime(self, poly, report):
         # gamma caps a coefficient sum of dim terms each at most m_prime

@@ -121,31 +121,6 @@ class TestLatticePoints:
                 assert summed <= p.lattice_points(k + 1)
 
 
-class TestEdgeFan:
-    def test_square_origin(self):
-        p = from_points(SQUARE)
-        fan = p.edge_fan((0, 0))
-        assert set(fan.edge_directions) == {(1, 0), (0, 1)}
-
-    def test_cube_origin(self):
-        fan = cube(3).edge_fan((0, 0, 0))
-        assert set(fan.edge_directions) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-    def test_simplex_at_e1(self):
-        fan = standard_simplex(2).edge_fan((1, 0))
-        assert set(fan.edge_directions) == {(-1, 0), (-1, 1)}
-
-    def test_neighbors_are_vertices(self):
-        p = bruns_gubeladze(4)
-        for v in p.vertices:
-            fan = p.edge_fan(v)
-            assert all(p.is_vertex(u) for u in fan.neighbor_vertices)
-
-    def test_non_vertex_rejected(self):
-        with pytest.raises(GeometryError):
-            from_points(SQUARE).edge_fan((2, 2))
-
-
 class TestProductJoin:
     def test_segment_squared(self):
         seg = from_points([(0,), (1,)])

@@ -15,24 +15,50 @@
 - compute_m_P reads sigma off that tower and searches only the pairs it
   leaves open, plus the extremal pair alone; the oracle runs one search over
   every target at every vertex, and the results must agree part for part.
+- smooth_data reads smoothness, gamma and m_prime off the facets tight at
+  each vertex; the oracle builds each vertex's edge fan and solves for the
+  edge coefficients of every difference u - v.
+- volume_triangulation recurses on faces given as vertex tuples cut out by
+  the facets of P; the oracle projects each facet avoiding the pulled vertex
+  and rebuilds its hull with from_points.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
 from polynorm import invariants, semigroup
-from polynorm.catalog import SplitMix64, build_family, random_polytope
+from polynorm.catalog import (
+    SplitMix64,
+    build_family,
+    cube,
+    random_polytope,
+    standard_simplex,
+)
 from polynorm.cli import run_check_suite
-from polynorm.exactmath import add, dot, scale, sub
+from polynorm.exactmath import (
+    Vector,
+    add,
+    det_exact,
+    dot,
+    primitive,
+    rank,
+    scale,
+    solve_rational,
+    sub,
+)
 from polynorm.invariants import (
+    SmoothData,
     _pack,
     compute_d_P,
     compute_k_P,
     compute_nu_P,
     is_k_normal,
+    smooth_data,
+    volume_triangulation,
 )
-from polynorm.polytope import from_points
+from polynorm.polytope import GeometryError, from_points, product
 from polynorm.semigroup import (
     INFEASIBLE,
     MPResult,
@@ -390,3 +416,149 @@ def test_sigma_matches_tower(poly):
                         p.name, v, x)
                     pairs += 1
     assert pairs >= 4000
+
+
+# -- smooth data and triangulation: edge fans and projected hulls ---------------
+
+
+@dataclass(frozen=True)
+class EdgeFan:
+    """The edges incident to one vertex: primitive directions and neighbors."""
+
+    vertex: Vector
+    edge_directions: tuple[Vector, ...]
+    neighbor_vertices: tuple[Vector, ...]
+
+    def __post_init__(self):
+        if len(set(self.edge_directions)) != len(self.edge_directions):
+            raise GeometryError("edge directions must be pairwise distinct")
+
+
+def edge_fan(p, v):
+    """Primitive edge directions at a vertex.
+
+    A second vertex u spans an edge with v exactly when the facets tight at
+    both have normals of rank dim-1.
+    """
+    if not p.is_vertex(v):
+        raise GeometryError(f"{v} is not a vertex")
+    active_v = [f for f in p.facets if f.slack(v) == 0]
+    pairs = []
+    for u in p.vertices:
+        if u == v:
+            continue
+        common = tuple(f.normal for f in active_v if f.slack(u) == 0)
+        if rank(common) == p.dim - 1:
+            pairs.append((primitive(sub(u, v)), u))
+    pairs.sort()
+    return EdgeFan(v, tuple(d for d, _ in pairs), tuple(u for _, u in pairs))
+
+
+def edge_coefficients(fan, target):
+    """Coordinates of target in the edge-direction basis, which must be
+    nonnegative integers for a lattice point of a smooth polytope."""
+    sol = solve_rational(tuple(zip(*fan.edge_directions)), target)
+    assert not isinstance(sol, str), fan.vertex
+    assert all(a.denominator == 1 and a >= 0 for a in sol), (fan.vertex, target)
+    return [int(a) for a in sol]
+
+
+def smooth_data_from_edge_fans(p):
+    """Smooth when every vertex has dim edge directions with |det| = 1;
+    gamma and m_prime from the solved edge coefficients of u - v."""
+    if p.dim == 0:
+        return SmoothData(True, 1, 1)
+    fans = [edge_fan(p, v) for v in p.vertices]
+    if any(len(fan.edge_directions) != p.dim or abs(det_exact(fan.edge_directions)) != 1
+           for fan in fans):
+        return SmoothData(False, None, None)
+    g = max(sum(edge_coefficients(fan, sub(u, fan.vertex)))
+            for fan in fans for u in p.vertices if u != fan.vertex)
+    mp = max(max(edge_coefficients(fan, sub(u, fan.vertex)))
+             for fan in fans for u in sorted(p.lattice_points(1)) if u != fan.vertex)
+    return SmoothData(True, g, mp)
+
+
+def triangulate_by_projected_hulls(p):
+    """Pulling triangulation from the lexicographically least vertex.
+
+    Facets avoiding the pulled vertex are triangulated recursively in a
+    projected coordinate system (dropping one coordinate where the facet
+    normal is nonzero, a bijection on the facet's affine hull).
+    """
+    verts = p.vertices
+    if len(verts) == p.dim + 1:
+        return [verts]
+    v0 = verts[0]
+    simplices = []
+    for f in p.facets:
+        if f.slack(v0) == 0:
+            continue
+        fverts = [v for v in verts if f.slack(v) == 0]
+        j = next(i for i, c in enumerate(f.normal) if c != 0)
+        lift = {v[:j] + v[j + 1:]: v for v in fverts}
+        for cell in triangulate_by_projected_hulls(from_points(lift.keys())):
+            simplices.append((v0,) + tuple(lift[q] for q in cell))
+    return simplices
+
+
+def simplex_volumes(simplices):
+    return [abs(det_exact(tuple(sub(v, s[0]) for v in s[1:]))) for s in simplices]
+
+
+def smooth_cases():
+    """Smooth inputs that are not unit cubes or standard simplices."""
+    return [
+        cube(3).dilate(2),
+        from_points([(0, 0), (2, 0), (0, 2)]),
+        product(cube(2), standard_simplex(2)),
+        from_points([(0,), (1,)]),
+    ]
+
+
+def test_smooth_data_matches_edge_fans(poly):
+    smooth = []
+    for p in oracle_cases(poly) + smooth_cases():
+        got = smooth_data(p)
+        assert got == smooth_data_from_edge_fans(p), p.name
+        if got.is_smooth:
+            smooth.append((p.dim, got))
+    # the comparison must reach gamma and m_prime, beyond unit coefficients
+    assert len(smooth) >= 10
+    assert any(s.m_prime > 1 for _, s in smooth)
+    assert any(s.gamma > d for d, s in smooth)
+
+
+def test_triangulation_matches_projected_hulls(poly):
+    for p in oracle_cases(poly) + smooth_cases():
+        cells = simplex_volumes(invariants._triangulate(p, p.vertices, p.dim))
+        assert all(cells), p.name  # no flat simplex
+        assert sum(cells) == volume_triangulation(p) == sum(
+            simplex_volumes(triangulate_by_projected_hulls(p))), p.name
+
+
+SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+class TestEdgeFan:
+    def test_square_origin(self):
+        fan = edge_fan(SQUARE, (0, 0))
+        assert set(fan.edge_directions) == {(1, 0), (0, 1)}
+
+    def test_cube_origin(self):
+        fan = edge_fan(cube(3), (0, 0, 0))
+        assert set(fan.edge_directions) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+    def test_simplex_at_e1(self):
+        fan = edge_fan(standard_simplex(2), (1, 0))
+        assert set(fan.edge_directions) == {(-1, 0), (-1, 1)}
+
+    def test_neighbors_are_vertices(self):
+        p = build_family("bruns:4")
+        for v in p.vertices:
+            fan = edge_fan(p, v)
+            assert all(p.is_vertex(u) for u in fan.neighbor_vertices)
+
+    def test_non_vertex_rejected(self):
+        with pytest.raises(GeometryError):
+            edge_fan(SQUARE, (2, 2))

@@ -54,6 +54,13 @@ class InputError(ValueError):
 # -- input handling ---------------------------------------------------------------
 
 
+def _build(spec, text: str) -> Polytope:
+    try:
+        return build_family(spec)
+    except ValueError as e:  # GeometryError is a ValueError
+        raise InputError(f"bad family parameters {text!r}: {e}") from e
+
+
 def resolve_input(text: str) -> Polytope:
     """Interpret the input as a family spec, else as a vertex file path."""
     try:
@@ -61,10 +68,7 @@ def resolve_input(text: str) -> Polytope:
     except ValueError:
         spec = None
     if spec is not None:
-        try:
-            return build_family(spec)
-        except (ValueError, GeometryError) as e:
-            raise InputError(f"bad family parameters {text!r}: {e}") from e
+        return _build(spec, text)
     path = Path(text)
     if not path.is_file():
         raise InputError(f"no such file or family: {text}")
@@ -370,6 +374,10 @@ def explore_flags(p: Polytope, report) -> tuple[str, ...]:
 def cmd_explore(args) -> int:
     if not 2 <= args.dim <= 4:
         raise InputError("explore supports --dim 2..4")
+    if args.bound < 1:
+        raise InputError("explore needs --bound >= 1")
+    if args.count < 0:
+        raise InputError("explore needs --count >= 0")
     max_k = _effective_max_k(args)
     master = SplitMix64(args.seed)
     store = Path(args.store)
@@ -423,7 +431,7 @@ def cmd_gen(args) -> int:
         spec = parse_family(args.family)
     except ValueError as e:
         raise InputError(str(e)) from e
-    p = build_family(spec)
+    p = _build(spec, args.family)
     print(f"# {p.name}")
     for v in p.vertices:
         print(" ".join(str(c) for c in v))

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
-from math import gcd
 
 from .exactmath import (
     Vector,
@@ -184,30 +184,74 @@ class Polytope:
 # -- hull construction ---------------------------------------------------------
 
 
-def _hyperplane_normal(points: tuple[Vector, ...]) -> Vector | None:
-    """Normal of the hyperplane through d points of ZZ^d (cofactor cross product).
+def _span(vectors) -> list[tuple[int, Vector]]:
+    """Echelon basis of the span of integer vectors, as (pivot column, row).
 
-    Returns None when the points do not affinely span a hyperplane.
+    Each new vector is reduced fraction-free against the rows so far; every
+    row is zero in the pivot columns of the rows before it, so a vector
+    reduces to zero exactly when it lies in their span.
     """
-    d = len(points[0])
-    diffs = [sub(p, points[0]) for p in points[1:]]
+    basis = []
+    for v in vectors:
+        for c, row in basis:
+            if v[c]:
+                v = sub(scale(row[c], v), scale(v[c], row))
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis.append((pivot, primitive(v)))
+    return basis
+
+
+def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
+    """The inequality of the hyperplane through point spanned by the d-1
+    rows of basis, oriented to hold inside/(d+1) strictly.
+
+    The normal is the vector of signed (d-1)-minors of the rows (the
+    cofactor cross product), made primitive.
+    """
+    rows = [row for _, row in basis]
     normal = []
-    sign = 1
-    for i in range(d):
-        minor = tuple(tuple(row[j] for j in range(d) if j != i) for row in diffs)
-        normal.append(sign * det_exact(minor))
-        sign = -sign
-    if all(x == 0 for x in normal):
-        return None
-    return tuple(normal)
+    for i in range(len(point)):
+        minor = tuple(row[:i] + row[i + 1:] for row in rows)
+        normal.append((-1) ** i * det_exact(minor))
+    normal = primitive(tuple(normal))
+    offset = dot(normal, point)
+    if dot(normal, inside) > (len(point) + 1) * offset:
+        normal, offset = neg(normal), -offset
+    return HalfSpace(normal, offset)
 
 
 def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
     """Facet inequalities of the convex hull of a full-dimensional point set.
 
-    Brute force over d-subsets: each candidate hyperplane is kept iff every
-    input point lies on one side.  Exact, and every facet is found because a
-    facet contains d affinely independent hull vertices.
+    Exact-integer beneath-beyond.  The first affinely independent points in
+    sorted order span a d-simplex; its centroid is interior to every later
+    hull, so each new facet is oriented to hold it strictly.  Each facet
+    keeps its tight set, the points inserted so far that lie on it.  The
+    other points are inserted one at a time; a facet is visible from p when
+    p has negative slack in it.
+
+    - With no facet visible, p lies in the hull and joins the tight sets of
+      the facets where its slack is 0.
+    - Otherwise the facets of the new hull conv(Q ∪ {p}) are the facets of
+      conv(Q) that p is not beyond, and the cones over p of the horizon
+      ridges, the ridges between a visible facet f and a facet g that is
+      not visible.  Two facets meet in a ridge exactly when their tight
+      sets meet in affine rank d-2 (every vertex of conv(Q) is in the tight
+      sets, so the intersection spans the face f ∩ g); since p is off the
+      hyperplane of f, that is when the vectors r - p, r in the
+      intersection, have rank d-1, and their span is the new facet's.  A
+      seen point on the new facet lies in conv(Q) ∩ H = f ∩ g, so its tight
+      set is the ridge plus p.
+    - When p lies on the hyperplane of g (slack 0), the cone over the ridge
+      spans g's hyperplane: facets are keyed by their HalfSpace, so it
+      merges into g, which p has joined, as a cube's last vertex extends
+      three square facets.
+
+    Every intermediate hull is exactly conv of the points inserted so far,
+    so the result is the set of facets of conv(points): the same primitive
+    inequalities, sorted, as keeping every d-subset hyperplane with all
+    points on one side.
     """
     pts = sorted({vec(p) for p in points})
     if not pts:
@@ -217,33 +261,40 @@ def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
         raise GeometryError("points of mixed dimension")
     if d == 0:
         return ()
-    arank = rank(tuple(sub(p, pts[0]) for p in pts[1:]))
-    if arank < d:
+    simplex = [pts[0]]
+    for p in pts[1:]:
+        if len(_span(sub(q, pts[0]) for q in simplex[1:] + [p])) == len(simplex):
+            simplex.append(p)
+            if len(simplex) == d + 1:
+                break
+    if len(simplex) <= d:
+        arank = len(simplex) - 1
         raise GeometryError(
             f"point set is not full-dimensional (affine rank {arank} < {d})",
             affine_rank=arank)
-    found = set()
-    for subset in itertools.combinations(pts, d):
-        normal = _hyperplane_normal(subset)
-        if normal is None:
-            continue
-        c = dot(normal, subset[0])
-        above = below = False
-        for p in pts:
-            s = dot(normal, p)
-            if s > c:
-                above = True
-            elif s < c:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            normal, c = neg(normal), -c
-        g = gcd(*normal)
-        found.add(HalfSpace(tuple(x // g for x in normal), c // g))
-    return tuple(sorted(found))
+    inside = tuple(map(sum, zip(*simplex)))  # (d+1) times the centroid
+    tight: dict[HalfSpace, set[Vector]] = {}
+    for i in range(d + 1):
+        face = simplex[:i] + simplex[i + 1:]
+        rows = _span(sub(q, face[0]) for q in face[1:])
+        tight[_halfspace(face[0], rows, inside)] = set(face)
+    for p in pts:
+        slack = {f: f.slack(p) for f in tight}
+        for f, s in slack.items():
+            if s == 0:
+                tight[f].add(p)
+        visible = [tight.pop(f) for f, s in slack.items() if s < 0]
+        kept = list(tight.values())
+        for on_f in visible:
+            for on_g in kept:
+                ridge = on_f & on_g
+                if len(ridge) < d - 1:
+                    continue
+                rows = _span(sub(r, p) for r in ridge)
+                if len(rows) == d - 1:
+                    h = _halfspace(p, rows, inside)
+                    tight.setdefault(h, set()).update(ridge, (p,))
+    return tuple(sorted(tight))
 
 
 def from_points(points, name: str | None = None) -> Polytope:
@@ -311,15 +362,23 @@ def parse_points_json(text: str):
     return points, name
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_points_text(text: str):
-    """Plain-text polytope input: one point per line, '#' comments ignored."""
+    """Plain-text polytope input: one point per line, '#' comments ignored.
+
+    A coordinate is an optionally signed run of ASCII digits; int() alone
+    would also take '1_0' and non-ASCII digits.
+    """
     points = []
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        try:
-            points.append(vec(int(tok) for tok in body.split()))
-        except ValueError as e:
-            raise GeometryError(f"line {lineno}: {e}") from e
+        tokens = body.split()
+        bad = next((tok for tok in tokens if not _INTEGER.fullmatch(tok)), None)
+        if bad is not None:
+            raise GeometryError(f"line {lineno}: coordinates must be integers, got {bad!r}")
+        points.append(tuple(int(tok) for tok in tokens))
     return points, None

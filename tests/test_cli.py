@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -12,7 +13,7 @@ from polynorm.cli import (
     main,
     run_check_suite,
 )
-from polynorm.catalog import bruns_gubeladze
+from polynorm.catalog import bruns_gubeladze, cube
 
 # The CSV header and the table layout are part of the output contract, so
 # they are pinned here literally rather than derived from the report fields.
@@ -173,6 +174,33 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == f"error: {path}: points must have at least one coordinate\n"
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1", "+-1"])
+    def test_coordinates_are_ascii_integers(self, capsys, tmp_path, token):
+        path = tmp_path / "triangle.txt"
+        path.write_text(f"0 0\n{token} 0\n0 3\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (f"error: {path}: line 2: coordinates must be integers, "
+                       f"got {token!r}\n")
+
+    def test_signed_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text("+0 -0\n+3 0\n0 -3\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["num_vertices"] == 3
+
+    def test_cube5_bytes(self, capsys):
+        # sha256 of the output of the d-subset hull, which took about 20 s
+        code, out, _ = run(capsys, "analyze", "cube:5", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8c6f233523568b8c8428dcd48940039153853d2efa997132eff872c9455c5292")
+        p = cube(5)
+        assert json.loads(out)["num_vertices"] == p.num_vertices == 32
+        assert len(p.facets) == 10
 
 
 EXPECTED_OUTPUT = {
@@ -413,6 +441,18 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--dim", "5", "--count", "1")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--bound", "0", "--count", "1"), "explore needs --bound >= 1"),
+        (("--count", "-3"), "explore needs --count >= 0"),
+    ])
+    def test_bad_arguments(self, capsys, tmp_path, flags, message):
+        store = tmp_path / "r.jsonl"
+        code, out, err = run(capsys, "explore", "--dim", "2", *flags, "--store", str(store))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not store.exists()
+
 
 class TestGen:
     def test_roundtrip_through_analyze(self, capsys, tmp_path):
@@ -428,3 +468,12 @@ class TestGen:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "gen", "dodecahedron:12")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("spec", ["random:5,3,9,1", "cube:0"])
+    def test_bad_family_parameters_as_in_analyze(self, capsys, spec):
+        code, out, err = run(capsys, "gen", spec)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: bad family parameters {spec!r}: ")
+        assert err.count("\n") == 1
+        assert run(capsys, "analyze", spec) == (code, out, err)

@@ -21,10 +21,15 @@
 - volume_triangulation recurses on faces given as vertex tuples cut out by
   the facets of P; the oracle projects each facet avoiding the pulled vertex
   and rebuilds its hull with from_points.
+- hrep_from_vrep inserts points one at a time into an exact beneath-beyond
+  hull; the oracle, hull_by_d_subsets, keeps every hyperplane through d of
+  the points that has all of them on one side, and the sorted HalfSpace
+  tuples must be equal.
 """
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 import pytest
 
@@ -58,7 +63,13 @@ from polynorm.invariants import (
     smooth_data,
     volume_triangulation,
 )
-from polynorm.polytope import GeometryError, from_points, product
+from polynorm.polytope import (
+    GeometryError,
+    HalfSpace,
+    from_points,
+    hrep_from_vrep,
+    product,
+)
 from polynorm.semigroup import (
     INFEASIBLE,
     MPResult,
@@ -562,3 +573,101 @@ class TestEdgeFan:
     def test_non_vertex_rejected(self):
         with pytest.raises(GeometryError):
             edge_fan(SQUARE, (2, 2))
+
+
+# -- hull: beneath-beyond against every d-subset hyperplane -------------------
+
+
+def hull_by_d_subsets(points):
+    """Facets by brute force over d-subsets: each hyperplane through d
+    affinely independent points is kept iff every point lies on one side.
+    Exact, and every facet is found because a facet contains d affinely
+    independent points."""
+    pts = sorted(set(points))
+    if not pts:
+        raise GeometryError("empty point set")
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise GeometryError("points of mixed dimension")
+    if d == 0:
+        return ()
+    arank = rank(tuple(sub(p, pts[0]) for p in pts[1:]))
+    if arank < d:
+        raise GeometryError(
+            f"point set is not full-dimensional (affine rank {arank} < {d})",
+            affine_rank=arank)
+    found = set()
+    for subset in itertools.combinations(pts, d):
+        diffs = [sub(p, subset[0]) for p in subset[1:]]
+        normal = tuple((-1) ** i * det_exact(tuple(r[:i] + r[i + 1:] for r in diffs))
+                       for i in range(d))
+        if not any(normal):
+            continue
+        c = dot(normal, subset[0])
+        sides = {(dot(normal, p) > c) - (dot(normal, p) < c) for p in pts} - {0}
+        if len(sides) == 2:
+            continue
+        if sides == {1}:
+            normal, c = tuple(-x for x in normal), -c
+        g = gcd(*normal)
+        found.add(HalfSpace(tuple(x // g for x in normal), c // g))
+    return tuple(sorted(found))
+
+
+def shuffled(points, rng):
+    out = list(points)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def point_clouds():
+    """Seeded clouds in dims 1-4 around the origin: doubled random points
+    2a, the sums a + b of pairs (midpoints of 2a and 2b, so on a shared
+    facet or inside) and repeats of earlier points."""
+    rng = SplitMix64(8)
+    for d in range(1, 5):
+        for _ in range(40):
+            bound = 1 + rng.below(3)
+            base = [tuple(rng.below(2 * bound + 1) - bound for _ in range(d))
+                    for _ in range(d + 1 + rng.below(5))]
+            cloud = [scale(2, a) for a in base]
+            cloud += [add(base[rng.below(len(base))], base[rng.below(len(base))])
+                      for _ in range(1 + rng.below(6))]
+            cloud += [cloud[rng.below(len(cloud))] for _ in range(2)]
+            yield cloud
+
+
+def hull_or_error(hull, points):
+    try:
+        return hull(points)
+    except GeometryError as e:
+        return str(e)
+
+
+def test_hull_matches_d_subsets(poly):
+    specs = CATALOG_SPECS + ("higashitani:4,2", "random:3,5,12,7", "random:4,4,12,3")
+    assert "cube:4" in specs
+    for spec in specs:
+        p = poly(spec)
+        assert p.facets == hrep_from_vrep(p.vertices) == hull_by_d_subsets(p.vertices), spec
+    rng = SplitMix64(9)
+    edge_points = crowded_facets = full = 0
+    for cloud in point_clouds():
+        want = hull_or_error(hull_by_d_subsets, cloud)
+        assert hull_or_error(hrep_from_vrep, sorted(cloud)) == want, cloud
+        assert hull_or_error(hrep_from_vrep, shuffled(cloud, rng)) == want, cloud
+        if isinstance(want, str):
+            continue
+        full += 1
+        d = len(cloud[0])
+        vertices = set(from_points(cloud).vertices)
+        on_facets = [{x for x in cloud if f.slack(x) == 0} for f in want]
+        edge_points += any(on - vertices for on in on_facets)
+        crowded_facets += any(len(on) > d for on in on_facets)
+    # the degenerate cases must occur: boundary points that are not vertices
+    # (the coplanar merge) and facets tight at more than d points
+    assert full >= 140
+    assert edge_points >= 50
+    assert crowded_facets >= 50

@@ -184,8 +184,8 @@ def full_report(p: Polytope, name: str | None = None, max_k: int | None = None) 
         k_P = stage("k-normality",
                     lambda: inv.compute_k_P(p, mres.m_P, d_P, max_k=max_k))
         if k_P > 1:
-            _, holes = stage("k-normality", lambda: inv.is_k_normal(p, k_P - 1))
-            holes_witness = {"k": k_P - 1, "point": list(min(holes))}
+            hole = stage("k-normality", lambda: inv.least_hole(p, k_P - 1))
+            holes_witness = {"k": k_P - 1, "point": list(hole)}
     vol = stage("volume", lambda: inv.volume_ehrhart(p))
     vol_tri = stage("volume", lambda: inv.volume_triangulation(p))
     if vol != vol_tri:

@@ -1,9 +1,14 @@
 """Core combinatorial invariants of lattice polytopes.
 
 k-normality is decided by explicit iterated Minkowski sumsets of the lattice
-points, built one level at a time in a memo on the polytope, with every point
-packed into one int by a linear map so that a vector sum is an int sum; the
-decomposition thresholds d_P and nu_P come out of the finite
+points, built one level at a time in a memo on the polytope.  Each level
+S_j = S_(j-1) + P∩M is one int bitmask: a lattice point x of jP is packed
+into a bit position by a mixed-radix map that is linear across levels, so
+S_j is the OR of the shifts of S_(j-1) by the packed points of P∩M and |S_j|
+is its bit count.  jP has no holes exactly when that count is |jP∩M|, which
+is enumerated for j <= dim and read off the Ehrhart polynomial above; hole
+points are decoded only when asked for.  The same shifted union decides the
+decomposition thresholds d_P and nu_P, which come out of the finite
 failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
 P∩M + kP∩M -> (k+1)P∩M is onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M
 is onto for every k >= d, so larger k never fail).  The vertex bound is
@@ -17,11 +22,12 @@ agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial
+import itertools
+from dataclasses import dataclass, replace
+from math import comb
 from operator import mul
 
-from .exactmath import Vector, det_exact, rank, solve_rational, sub
+from .exactmath import Vector, det_exact, rank, sub
 # unused here; perfbench's tracer test reads it as an aliased import
 from .polytope import Polytope, from_points
 
@@ -69,111 +75,264 @@ class SmoothData:
     m_prime: int | None
 
 
-# -- packed sumsets and the k-normality tower ---------------------------------
+# -- bitmask sumsets and the k-normality tower --------------------------------
 
-# Levels a fresh tower's packing serves at least; a deeper request re-packs
-# from scratch with twice the depth, so the radix never has to wrap.
-_MIN_LEVELS = 64
+# Levels a fresh packing serves at least; a deeper request re-packs the tower
+# with twice the depth, so no digit ever outgrows its radix.
+_MIN_LEVELS = 4
 
 
-def _weights(p: Polytope, levels: int) -> tuple[int, ...]:
-    """Weights (1, R, R^2, ...) of a packing that is injective on jP∩M for
-    every j <= levels.
+@dataclass(frozen=True)
+class _Packing:
+    """pack(x, j) = Σ (x_i - j·lo_i)·W_i = W·x - j·origin, injective on jP∩M
+    for every level j <= capacity.
 
-    R is the least power of two above levels·w, w the widest side of the
-    bounding box of P.  Two points x != y of jP differ by at most j·w < R in
-    every coordinate.  At the lowest index i where they differ,
-    pack(x) - pack(y) is R^i·(x_i - y_i) plus a multiple of R^(i+1), and R
-    does not divide 0 < |x_i - y_i| < R, so pack(x) != pack(y).  Packing is
-    linear, so pack(x + y) = pack(x) + pack(y) and a Minkowski sum of packed
-    sets is a set of int sums.
+    lo is the least corner of the bounding box of P and w its widths.  The
+    weights are mixed-radix place values: coordinate i gets the radix
+    capacity·w_i + 1, and order lists the coordinates from the least
+    significant place up, widest first.  A point x of jP has digits
+    0 <= x_i - j·lo_i <= j·w_i < that radix, so pack(x, j) is a numeral and
+    distinct points of jP get distinct values in [0, top(j)].  Packing is
+    linear across levels: pack(x, j) + pack(b, 1) = pack(x + b, j + 1).
     """
-    width = max((max(c) - min(c) for c in zip(*p.vertices)), default=0)
-    radix = 1 << (levels * width).bit_length()
-    return tuple(radix ** i for i in range(p.dim))
+
+    widths: tuple[int, ...]
+    order: tuple[int, ...]
+    capacity: int
+    weights: tuple[int, ...]
+    origin: int
+
+    def pack(self, x: Vector, j: int) -> int:
+        return sum(map(mul, x, self.weights)) - j * self.origin
+
+    def top(self, j: int) -> int:
+        """pack of the top corner of the box of jP, the largest value."""
+        return j * sum(map(mul, self.widths, self.weights))
 
 
-def _pack(point: Vector, weights: tuple[int, ...]) -> int:
-    return sum(map(mul, point, weights))
+def _packing(p: Polytope, capacity: int) -> _Packing:
+    columns = list(zip(*p.vertices))
+    widths = tuple(max(c) - min(c) for c in columns)
+    order = tuple(sorted(range(p.dim), key=lambda i: -widths[i]))
+    weights = [0] * p.dim
+    place = 1
+    for i in order:
+        weights[i] = place
+        place *= capacity * widths[i] + 1
+    origin = sum(map(mul, map(min, columns), weights))
+    return _Packing(widths, order, capacity, tuple(weights), origin)
 
 
-def _sumset(a, b) -> frozenset[int]:
-    """Minkowski sum {x + y : x in a, y in b} of two sets of packed points."""
-    return frozenset(x + y for x in a for y in b)
+def _repacked(mask: int, j: int, old: _Packing, new: _Packing) -> int:
+    """The bitmask of a level-j set under old, re-packed under new.
+
+    With every digit but the least significant one fixed, the points of the
+    box of jP are a run of j·w + 1 consecutive bits in either packing, and
+    the runs come in the same order; the new mask is the old runs moved to
+    their new places.  The widest coordinate is the least significant, so
+    the runs are as long, and as few, as they can be.
+    """
+    if not old.order:
+        return mask
+    first, *rest = old.order
+    rest.reverse()  # most significant first, so the places increase
+    run = j * old.widths[first] + 1
+    bits = format(mask, "b")[::-1]
+    pieces, end = [], 0
+    for digits in itertools.product(*(range(j * old.widths[i] + 1) for i in rest)):
+        start = sum(d * old.weights[i] for d, i in zip(digits, rest))
+        piece = bits[start:start + run]
+        if "1" in piece:
+            place = sum(d * new.weights[i] for d, i in zip(digits, rest))
+            pieces += ("0" * (place - end), piece)
+            end = place + len(piece)
+    return int("".join(pieces)[::-1] or "0", 2)
+
+
+def _bitmask(positions) -> int:
+    """The int whose set bits are exactly the given positions."""
+    positions = list(positions)
+    buf = bytearray(max(positions, default=0) // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _shifted_union(mask: int, shifts) -> int:
+    """OR of mask << s over the shifts.
+
+    With mask the bitmask of a packed set A at level j and shifts the packed
+    points B at level 1, this is the bitmask of A + B at level j+1, because
+    packing is linear across levels.
+    """
+    union = 0
+    for s in shifts:
+        union |= mask << s
+    return union
 
 
 @dataclass(frozen=True)
 class _Tower:
     """Immutable state of one polytope's k-normality memo.
 
-    top is the packed j-fold sumset S_j of P∩M, j = len(holes), and
-    holes[i] is the hole set of (i+1)P; the lower levels S_i are not kept.
-    weights pack injectively on every level up to capacity.
+    levels[j] = (packing_j, mask) for j = 0 .. len(levels)-1, mask the
+    bitmask of the j-fold sumset S_j of P∩M (S_0 = {0}): bit
+    packing_j.pack(x, j) is set exactly when x is in S_j.  Each level keeps
+    the packing it was built in; the top level is in `packing`, whose
+    shifts are the packed points of P∩M at level 1.
+
+    Size.  The mask of S_j has at most top(j) + 1 bits: the lattice points
+    of the box of jP with every digit but the most significant one widened
+    to the capacity C of the level's packing, about (C/j)^(dim-1) times the
+    points of that box.  C is at least 4 and otherwise twice the deepest
+    level asked for when the packing was made, so C/j stays small on the
+    levels a scan builds.  |S_j| <= |jP∩M| of the bits are set.  A
+    frozenset of tuples spends on the order of a hundred bytes per point,
+    the mask one bit per box point, so the mask is the smaller unless the
+    box of P holds hundreds of times more lattice points than P, as for a
+    thin simplex along a diagonal.
     """
 
-    weights: tuple[int, ...]
-    capacity: int
-    base: frozenset[int]
-    top: frozenset[int]
-    holes: tuple[frozenset[Vector], ...]
+    packing: _Packing
+    shifts: tuple[int, ...]
+    levels: tuple[tuple[_Packing, int], ...]
 
-    def extended(self, p: Polytope) -> "_Tower":
-        """The tower one level up: S_i = S_(i-1) + P∩M, i = j+1, and its holes.
-
-        S_i lies in iP∩M and the packing is injective there, so iP has no
-        holes exactly when |S_i| = |iP∩M|; otherwise the holes are the
-        points of iP∩M whose packed form is not in S_i.
-        """
-        top = _sumset(self.top, self.base)
-        points = p.lattice_points(len(self.holes) + 1)
-        if len(top) == len(points):
-            holes = frozenset()
-        else:
-            holes = frozenset(x for x in points if _pack(x, self.weights) not in top)
-        return _Tower(self.weights, self.capacity, self.base, top, self.holes + (holes,))
+    def extended(self) -> "_Tower":
+        """The tower one level up: S_(j+1) = S_j + P∩M, an OR of shifts."""
+        top = _shifted_union(self.levels[-1][1], self.shifts)
+        return replace(self, levels=self.levels + ((self.packing, top),))
 
 
-def _holes(p: Polytope, k: int) -> frozenset[Vector]:
-    """Holes of kP, read from the polytope's tower and extending it to level
-    k if needed; each extension is published by one assignment."""
+def _packed_tower(p: Polytope, depth: int) -> _Tower:
+    """The polytope's tower, re-packed first when its packing does not reach
+    depth: only the top level moves to the new packing, the one the next
+    extension shifts; no level is rebuilt."""
     tower = p._tower
-    if tower is not None and k <= len(tower.holes):
-        return tower.holes[k - 1]
-    if tower is None or k > tower.capacity:
-        capacity = max(2 * k, _MIN_LEVELS)
-        weights = _weights(p, capacity)
-        base = frozenset(_pack(x, weights) for x in p.lattice_points(1))
-        tower = _Tower(weights, capacity, base, frozenset({0}), ())
-    while len(tower.holes) < k:
-        tower = tower.extended(p)
-        p._tower = tower
-    return tower.holes[k - 1]
+    if tower is None or depth > tower.packing.capacity:
+        packing = _packing(p, max(2 * depth, _MIN_LEVELS))
+        shifts = tuple(sorted(packing.pack(x, 1) for x in p.lattice_points(1)))
+        if tower is None:
+            levels = ((packing, 1),)
+        else:
+            top, (old, mask) = len(tower.levels) - 1, tower.levels[-1]
+            levels = tower.levels[:-1] + ((packing, _repacked(mask, top, old, packing)),)
+        tower = p._tower = _Tower(packing, shifts, levels)
+    return tower
+
+
+def _level(p: Polytope, k: int) -> tuple[_Packing, int]:
+    """The packing and the bitmask of S_k, extending the tower to level k if
+    needed; each extension is published by one assignment."""
+    tower = _packed_tower(p, k)
+    while len(tower.levels) <= k:
+        tower = p._tower = tower.extended()
+    return tower.levels[k]
+
+
+def _ehrhart(p: Polytope) -> tuple[int, ...]:
+    """Forward differences Δ^i L(0), i = 0..dim, of L(k) = |kP∩M|, memoized.
+
+    By Ehrhart's theorem L is a polynomial of degree dim in k with L(0) = 1,
+    so it is the interpolant of its values at k = 0..dim, which Newton's
+    forward-difference form writes in integers: L(k) = Σ Δ^i L(0)·C(k, i).
+    """
+    deltas = p._ehrhart
+    if deltas is None:
+        row = [1] + [len(p.lattice_points(k)) for k in range(1, p.dim + 1)]
+        deltas = []
+        while row:
+            deltas.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        deltas = p._ehrhart = tuple(deltas)
+    return deltas
+
+
+def _point_count(p: Polytope, k: int) -> int:
+    """|kP∩M|: the enumerated points for k <= dim, which the pipeline lists
+    anyway, and the Ehrhart polynomial above, where nothing is listed."""
+    if k <= p.dim:
+        return len(p.lattice_points(k))
+    return sum(delta * comb(k, i) for i, delta in enumerate(_ehrhart(p)))
+
+
+def _iter_holes(p: Polytope, k: int):
+    """The holes of kP in lexicographic order, decoded lazily.
+
+    The rows of kP come in lexicographic order, and along a row the last
+    coordinate steps the packed value by its weight, so a row is a strided
+    slice of the mask's bits, least significant first; its zeros are holes.
+    """
+    packing, mask = _level(p, k)
+    *head, step = packing.weights
+    bits = format(mask, "b")[::-1].ljust(packing.top(k) + 1, "0")
+    for prefix, lo, hi in p.lattice_rows(k):
+        start = sum(map(mul, prefix, head)) + lo * step - k * packing.origin
+        row = bits[start:start + (hi - lo) * step + 1:step]
+        i = row.find("0")
+        while i >= 0:
+            yield prefix + (lo + i,)
+            i = row.find("0", i + 1)
+
+
+def hole_count(p: Polytope, k: int) -> int:
+    """Number of holes of kP, the lattice points that are not sums of k
+    lattice points of P.
+
+    S_k lies in kP∩M and the packing is injective there, so the count is
+    |kP∩M| minus the number of set bits of the mask of S_k.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _, mask = _level(p, k)
+    return _point_count(p, k) - mask.bit_count()
+
+
+def sumset_membership(p: Polytope, k: int):
+    """A test for whether a lattice point y of kP is a sum of k lattice
+    points of P: one bit of the mask of S_k, read from its bytes.  y must
+    lie in kP, where the packing is injective."""
+    packing, mask = _level(p, k)
+    buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
+
+    def contains(y: Vector) -> bool:
+        i = packing.pack(y, k)
+        return buf[i >> 3] >> (i & 7) & 1 == 1
+
+    return contains
+
+
+def least_hole(p: Polytope, k: int) -> Vector | None:
+    """The lexicographically least hole of kP, or None if kP has none; the
+    row scan stops at the first hole."""
+    if not hole_count(p, k):
+        return None
+    return next(_iter_holes(p, k))
 
 
 def _fills_next_dilate(p: Polytope, summand, k: int) -> bool:
     """Whether summand + kP∩M = (k+1)P∩M, summand a set of lattice points of P.
 
-    The sum lies in (k+1)P∩M and the packing is injective there, so the two
-    sets are equal exactly when the packed sum has |(k+1)P∩M| elements.
+    The sum lies in (k+1)P∩M, so with the tower's packing (injective up to
+    level k+1) the two sets are equal exactly when the shifted union of the
+    mask of kP∩M has |(k+1)P∩M| bits set.
     """
-    weights = _weights(p, k + 1)
-    image = _sumset([_pack(x, weights) for x in p.lattice_points(k)],
-                    [_pack(x, weights) for x in summand])
-    return len(image) == len(p.lattice_points(k + 1))
+    packing = _packed_tower(p, k + 1).packing
+    mask = _bitmask(packing.pack(x, k) for x in p.lattice_points(k))
+    image = _shifted_union(mask, [packing.pack(b, 1) for b in summand])
+    return image.bit_count() == len(p.lattice_points(k + 1))
 
 
 def is_k_normal(p: Polytope, k: int):
     """Whether every lattice point of kP is a sum of k lattice points of P.
 
-    Returns (flag, holes); holes are the unreachable points of kP.  The
-    answer is read from the polytope's memoized sumset tower, which builds
-    each level S_j = S_(j-1) + P∩M at most once, so scanning k = 1..K costs
-    K sumsets, not K²/2.
+    Returns (flag, holes); holes are the unreachable points of kP, decoded
+    from the polytope's memoized sumset tower only when there are any.  The
+    tower builds each level S_j = S_(j-1) + P∩M at most once, so scanning
+    k = 1..K costs K shifted unions, not K²/2.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    holes = _holes(p, k)
-    return (not holes, holes)
+    if not hole_count(p, k):
+        return (True, frozenset())
+    return (False, frozenset(_iter_holes(p, k)))
 
 
 def compute_d_P(p: Polytope) -> int:
@@ -222,7 +381,7 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
     k = 1
     last_failing = 0
     while True:
-        if _holes(p, k):
+        if hole_count(p, k):
             last_failing = k
         elif k >= d_P:
             break
@@ -314,19 +473,15 @@ def degree(p: Polytope) -> int:
 def volume_ehrhart(p: Polytope) -> int:
     """Normalized volume dim!·vol(P) via exact interpolation of |kP∩M|.
 
-    The counts for k = 0..dim determine the degree-dim counting polynomial;
-    the normalized volume is dim! times its leading coefficient.
+    The counts for k = 0..dim determine the degree-dim Ehrhart polynomial,
+    whose leading coefficient is vol(P); in the forward-difference form of
+    `_ehrhart` that coefficient is Δ^dim L(0) / dim!, so the normalized
+    volume is the last difference.
     """
-    d = p.dim
-    counts = [1] + [len(p.lattice_points(k)) for k in range(1, d + 1)]
-    vandermonde = tuple(tuple(k ** j for j in range(d + 1)) for k in range(d + 1))
-    coeffs = solve_rational(vandermonde, tuple(counts))
-    if isinstance(coeffs, str):
-        raise AssertionError(f"point-count interpolation failed: {coeffs} (bug)")
-    vol = coeffs[-1] * factorial(d)
-    if vol.denominator != 1 or vol <= 0:
-        raise AssertionError(f"normalized volume {vol} is not a positive integer (bug)")
-    return int(vol)
+    vol = _ehrhart(p)[-1]
+    if vol <= 0:
+        raise AssertionError(f"normalized volume {vol} is not positive (bug)")
+    return vol
 
 
 def volume_triangulation(p: Polytope) -> int:

@@ -49,15 +49,17 @@ class HalfSpace:
 class Polytope:
     """Full-dimensional lattice polytope.
 
-    Immutable after construction except for two internal memos, both safe
+    Immutable after construction except for three internal memos, all safe
     for concurrent readers: the lattice points per dilation factor, filled
-    idempotently, and the k-normality tower of `invariants`, an immutable
-    state that is replaced whole by one assignment, so a reader sees the old
-    tower or the extended one and never a half-extended one.
+    idempotently; the Ehrhart polynomial of `invariants`, a tuple computed
+    the same way by every caller and set by one assignment; and the
+    k-normality tower of `invariants`, an immutable state that is replaced
+    whole by one assignment, so a reader sees the old tower or the extended
+    one and never a half-extended one.
     """
 
     __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache",
-                 "_tower")
+                 "_ehrhart", "_tower")
 
     def __init__(self, vertices: tuple[Vector, ...], dim: int,
                  facets: tuple[HalfSpace, ...], name: str | None = None):
@@ -67,6 +69,7 @@ class Polytope:
         self.name = name
         self._vertex_set = frozenset(vertices)
         self._point_cache: dict[int, frozenset[Vector]] = {}
+        self._ehrhart = None
         self._tower = None
         self._validate()
 
@@ -126,15 +129,7 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def lattice_points(self, k: int = 1) -> frozenset[Vector]:
-        """All lattice points of the k-th dilate, scanned row by row.
-
-        The first dim-1 coordinates run over the bounding box of kP.  For each
-        such prefix every facet a·x <= k·c bounds the last coordinate z by
-        a_z·z <= r, with r = k·c minus the prefix part of a·x: z <= r // a_z
-        when a_z > 0 and z >= ceil(r/a_z) = -(r // -a_z) when a_z < 0, in exact
-        integer division.  A facet with a_z = 0 either holds on the whole row
-        (r >= 0) or empties it.
-        """
+        """All lattice points of the k-th dilate, read off `lattice_rows`."""
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
         cached = self._point_cache.get(k)
@@ -143,24 +138,38 @@ class Polytope:
         if self.dim == 0:
             points = frozenset({()})
         else:
-            axes = [range(k * min(c), k * max(c) + 1)
-                    for c in itertools.islice(zip(*self.vertices), self.dim - 1)]
-            upper = [(f.normal[:-1], f.normal[-1], k * f.offset)
-                     for f in self.facets if f.normal[-1] > 0]
-            lower = [(f.normal[:-1], -f.normal[-1], k * f.offset)
-                     for f in self.facets if f.normal[-1] < 0]
-            flat = [(f.normal[:-1], k * f.offset) for f in self.facets if f.normal[-1] == 0]
-            # a bounded polytope has facets with a_z > 0 and with a_z < 0
-            found = []
-            for prefix in itertools.product(*axes):
-                if any(dot(head, prefix) > c for head, c in flat):
-                    continue
-                hi = min((c - dot(head, prefix)) // a for head, a, c in upper)
-                lo = -min((c - dot(head, prefix)) // b for head, b, c in lower)
-                found.extend(prefix + (z,) for z in range(lo, hi + 1))
-            points = frozenset(found)
+            points = frozenset(prefix + (z,) for prefix, lo, hi in self.lattice_rows(k)
+                               for z in range(lo, hi + 1))
         # setdefault keeps the fill idempotent under concurrent callers
         return self._point_cache.setdefault(k, points)
+
+    def lattice_rows(self, k: int = 1):
+        """The lattice points of kP as rows (prefix, lo, hi): the points
+        prefix + (z,) for lo <= z <= hi, in lexicographic order.
+
+        The prefix, the first dim-1 coordinates, runs over the bounding box
+        of kP in lexicographic order.  For each prefix every facet
+        a·x <= k·c bounds the last coordinate z by a_z·z <= r, with r = k·c
+        minus the prefix part of a·x: z <= r // a_z when a_z > 0 and
+        z >= ceil(r/a_z) = -(r // -a_z) when a_z < 0, in exact integer
+        division.  A facet with a_z = 0 either holds on the whole row
+        (r >= 0) or empties it.  Empty rows are skipped.  Needs dim >= 1.
+        """
+        axes = [range(k * min(c), k * max(c) + 1)
+                for c in itertools.islice(zip(*self.vertices), self.dim - 1)]
+        upper = [(f.normal[:-1], f.normal[-1], k * f.offset)
+                 for f in self.facets if f.normal[-1] > 0]
+        lower = [(f.normal[:-1], -f.normal[-1], k * f.offset)
+                 for f in self.facets if f.normal[-1] < 0]
+        flat = [(f.normal[:-1], k * f.offset) for f in self.facets if f.normal[-1] == 0]
+        # a bounded polytope has facets with a_z > 0 and with a_z < 0
+        for prefix in itertools.product(*axes):
+            if any(dot(head, prefix) > c for head, c in flat):
+                continue
+            hi = min((c - dot(head, prefix)) // a for head, a, c in upper)
+            lo = -min((c - dot(head, prefix)) // b for head, b, c in lower)
+            if lo <= hi:
+                yield prefix, lo, hi
 
     def interior_lattice_points(self, k: int = 1) -> frozenset[Vector]:
         """Lattice points strictly inside the k-th dilate."""

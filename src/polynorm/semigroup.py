@@ -199,12 +199,12 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     a representation by j generators u_i - v gives y_j = Σ u_i, and padding
     with u_i = v turns a shorter one into j points.  S_0 = {0}, so sigma is
     0 exactly when x = d_P·v.  For j >= 1, y_j is in S_j exactly when it is
-    a lattice point of jP and not a hole of jP; for j >= d_P it always lies
-    in jP, as x lies in d_P·P and v in P.
+    a lattice point of jP whose bit is set in the tower's mask of S_j; for
+    j >= d_P it always lies in jP, as x lies in d_P·P and v in P.
 
-    Depth.  Levels j = 1 .. d_P + 1 are read, through is_k_normal, so the
-    tower never goes past dim (d_P <= dim - 1) and compute_k_P reuses every
-    level it builds.  The scan stops at the first level j >= d_P without
+    Depth.  Levels j = 1 .. d_P + 1 are read, through sumset_membership, so
+    the tower never goes past dim (d_P <= dim - 1) and compute_k_P reuses
+    every level it builds.  The scan stops at the first level j >= d_P without
     holes: there y_j lies in jP∩M = S_j for every pair, so no pair is left.
 
     BFS.  At each vertex, in order, one search covers the pairs the tower
@@ -225,18 +225,18 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     open_xs = {v: [x for x in xs if (v, x) not in lengths] for v in vertices}
     for depth in range(1, d_P + 2):
         points = p.lattice_points(depth)
-        _, holes = inv.is_k_normal(p, depth)
+        in_sumset = inv.sumset_membership(p, depth)
         for v, pending in open_xs.items():
             shift = scale(depth - d_P, v)
             still_open = []
             for x in pending:
                 y = add(x, shift)
-                if y in points and y not in holes:
+                if y in points and in_sumset(y):
                     lengths[v, x] = depth
                 else:
                     still_open.append(x)
             open_xs[v] = still_open
-        if depth >= d_P and not holes:
+        if depth >= d_P and not inv.hole_count(p, depth):
             break
 
     searches = {}

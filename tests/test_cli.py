@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from polynorm.cli import (
     EXIT_VIOLATION,
     cache_key,
     main,
+    report_dict_for,
     run_check_suite,
 )
 from polynorm.catalog import bruns_gubeladze, cube
@@ -322,6 +325,36 @@ class TestCache:
         run(capsys, "analyze", "cube:2", "--format", "json")
         assert len(list(cache.glob("*.json"))) == 1
 
+    def test_threaded_writers_of_one_key(self, tmp_path):
+        # each writer fills its own temporary file, so writes of one key from
+        # threads of one process all land and leave one whole entry behind
+        p = cube(2)
+        key, data = cache_key(p), report_dict_for(p, None, cli.DEFAULT_MAX_K)
+        path = tmp_path / f"{key}.json"
+        errors = []
+
+        def write():
+            try:
+                for _ in range(300):
+                    cli._write_cache_entry(path, key, data)
+            except Exception as e:  # collected, so the assertion names it
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert list(tmp_path.iterdir()) == [path]
+        assert cli._read_cache_entry(path, key) == data
+
 
 class TestMaxK:
     def test_env_cap_hit(self, capsys, monkeypatch):
@@ -334,6 +367,29 @@ class TestMaxK:
         monkeypatch.setenv("POLYNORM_MAX_K", "2")
         code, _, _ = run(capsys, "analyze", "bruns:6", "--max-k", "30")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "bruns:4"), ("analyze", "cube:2"), ("holes", "cube:2"),
+        ("check", "cube:2"), ("explore", "--dim", "2", "--count", "1"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_flag_below_one_is_an_input_error(self, capsys, tmp_path, argv, value):
+        store = ("--store", str(tmp_path / "r.jsonl")) if argv[0] == "explore" else ()
+        code, out, err = run(capsys, *argv, *store, "--max-k", value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: --max-k must be >= 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_is_an_input_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POLYNORM_MAX_K", value)
+        code, out, err = run(capsys, "analyze", "cube:2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: POLYNORM_MAX_K must be >= 1, got {value}\n"
+        # the flag still overrides the environment
+        assert run(capsys, "analyze", "cube:2", "--max-k", "1")[0] == EXIT_OK
 
 
 class TestHoles:
@@ -412,6 +468,15 @@ class TestCheck:
         assert code == EXIT_OK
         assert ("SKIP  d_P_le_deg  [unimodular simplex]" in out) == skipped
         assert ("PASS  d_P_le_deg" in out) != skipped
+
+    def test_bruns36_bytes(self, capsys):
+        # sha256 of the output of the frozenset sumset tower, which took
+        # about 10 s and 480 MB; k_P = 35 needs the tower up to level 36
+        code, out, _ = run(capsys, "check", "bruns:36")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "486fb47fe796b89cfaf2336b3133e0a05236f1d0a37a9cf3dbba43d36eed1ce9")
+        assert "PASS  chain_dP_mP_kP  [d_P=2 m_P=35 k_P=35]" in out
 
     def test_suite_importable(self, poly):
         results, ok = run_check_suite(poly("higashitani:3,1"))

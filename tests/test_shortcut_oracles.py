@@ -7,8 +7,13 @@
   certificates must agree part for part.
 - Polytope.lattice_points scans rows with an exact interval for the last
   coordinate; the oracle tests every point of the bounding box.
-- is_k_normal and compute_k_P read a memoized tower of packed-int sumsets;
+- is_k_normal and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
+  Holes are decoded by a row scan of the mask; the oracle filters the
+  enumerated points of kP by a bit test.
+- Point counts above dim come from the Ehrhart polynomial in forward-
+  difference form; the oracle enumerates the points, and for the volume
+  solves the Vandermonde system of the counts.
 - The BFS of shortest_representations stops once every target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
@@ -29,7 +34,7 @@
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -55,12 +60,14 @@ from polynorm.exactmath import (
 )
 from polynorm.invariants import (
     SmoothData,
-    _pack,
     compute_d_P,
     compute_k_P,
     compute_nu_P,
+    hole_count,
     is_k_normal,
+    least_hole,
     smooth_data,
+    volume_ehrhart,
     volume_triangulation,
 )
 from polynorm.polytope import (
@@ -324,8 +331,10 @@ def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
         ascending, descending = build_family(spec), build_family(spec)
         for k in range(1, levels + 1):
             assert is_k_normal(ascending, k) == (not expected[k - 1], expected[k - 1])
+            assert hole_count(ascending, k) == len(expected[k - 1])
         for k in range(levels, 0, -1):
             assert is_k_normal(descending, k)[1] == expected[k - 1], (spec, k)
+            assert least_hole(descending, k) == min(expected[k - 1], default=None)
         if r.very_ample:
             fresh = build_family(spec)
             k_P = compute_k_P(fresh, r.m_P, r.d_P)
@@ -337,9 +346,9 @@ def test_tower_builds_each_level_once(monkeypatch):
     built = []
     extended = invariants._Tower.extended
 
-    def counting(self, p):
-        built.append(len(self.holes) + 1)
-        return extended(self, p)
+    def counting(self):
+        built.append(len(self.levels))
+        return extended(self)
 
     monkeypatch.setattr(invariants._Tower, "extended", counting)
     p = build_family("bruns:6")
@@ -353,16 +362,18 @@ def test_tower_builds_each_level_once(monkeypatch):
 # -- packing: round trip at the corners of the bounding box ----------------------
 
 
-def unpack(value, level, lows, radix):
-    """Inverse of _pack on level·P, reading base-radix digits above level·lows."""
-    offset = tuple(level * c for c in lows)
-    rest = value - _pack(offset, tuple(radix ** i for i in range(len(lows))))
-    digits = []
-    for _ in lows:
-        rest, digit = divmod(rest, radix)
-        digits.append(digit)
+def unpack(value, level, lows, weights):
+    """Inverse of the tower's pack(·, level) on level·P: mixed-radix digits
+    above level·lows, least significant place first."""
+    order = sorted(range(len(lows)), key=weights.__getitem__)
+    digits = [0] * len(lows)
+    rest = value
+    for i, above in zip(order, order[1:]):
+        rest, digits[i] = divmod(rest, weights[above] // weights[i])
+    if order:
+        rest, digits[order[-1]] = 0, rest
     assert rest == 0
-    return tuple(o + d for o, d in zip(offset, digits))
+    return tuple(level * lo + d for lo, d in zip(lows, digits))
 
 
 @pytest.mark.parametrize("min_levels", [None, 2])
@@ -374,22 +385,90 @@ def test_packing_round_trips_at_box_corners(report, monkeypatch, min_levels):
               for s in ("bruns:5", "reeve")]
     for p, levels in cases:
         for k in range(1, levels + 1):  # one level at a time, as compute_k_P does
-            is_k_normal(p, k)
+            hole_count(p, k)
         tower = p._tower
-        assert len(tower.holes) == levels <= tower.capacity
-        weights, radix = tower.weights, tower.weights[1]
+        packing = tower.packing
+        assert len(tower.levels) - 1 == levels <= packing.capacity
+        assert tower.levels[-1][0] is packing
         lows = tuple(min(c) for c in zip(*p.vertices))
         highs = tuple(max(c) for c in zip(*p.vertices))
-        for level in sorted({1, levels, tower.capacity}):
+        # every level's mask fits below the packed top corner of its box, in
+        # the packing that level was built in
+        for level, (own, mask) in enumerate(tower.levels):
+            assert level <= own.capacity <= packing.capacity
+            assert own.origin == dot(lows, own.weights)
+            assert own.pack(scale(level, highs), level) == own.top(level)
+            assert mask.bit_length() <= own.top(level) + 1
+        weights = packing.weights
+        for level in sorted({1, levels, packing.capacity}):
             corners = list(itertools.product(
                 *((level * lo, level * hi) for lo, hi in zip(lows, highs))))
-            packed = [_pack(x, weights) for x in corners]
-            assert len(set(packed)) == len(corners)
+            packed = [packing.pack(x, level) for x in corners]
+            assert len(set(packed)) == len(corners) and min(packed) == 0
             for x, value in zip(corners, packed):
-                assert unpack(value, level, lows, radix) == x, (p.name, level, x)
+                assert unpack(value, level, lows, weights) == x, (p.name, level, x)
             # linearity: a sum of packed corners is the packed vector sum
             for x, y in itertools.combinations(corners, 2):
-                assert _pack(x, weights) + _pack(y, weights) == _pack(add(x, y), weights)
+                assert (packing.pack(x, level) + packing.pack(y, level)
+                        == packing.pack(add(x, y), 2 * level))
+            # and across levels, which makes S_(j+1) an OR of shifts of S_j
+            for x in corners:
+                for b in p.lattice_points(1):
+                    assert (packing.pack(x, level) + packing.pack(b, 1)
+                            == packing.pack(add(x, b), level + 1))
+
+
+# -- point counts: Ehrhart polynomial against enumeration -------------------------
+
+
+def volume_by_vandermonde(p):
+    """dim! times the leading coefficient of the polynomial through the
+    counts |kP∩M|, k = 0..dim, solved from the Vandermonde system."""
+    d = p.dim
+    counts = (1,) + tuple(len(p.lattice_points(k)) for k in range(1, d + 1))
+    vandermonde = tuple(tuple(k ** j for j in range(d + 1)) for k in range(d + 1))
+    coeffs = solve_rational(vandermonde, counts)
+    return coeffs[-1] * factorial(d)
+
+
+def test_ehrhart_counts_match_enumeration(poly):
+    cases = [poly(s) for s in CATALOG_SPECS]
+    cases += [random_polytope(d, 5 - d, d + 5, seed) for d in (2, 3, 4) for seed in range(6)]
+    for p in cases:
+        assert volume_ehrhart(p) == volume_by_vandermonde(p), p.name
+        for k in range(1, p.dim + 5):
+            assert invariants._point_count(p, k) == len(p.lattice_points(k)), (p.name, k)
+        # counting above dim lists nothing
+        fresh = from_points(p.vertices)
+        invariants._point_count(fresh, fresh.dim + 4)
+        assert max(fresh._point_cache) == fresh.dim
+
+
+# -- hole decoding: row scan of the mask against filtering the points -----------
+
+
+@pytest.mark.parametrize("min_levels", [None, 2])
+def test_decoded_holes_match_filtered_points(report, monkeypatch, min_levels):
+    if min_levels is not None:
+        monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
+    cases = [(build_family(s), scan_depth(report(s))) for s in CATALOG_SPECS]
+    cases += [(translated(build_family(s), (-2, 1, 3)), scan_depth(report(s)))
+              for s in ("bruns:6", "higashitani:3,3")]
+    cases += [(p, p.dim + 2) for p in random_cases()]
+    decoded = above_dim = 0
+    for p, levels in cases:
+        for k in range(1, levels + 1):
+            in_sumset = invariants.sumset_membership(p, k)
+            filtered = [x for x in sorted(p.lattice_points(k)) if not in_sumset(x)]
+            # the decoder yields the holes in lexicographic order
+            assert list(invariants._iter_holes(p, k)) == filtered, (p.name, k)
+            assert hole_count(p, k) == len(filtered)
+            assert least_hole(p, k) == (filtered[0] if filtered else None)
+            decoded += len(filtered)
+            above_dim += len(filtered) * (k > p.dim)
+    # 973 holes, 773 of them above dim, where hole_count reads the Ehrhart
+    # polynomial instead of the enumerated points
+    assert decoded >= 900 and above_dim >= 700
 
 
 # -- sigma: BFS lengths against the sumset tower ----------------------------------

@@ -1,20 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything in this package is decided in exact arithmetic: arbitrary-precision
-integers for lattice data, `fractions.Fraction` for rational intermediates.
-No routine here ever touches floating point.
+Everything in this package is decided in exact arithmetic on
+arbitrary-precision integers; the eliminations are fraction-free.  No routine
+here ever touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-
-NO_SOLUTION = "no solution"
-UNDERDETERMINED = "underdetermined"
 
 
 def vec(coords) -> Vector:
@@ -105,41 +101,3 @@ def rank(m) -> int:
         if r == len(rows):
             break
     return r
-
-
-def solve_rational(a: Matrix, b: Vector):
-    """Solve a·x = b exactly over the rationals.
-
-    Returns the unique solution as a list of Fractions, or the sentinel
-    NO_SOLUTION for an inconsistent system, or UNDERDETERMINED for a
-    consistent rank-deficient one.
-    """
-    nrows = len(a)
-    if nrows != len(b):
-        raise ValueError("matrix/vector size mismatch")
-    ncols = len(a[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[c]
-        aug[r] = [x * inv for x in pr]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return NO_SOLUTION
-    if len(pivots) < ncols:
-        return UNDERDETERMINED
-    return [aug[i][ncols] for i in range(ncols)]

@@ -462,10 +462,18 @@ def dilate_normality_profile(p: Polytope, d_P: int):
 
 def degree(p: Polytope) -> int:
     """Degree of P: dim if P has interior lattice points, else the smallest i
-    such that kP is interior-point-free for 1 <= k <= dim - i."""
+    such that kP is interior-point-free for 1 <= k <= dim - i.
+
+    The interior points are counted, not listed, by Ehrhart-Macdonald
+    reciprocity: |int(kP)∩M| = (-1)^dim·L(-k), and in the forward-difference
+    form of `_ehrhart`, L(-k) = Σ Δ^i L(0)·C(-k, i) with
+    C(-k, i) = (-1)^i·C(k+i-1, i), all in integers.
+    """
     d = p.dim
+    deltas = _ehrhart(p)
     for k in range(1, d + 1):
-        if p.interior_lattice_points(k):
+        if sum((-1) ** (d + i) * delta * comb(k + i - 1, i)
+               for i, delta in enumerate(deltas)):
             return d - (k - 1)
     return 0
 

@@ -231,7 +231,18 @@ def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
 
 
 def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
-    """Facet inequalities of the convex hull of a full-dimensional point set.
+    """Facet inequalities of the convex hull of a full-dimensional point set,
+    sorted: the keys of `_hull_tight_sets`."""
+    pts = sorted({vec(p) for p in points})
+    if not pts:
+        raise GeometryError("empty point set")
+    return tuple(sorted(_hull_tight_sets(pts)))
+
+
+def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
+    """Each facet of the convex hull of a full-dimensional point set, mapped
+    to its tight set, the points of pts that lie on it.  pts is sorted,
+    without repeats and not empty.
 
     Exact-integer beneath-beyond.  The first affinely independent points in
     sorted order span a d-simplex; its centroid is interior to every later
@@ -260,16 +271,14 @@ def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
     Every intermediate hull is exactly conv of the points inserted so far,
     so the result is the set of facets of conv(points): the same primitive
     inequalities, sorted, as keeping every d-subset hyperplane with all
-    points on one side.
+    points on one side.  Every point is inserted, so each tight set is
+    complete: it holds every point of pts on the facet.
     """
-    pts = sorted({vec(p) for p in points})
-    if not pts:
-        raise GeometryError("empty point set")
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise GeometryError("points of mixed dimension")
     if d == 0:
-        return ()
+        return {}
     simplex = [pts[0]]
     for p in pts[1:]:
         if len(_span(sub(q, pts[0]) for q in simplex[1:] + [p])) == len(simplex):
@@ -303,24 +312,31 @@ def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
                 if len(rows) == d - 1:
                     h = _halfspace(p, rows, inside)
                     tight.setdefault(h, set()).update(ridge, (p,))
-    return tuple(sorted(tight))
+    return tight
 
 
 def from_points(points, name: str | None = None) -> Polytope:
-    """Validated polytope from any full-dimensional set of lattice points."""
+    """Validated polytope from any full-dimensional set of lattice points.
+
+    A point is a vertex when the normals of the facets through it have rank
+    dim.  The hull's tight sets are complete, so they list those facets for
+    every point; only a point on at least dim facets can reach that rank.
+    """
     pts = sorted({vec(p) for p in points})
     if not pts:
         raise GeometryError("empty point set")
     d = len(pts[0])
     if d == 0:
         return Polytope(((),), 0, (), name)
-    facets = hrep_from_vrep(pts)
-    verts = []
-    for p in pts:
-        active = tuple(f.normal for f in facets if f.slack(p) == 0)
-        if rank(active) == d:
-            verts.append(p)
-    return Polytope(tuple(verts), d, facets, name)
+    tight = _hull_tight_sets(pts)
+    facets = tuple(sorted(tight))
+    active: dict[Vector, list[Vector]] = {}
+    for f in facets:
+        for p in tight[f]:
+            active.setdefault(p, []).append(f.normal)
+    verts = tuple(p for p in pts
+                  if len(active.get(p, ())) >= d and rank(active[p]) == d)
+    return Polytope(verts, d, facets, name)
 
 
 # -- product / join ------------------------------------------------------------

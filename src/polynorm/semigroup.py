@@ -218,8 +218,23 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     reaches the same BFS layer with the same candidate parents in both
     searches, and as the frontier is visited in sorted order, it gets the
     same parent entry and the certificate the same parts.
+
+    Generator sets are built only for those searches.  Their assertion that
+    every generator u - v lies in the tangent cone at v is checked for all
+    vertices at once, as f.slack(u) >= 0 for every facet f and every u in
+    P∩M: for a facet f tight at v, n·(u - v) = -f.slack(u), so u - v is in
+    the cone {y : n·y <= 0 for the facets tight at v} exactly when u has
+    nonnegative slack in those facets, and every facet is tight at some
+    vertex (Polytope validates it), so over all vertices these are all the
+    facets.
     """
     vertices = p.vertices
+    for f in p.facets:
+        for u in p.lattice_points(1):
+            if f.slack(u) < 0:
+                raise AssertionError(
+                    f"lattice point {u} violates facet {f}: a generator escapes "
+                    "the tangent cone (bug)")
     xs = sorted(p.lattice_points(d_P))
     lengths = {(v, scale(d_P, v)): 0 for v in vertices}
     open_xs = {v: [x for x in xs if (v, x) not in lengths] for v in vertices}
@@ -241,11 +256,11 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
 
     searches = {}
     for v in vertices:
-        gs = searches[v] = generator_set(p, v)
-        shift = scale(d_P, v)
         pending = open_xs[v]
         if not pending:
             continue
+        gs = searches[v] = generator_set(p, v)
+        shift = scale(d_P, v)
         certs = shortest_representations(gs, tuple(sub(x, shift) for x in pending))
         for x in pending:
             cert = certs[sub(x, shift)]
@@ -259,7 +274,8 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     if not lengths:
         raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
     v, x = max(((v, x) for v in vertices for x in xs), key=lengths.__getitem__)
-    cert = sigma(searches[v], sub(x, scale(d_P, v)))
+    gs = searches.get(v) or generator_set(p, v)
+    cert = sigma(gs, sub(x, scale(d_P, v)))
     if cert == INFEASIBLE or cert.length != lengths[v, x]:
         raise AssertionError(f"extremal certificate {cert} disagrees with sigma (bug)")
     return MPResult(True, cert.length, MPWitness(x, v, cert), None)

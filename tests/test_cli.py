@@ -519,6 +519,49 @@ class TestExplore:
         assert not store.exists()
 
 
+class TestRepeatedMain:
+    """main runs many commands in one process, as the benchmark and library
+    callers do; no option value or other state carries over between calls."""
+
+    ARGVS = (
+        ("analyze", "bruns:4"),
+        ("check", "reeve"),
+        ("holes", "bruns:5", "--max-k", "5"),
+        ("analyze", "cube:3", "--format", "csv"),
+        ("explore", "--dim", "2", "--count", "5", "--seed", "3", "--bound", "0"),
+        ("holes", "higashitani:3,2"),
+        ("analyze", "reeve", "--require-kp", "--format", "json"),
+        ("check", "bruns:4", "--max-k", "2"),
+        ("explore", "--dim", "3", "--count", "4", "--seed", "2", "--bound", "2"),
+        ("analyze", "nosuch"),
+    )
+
+    def test_results_do_not_depend_on_earlier_calls(self, capsys, tmp_path):
+        store = str(tmp_path / "r.jsonl")
+        argvs = [argv + ("--store", store) if argv[0] == "explore" else argv
+                 for argv in self.ARGVS]
+        forward = [run(capsys, *argv) for argv in argvs]
+        backward = [run(capsys, *argv) for argv in reversed(argvs)]
+        assert forward == backward[::-1]
+        assert {code for code, _, _ in forward} == {EXIT_OK, EXIT_INPUT, EXIT_VIOLATION}
+
+    def test_option_values_do_not_leak(self, capsys):
+        code, out, err = run(capsys, "analyze", "bruns:6", "--max-k", "1")
+        assert code == EXIT_VIOLATION
+        assert "safety cap max_k=1" in err
+        code, out, err = run(capsys, "analyze", "bruns:6")
+        assert code == EXIT_OK and err == ""
+        assert "k_P                 5" in out
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("check", "--help")])
+    def test_next_call_after_system_exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+        assert run(capsys, "analyze", "bruns:4") == (EXIT_OK, BRUNS4_TABLE, "")
+
+
 class TestGen:
     def test_roundtrip_through_analyze(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "bruns:4")

@@ -5,15 +5,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from polynorm.exactmath import (
-    NO_SOLUTION,
-    UNDERDETERMINED,
-    det_exact,
-    primitive,
-    rank,
-    solve_rational,
-    vec,
-)
+from polynorm.exactmath import det_exact, primitive, rank, vec
+
+from exact_solve import NO_SOLUTION, UNDERDETERMINED, solve_rational
 
 
 def cofactor_det(m):

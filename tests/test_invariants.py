@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from polynorm.catalog import bruns_gubeladze, cube, reeve_like, standard_simplex
-from polynorm.exactmath import solve_rational
+from polynorm.catalog import (
+    bruns_gubeladze,
+    cube,
+    random_polytope,
+    reeve_like,
+    standard_simplex,
+)
 from polynorm.invariants import (
     InvariantError,
     SmoothData,
@@ -21,6 +26,7 @@ from polynorm.invariants import (
 from polynorm.polytope import from_points, join, product
 
 from conftest import CATALOG_SPECS, VERY_AMPLE_SPECS
+from exact_solve import solve_rational
 
 SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -65,7 +71,6 @@ class TestDecompositionThresholds:
         assert report("cube:3").d_P == 1
         assert report("bruns:4").d_P == 2
         for seed in range(5):
-            from polynorm.catalog import random_polytope
             assert compute_d_P(random_polytope(2, 4, 6, seed)) == 1
 
     def test_nu_P_examples(self, report):
@@ -169,6 +174,26 @@ class TestDegree:
     def test_degree_of_polytope_with_interior(self):
         p = from_points([(0, 0), (3, 0), (0, 3)])
         assert degree(p) == 2
+
+    def test_reciprocity_matches_enumerated_degree(self, poly):
+        # degree counts interior points by reciprocity; the oracle lists them
+        def enumerated_degree(p):
+            for k in range(1, p.dim + 1):
+                if p.interior_lattice_points(k):
+                    return p.dim - (k - 1)
+            return 0
+
+        cases = [poly(s) for s in CATALOG_SPECS]
+        cases += [random_polytope(d, bound, d + 5, seed)
+                  for d, bound in ((2, 2), (3, 1), (3, 2), (4, 1), (4, 2))
+                  for seed in range(10)]
+        gaps = set()
+        for p in cases:
+            assert degree(p) == enumerated_degree(p), p.name
+            gaps.add(p.dim - degree(p))
+        # every gap dim - degree occurs, from 0 (P has interior points) to 4
+        # (simplex:4 has none in 1P..4P)
+        assert gaps == {0, 1, 2, 3, 4}
 
 
 class TestVolume:

@@ -30,6 +30,12 @@
   hull; the oracle, hull_by_d_subsets, keeps every hyperplane through d of
   the points that has all of them on one side, and the sorted HalfSpace
   tuples must be equal.
+- from_points reads each point's facets off the hull's tight sets; the
+  oracle ranks the normals of the facets tight at every input point.
+- compute_m_P builds generator sets only at searched vertices and the
+  extremal one, and checks the tangent cones by one pass over facets and
+  lattice points; a counter shows where generator_set runs, and a point
+  outside P in the point cache must still fail that check.
 """
 
 import itertools
@@ -39,6 +45,7 @@ from math import factorial, gcd
 import pytest
 
 from polynorm import invariants, semigroup
+from polynorm.bounds import PipelineError, full_report
 from polynorm.catalog import (
     SplitMix64,
     build_family,
@@ -55,7 +62,6 @@ from polynorm.exactmath import (
     primitive,
     rank,
     scale,
-    solve_rational,
     sub,
 )
 from polynorm.invariants import (
@@ -88,6 +94,7 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
+from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
 ORACLE_SPECS = tuple(s for s in CATALOG_SPECS if s != "cube:4")
@@ -194,6 +201,55 @@ def test_m_P_matches_per_vertex_search(poly, monkeypatch):
     assert any(n > 0 for n in left_open)
     assert any(n == 0 for n in left_open)
     assert not all(very_ample)
+
+
+def test_generator_sets_only_where_searched(poly, monkeypatch):
+    built, searched = [], []
+
+    def counting_generator_set(p, v):
+        built.append(v)
+        return generator_set(p, v)
+
+    def counting_search(gs, targets):
+        searched.append(gs.vertex)
+        return shortest_representations(gs, targets)
+
+    monkeypatch.setattr(semigroup, "generator_set", counting_generator_set)
+    monkeypatch.setattr(semigroup, "shortest_representations", counting_search)
+    cases = oracle_cases(poly) + [build_family("random:4,3,9,11")]
+    total_vertices = total_built = 0
+    for p in cases:
+        built.clear()
+        searched.clear()
+        got = compute_m_P(p, compute_d_P(p))
+        # one generator set per searched vertex, the extremal one included
+        assert len(built) == len(set(built)), p.name
+        assert set(built) == set(searched), p.name
+        if got.very_ample:
+            assert got.witness.vertex in built, p.name
+        total_vertices += p.num_vertices
+        total_built += len(built)
+    assert total_built < total_vertices / 3
+
+
+def test_point_outside_P_fails_the_cone_check():
+    cases = [build_family(s) for s in ("simplex:2", "bruns:4", "reeve", "higashitani:3,1")]
+    cases += [random_polytope(2, 4, 7, seed) for seed in range(3)]
+    failed = 0
+    for base in cases:
+        # lattice points of the bounding box outside P: the point cache
+        # accepts them and the stages before the semigroup do not fail
+        box = itertools.product(*(range(min(c), max(c) + 1) for c in zip(*base.vertices)))
+        outside = [x for x in box if not base.contains(x)]
+        for x in outside[:2] + outside[-1:]:
+            p = from_points(base.vertices, name=base.name)
+            p._point_cache[1] = p.lattice_points(1) | {x}
+            with pytest.raises(PipelineError, match="escapes the tangent cone") as info:
+                full_report(p)
+            assert info.value.stage == "semigroup"
+            assert isinstance(info.value.__cause__, AssertionError)
+            failed += 1
+    assert failed >= 15
 
 
 def search_to_exhaustion(generators, in_lower_set, pending, zero):
@@ -750,3 +806,62 @@ def test_hull_matches_d_subsets(poly):
     assert full >= 140
     assert edge_points >= 50
     assert crowded_facets >= 50
+
+
+# -- vertices: hull tight sets against ranking every point's facets ----------------
+
+
+def vertices_by_ranking(points):
+    """The points whose tight facet normals have rank dim, each point tested
+    against every facet."""
+    facets = hrep_from_vrep(points)
+    pts = sorted(set(points))
+    d = len(pts[0])
+    return tuple(x for x in pts
+                 if rank(tuple(f.normal for f in facets if f.slack(x) == 0)) == d)
+
+
+def degenerate_clouds():
+    """Seeded clouds in dims 2-4: points 6a, the midpoints 3a + 3b of pairs
+    (collinear with 6a and 6b), the centroids 2a + 2b + 2c of triples
+    (coplanar with 6a, 6b and 6c) and repeats."""
+    rng = SplitMix64(10)
+    for d in range(2, 5):
+        for _ in range(30):
+            bound = 1 + rng.below(3)
+            base = [tuple(rng.below(2 * bound + 1) - bound for _ in range(d))
+                    for _ in range(d + 1 + rng.below(5))]
+
+            def pick():
+                return base[rng.below(len(base))]
+
+            cloud = [scale(6, a) for a in base]
+            cloud += [add(scale(3, pick()), scale(3, pick())) for _ in range(1 + rng.below(5))]
+            cloud += [scale(2, add(add(pick(), pick()), pick()))
+                      for _ in range(1 + rng.below(5))]
+            cloud += [cloud[rng.below(len(cloud))] for _ in range(2)]
+            yield cloud
+
+
+def test_vertices_match_ranking_every_point(poly):
+    for spec in CATALOG_SPECS + ("higashitani:4,2", "random:4,4,12,3"):
+        p = poly(spec)
+        assert p.vertices == vertices_by_ranking(p.vertices), spec
+    full = boundary = crowded = 0
+    for cloud in degenerate_clouds():
+        try:
+            got = from_points(cloud).vertices
+        except GeometryError:
+            continue
+        full += 1
+        assert got == vertices_by_ranking(cloud), cloud
+        d = len(cloud[0])
+        facets = hrep_from_vrep(cloud)
+        tight = [sum(f.slack(x) == 0 for f in facets) for x in set(cloud) - set(got)]
+        boundary += any(tight)
+        crowded += any(n >= d for n in tight)
+    # the comparison must meet boundary points that are not vertices, some of
+    # them on at least dim facets, which only the rank can reject
+    assert full >= 80
+    assert boundary >= 60
+    assert crowded >= 10

@@ -50,8 +50,6 @@ from .polytope import (
     Polytope,
     from_points,
     hrep_from_vrep,
-    join,
-    product,
 )
 from .semigroup import (
     GeneratorSet,
@@ -71,7 +69,7 @@ __all__ = [
     "compute_nu_P", "decompose_point", "degree", "is_k_normal",
     "scan_normality", "volume_ehrhart", "volume_triangulation",
     "GeometryError", "HalfSpace", "Polytope", "from_points",
-    "hrep_from_vrep", "join", "product",
+    "hrep_from_vrep",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",
 ]

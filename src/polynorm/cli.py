@@ -112,12 +112,14 @@ def _effective_cache_dir(args):
 
 
 def cache_key(p: Polytope) -> str:
-    """Content hash of the literal sorted vertex list.
+    """Content hash of the literal sorted vertex list and the name.
 
-    Deliberately no lattice-equivalence canonicalization: translated or
-    rotated copies of a polytope miss the cache.
+    The stored report contains the name, so inputs with the same vertices
+    and different names get different keys.  Deliberately no
+    lattice-equivalence canonicalization: translated or rotated copies of a
+    polytope miss the cache.
     """
-    payload = repr((p.dim, sorted(p.vertices))).encode()
+    payload = repr((p.dim, sorted(p.vertices), p.name)).encode()
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -15,9 +15,10 @@ is onto for every k >= d, so larger k never fail).  The vertex bound is
 Carathéodory's theorem: a lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at
 most d+1 nonzero λ_i, so some λ_i >= 1/(d+1), and for k >= d the point x - v_i
 has the nonnegative coefficients (k+1)λ_j - [j = i] summing to k, hence lies in
-kP∩M.  Normalized volume is computed by two independent routes, point-count
-interpolation and pulling triangulation, which the test suite requires to
-agree exactly.
+kP∩M.  A dilate mP is normal when its threshold is 1, which the same test
+decides at level m on P's own lattice points.  Normalized volume is computed
+by two independent routes, point-count interpolation and pulling
+triangulation, which the test suite requires to agree exactly.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class _Packing:
     significant place up, widest first.  A point x of jP has digits
     0 <= x_i - j·lo_i <= j·w_i < that radix, so pack(x, j) is a numeral and
     distinct points of jP get distinct values in [0, top(j)].  Packing is
-    linear across levels: pack(x, j) + pack(b, 1) = pack(x + b, j + 1).
+    linear across levels: pack(x, i) + pack(b, j) = pack(x + b, i + j).
     """
 
     widths: tuple[int, ...]
@@ -161,8 +162,8 @@ def _bitmask(positions) -> int:
 def _shifted_union(mask: int, shifts) -> int:
     """OR of mask << s over the shifts.
 
-    With mask the bitmask of a packed set A at level j and shifts the packed
-    points B at level 1, this is the bitmask of A + B at level j+1, because
+    With mask the bitmask of a packed set A at level i and shifts the packed
+    points B at level j, this is the bitmask of A + B at level i+j, because
     packing is linear across levels.
     """
     union = 0
@@ -309,17 +310,20 @@ def least_hole(p: Polytope, k: int) -> Vector | None:
     return next(_iter_holes(p, k))
 
 
-def _fills_next_dilate(p: Polytope, summand, k: int) -> bool:
-    """Whether summand + kP∩M = (k+1)P∩M, summand a set of lattice points of P.
+def _fills_next_dilate(p: Polytope, summand, k: int, m: int = 1) -> bool:
+    """Whether summand + kmP∩M = (k+1)mP∩M, summand a set of lattice points
+    of mP.
 
-    The sum lies in (k+1)P∩M, so with the tower's packing (injective up to
-    level k+1) the two sets are equal exactly when the shifted union of the
-    mask of kP∩M has |(k+1)P∩M| bits set.
+    The sum lies in (k+1)mP∩M.  Packing is linear across levels,
+    pack(x, km) + pack(b, m) = pack(x + b, (k+1)m), so under a packing
+    injective up to level (k+1)m the packed sum is the shifted union of the
+    mask of kmP∩M by the packed summand, and the two sets are equal exactly
+    when it has |(k+1)mP∩M| bits set.
     """
-    packing = _packed_tower(p, k + 1).packing
-    mask = _bitmask(packing.pack(x, k) for x in p.lattice_points(k))
-    image = _shifted_union(mask, [packing.pack(b, 1) for b in summand])
-    return image.bit_count() == len(p.lattice_points(k + 1))
+    packing = _packing(p, (k + 1) * m)
+    mask = _bitmask(packing.pack(x, k * m) for x in p.lattice_points(k * m))
+    image = _shifted_union(mask, [packing.pack(b, m) for b in summand])
+    return image.bit_count() == _point_count(p, (k + 1) * m)
 
 
 def is_k_normal(p: Polytope, k: int):
@@ -444,12 +448,15 @@ def decompose_point(p: Polytope, u: Vector, k: int, d_P: int):
 def dilate_normality_profile(p: Polytope, d_P: int):
     """Normality of the dilates mP for m = 1..d_P, and the least threshold.
 
-    mP is normal exactly when its own decomposition threshold is 1; beyond
-    d_P every dilate is normal, so the least n with "kP normal for all
-    k >= n" is found by walking m downward from d_P while dilates stay
-    normal.  Returns (threshold, {m: is_normal}).
+    mP is normal exactly when its own decomposition threshold is 1, that is
+    when mP∩M + kmP∩M = (k+1)mP∩M for k = 1..dim-2, which is decided on P's
+    own lattice points.  Beyond d_P every dilate is normal, so the least n
+    with "kP normal for all k >= n" is found by walking m downward from d_P
+    while dilates stay normal.  Returns (threshold, {m: is_normal}).
     """
-    flags = {m: compute_d_P(p.dilate(m)) == 1 for m in range(1, d_P + 1)}
+    flags = {m: all(_fills_next_dilate(p, p.lattice_points(m), k, m)
+                    for k in range(1, p.dim - 1))
+             for m in range(1, d_P + 1)}
     if not flags[d_P]:
         raise AssertionError(f"{d_P}P is not normal although m >= d_P (bug)")
     threshold = d_P

@@ -110,11 +110,6 @@ class Polytope:
         """Membership of an integer point in the k-th dilate."""
         return all(f.slack(point, k) >= 0 for f in self.facets)
 
-    def strictly_contains(self, point: Vector, k: int = 1) -> bool:
-        if self.dim == 0:
-            return False
-        return all(f.slack(point, k) > 0 for f in self.facets)
-
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
 
@@ -170,24 +165,6 @@ class Polytope:
             lo = -min((c - dot(head, prefix)) // b for head, b, c in lower)
             if lo <= hi:
                 yield prefix, lo, hi
-
-    def interior_lattice_points(self, k: int = 1) -> frozenset[Vector]:
-        """Lattice points strictly inside the k-th dilate."""
-        return frozenset(p for p in self.lattice_points(k) if self.strictly_contains(p, k))
-
-    # -- derived constructions ------------------------------------------------
-
-    def dilate(self, m: int, name: str | None = None) -> "Polytope":
-        """The dilate m*P, constructed directly from the scaled data."""
-        if m < 1:
-            raise ValueError("dilation factor must be >= 1")
-        if m == 1:
-            return self
-        return Polytope(
-            tuple(scale(m, v) for v in self.vertices), self.dim,
-            tuple(HalfSpace(f.normal, m * f.offset) for f in self.facets),
-            name or (f"{self.name}*{m}" if self.name else None),
-        )
 
 
 # -- hull construction ---------------------------------------------------------
@@ -337,28 +314,6 @@ def from_points(points, name: str | None = None) -> Polytope:
     verts = tuple(p for p in pts
                   if len(active.get(p, ())) >= d and rank(active[p]) == d)
     return Polytope(verts, d, facets, name)
-
-
-# -- product / join ------------------------------------------------------------
-
-
-def product(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
-    """Cartesian product; vertices are all pairs of factor vertices."""
-    points = [u + w for u in p.vertices for w in q.vertices]
-    return from_points(points, name)
-
-
-def join(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
-    """Join: embed the factors at heights 0 and 1 of a fresh coordinate.
-
-    The result lives in dimension dim(p) + dim(q) + 1 and has
-    |vertices(p)| + |vertices(q)| vertices.
-    """
-    zp = (0,) * p.dim
-    zq = (0,) * q.dim
-    points = [u + zq + (0,) for u in p.vertices]
-    points += [zp + w + (1,) for w in q.vertices]
-    return from_points(points, name)
 
 
 # -- input formats ---------------------------------------------------------------

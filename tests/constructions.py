@@ -1,0 +1,51 @@
+"""Polytope constructions and queries that only the tests use.
+
+The pipeline never builds a dilate, product or join and never lists
+interior points: dilate normality is decided on P's own lattice points, and
+interior points are counted by reciprocity.  The oracles and fixtures that
+check those shortcuts build and list them here.
+"""
+
+from polynorm.exactmath import scale
+from polynorm.polytope import HalfSpace, Polytope, from_points
+
+
+def dilate(p: Polytope, m: int) -> Polytope:
+    """The dilate m*P, constructed directly from the scaled vertices and
+    facet offsets."""
+    if m < 1:
+        raise ValueError("dilation factor must be >= 1")
+    if m == 1:
+        return p
+    return Polytope(
+        tuple(scale(m, v) for v in p.vertices), p.dim,
+        tuple(HalfSpace(f.normal, m * f.offset) for f in p.facets),
+        f"{p.name}*{m}" if p.name else None,
+    )
+
+
+def product(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
+    """Cartesian product; vertices are all pairs of factor vertices."""
+    points = [u + w for u in p.vertices for w in q.vertices]
+    return from_points(points, name)
+
+
+def join(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
+    """Join: embed the factors at heights 0 and 1 of a fresh coordinate.
+
+    The result lives in dimension dim(p) + dim(q) + 1 and has
+    |vertices(p)| + |vertices(q)| vertices.
+    """
+    zp = (0,) * p.dim
+    zq = (0,) * q.dim
+    points = [u + zq + (0,) for u in p.vertices]
+    points += [zp + w + (1,) for w in q.vertices]
+    return from_points(points, name)
+
+
+def interior_lattice_points(p: Polytope, k: int = 1) -> frozenset:
+    """Lattice points strictly inside the k-th dilate."""
+    if p.dim == 0:
+        return frozenset()
+    return frozenset(x for x in p.lattice_points(k)
+                     if all(f.slack(x, k) > 0 for f in p.facets))

@@ -257,6 +257,20 @@ class TestCache:
         assert len(files) == 1
         assert files[0].stem == cache_key(bruns_gubeladze(4))
 
+    def test_same_vertices_other_name_misses(self, capsys, tmp_path):
+        # the report holds the name, so a vertex file with cube:2's vertices
+        # must not be answered with cube:2's entry
+        cache = tmp_path / "cache"
+        square = tmp_path / "square.txt"
+        square.write_text("0 0\n1 0\n0 1\n1 1\n")
+        _, plain, _ = run(capsys, "analyze", str(square), "--format", "json")
+        run(capsys, "analyze", "cube:2", "--format", "json", "--cache-dir", str(cache))
+        _, cached, _ = run(capsys, "analyze", str(square), "--format", "json",
+                           "--cache-dir", str(cache))
+        assert json.loads(cached)["name"] == "square"
+        assert cached == plain
+        assert len(list(cache.glob("*.json"))) == 2
+
     def test_version_mismatch_recomputes(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         run(capsys, "analyze", "cube:2", "--format", "json", "--cache-dir", str(cache))

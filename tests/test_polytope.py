@@ -8,11 +8,11 @@ from polynorm.polytope import (
     HalfSpace,
     from_points,
     hrep_from_vrep,
-    join,
     parse_points_json,
     parse_points_text,
-    product,
 )
+
+from constructions import interior_lattice_points, join, product
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 POINT = from_points([()])
@@ -99,13 +99,13 @@ class TestLatticePoints:
 
     def test_interior_cube(self):
         c = cube(3)
-        assert c.interior_lattice_points(1) == frozenset()
-        assert c.interior_lattice_points(2) == frozenset({(1, 1, 1)})
+        assert interior_lattice_points(c, 1) == frozenset()
+        assert interior_lattice_points(c, 2) == frozenset({(1, 1, 1)})
 
     def test_interior_simplex(self):
         s = standard_simplex(3)
-        assert s.interior_lattice_points(3) == frozenset()
-        assert s.interior_lattice_points(4) == frozenset({(1, 1, 1)})
+        assert interior_lattice_points(s, 3) == frozenset()
+        assert interior_lattice_points(s, 4) == frozenset({(1, 1, 1)})
 
     def test_count_at_least_vertices(self, poly):
         for spec in ("cube:3", "bruns:5", "higashitani:3,2", "simplex:3"):

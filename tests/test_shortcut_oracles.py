@@ -2,6 +2,10 @@
 
 - compute_nu_P scans k = 1..dim-1 (Carathéodory); the oracle scans the
   original k = 1..n-2 range, n the number of vertices.
+- dilate_normality_profile decides the normality of each dilate mP on P's
+  own lattice points, at level m of a packing of P's box; the oracle
+  builds mP as a polytope of its own from the scaled vertices and facet
+  offsets (constructions.dilate) and takes compute_d_P of it.
 - shortest_representations tests BFS candidates against the Pareto-minimal
   target images only; the oracle tests them against every image, and the
   certificates must agree part for part.
@@ -81,7 +85,6 @@ from polynorm.polytope import (
     HalfSpace,
     from_points,
     hrep_from_vrep,
-    product,
 )
 from polynorm.semigroup import (
     INFEASIBLE,
@@ -94,6 +97,7 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
+from constructions import dilate, product
 from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
@@ -149,6 +153,40 @@ def test_nu_P_matches_full_scan(poly):
         deep += nu > 1
     # the comparison must exercise failing k, not only nu_P = 1
     assert deep >= 10
+
+
+def profile_of_fresh_dilates(p, d_P):
+    """dilate_normality_profile from compute_d_P of each dilate mP, built
+    as a polytope of its own."""
+    flags = {m: compute_d_P(dilate(p, m)) == 1 for m in range(1, d_P + 1)}
+    threshold = d_P
+    for m in range(d_P - 1, 0, -1):
+        if not flags[m]:
+            break
+        threshold = m
+    return threshold, flags
+
+
+def test_dilate_profile_matches_fresh_dilates(poly, report):
+    cases = [(poly(s), report(s).d_P) for s in CATALOG_SPECS + ("higashitani:4,2",)]
+    rng = SplitMix64(1)
+    wide = [random_polytope(3, 4, 8, rng.next_u64()) for _ in range(8)]
+    rng = SplitMix64(1)
+    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(4)]
+    # The inputs above lie in the nonnegative orthant, where a summand packed
+    # at the wrong level moves every bit by one nonnegative amount and keeps
+    # the count; translates that reach below the origin expose it.
+    moved = [from_points([sub(v, (4, 4, 4)) for v in p.vertices], f"{p.name}-4")
+             for p in wide]
+    cases += [(p, compute_d_P(p)) for p in wide + deep + moved]
+    flags = []
+    for p, d_P in cases:
+        got = invariants.dilate_normality_profile(p, d_P)
+        assert got == profile_of_fresh_dilates(p, d_P), p.name
+        flags += got[1].values()
+    # the comparison must reach level m = 3 and dilates that are not normal
+    assert any(d_P == 3 for _, d_P in cases)
+    assert not all(flags)
 
 
 def test_pruned_targets_give_identical_certificates(poly, monkeypatch):
@@ -655,7 +693,7 @@ def simplex_volumes(simplices):
 def smooth_cases():
     """Smooth inputs that are not unit cubes or standard simplices."""
     return [
-        cube(3).dilate(2),
+        dilate(cube(3), 2),
         from_points([(0, 0), (2, 0), (0, 2)]),
         product(cube(2), standard_simplex(2)),
         from_points([(0,), (1,)]),

@@ -16,7 +16,6 @@ from .bounds import (
     full_report,
     refined_bound,
     regularity,
-    report_json_bytes,
     report_to_dict,
     smooth_bounds,
     theorem_bound,
@@ -49,7 +48,6 @@ from .polytope import (
     HalfSpace,
     Polytope,
     from_points,
-    hrep_from_vrep,
 )
 from .semigroup import (
     GeneratorSet,
@@ -61,7 +59,7 @@ from .semigroup import (
 
 __all__ = [
     "InvariantReport", "classical_bounds", "eg_check",
-    "full_report", "refined_bound", "regularity", "report_json_bytes",
+    "full_report", "refined_bound", "regularity",
     "report_to_dict", "smooth_bounds", "theorem_bound",
     "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
@@ -69,7 +67,6 @@ __all__ = [
     "compute_nu_P", "decompose_point", "degree", "is_k_normal",
     "scan_normality", "volume_ehrhart", "volume_triangulation",
     "GeometryError", "HalfSpace", "Polytope", "from_points",
-    "hrep_from_vrep",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",
 ]

@@ -83,7 +83,7 @@ def regularity(k_P: int | None, deg: int) -> int:
 
 
 def classical_bounds(d: int, vol: int, lattice_points: int) -> dict:
-    """Mumford / Sturmfels / Eisenbud-Goto style bounds from (d, Vol, |P∩M|).
+    """Mumford and Sturmfels style bounds from (d, Vol, |P∩M|).
 
     deg(X) = Vol and codim(X) = |P∩M| - d - 1 for the toric embedding.
     Codimension <= 0 means the embedding is degenerate (no defining
@@ -93,14 +93,13 @@ def classical_bounds(d: int, vol: int, lattice_points: int) -> dict:
     """
     codim = lattice_points - d - 1
     out = dict.fromkeys(("mumford_general", "mumford_table", "sturmfels",
-                         "sturmfels_kp", "sturmfels_table", "eg_rhs"))
+                         "sturmfels_kp", "sturmfels_table"))
     if codim > 0:
         out["mumford_general"] = (d + 1) * (vol - 2) + 2
         out["mumford_table"] = (d + 1) * (vol - 2) + 1
         out["sturmfels"] = d * vol * codim
         out["sturmfels_kp"] = lattice_points * vol * codim - 1
         out["sturmfels_table"] = 2 * d * vol * codim
-        out["eg_rhs"] = vol - codim + 1
     return out
 
 
@@ -157,15 +156,13 @@ class InvariantReport:
                     raise AssertionError(f"certified bound {key}={value} < regularity (bug)")
 
 
-def full_report(p: Polytope, name: str | None = None, max_k: int | None = None) -> InvariantReport:
+def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
     """Run the whole pipeline on one polytope and assemble the report.
 
     Stages: geometry -> d_P/nu_P -> m_P/very-ampleness -> k_P -> degree and
     volume -> smoothness -> bounds and regularity.  Output is deterministic
     for a given input.
     """
-    label = name if name is not None else p.name
-
     def stage(tag, fn):
         try:
             return fn()
@@ -196,8 +193,7 @@ def full_report(p: Polytope, name: str | None = None, max_k: int | None = None) 
 
     def build_bounds():
         bounds = dict.fromkeys(BOUND_TARGETS)
-        bounds.update({k: v for k, v in
-                       classical_bounds(p.dim, vol, num_points).items() if k != "eg_rhs"})
+        bounds.update(classical_bounds(p.dim, vol, num_points))
         if mres.very_ample:
             bounds["theorem"] = theorem_bound(mres.m_P, d_P, p.num_vertices)
             if k_P != 1:
@@ -231,7 +227,7 @@ def full_report(p: Polytope, name: str | None = None, max_k: int | None = None) 
         witnesses["non_saturation"] = {"x": list(x), "vertex": list(v)}
 
     return InvariantReport(
-        name=label,
+        name=p.name,
         dim=p.dim,
         num_vertices=p.num_vertices,
         num_lattice_points=num_points,
@@ -299,7 +295,3 @@ def dict_json_bytes(data: dict) -> bytes:
     order kept, one trailing newline."""
     return json.dumps(data, indent=2, sort_keys=False).encode() + b"\n"
 
-
-def report_json_bytes(report: InvariantReport) -> bytes:
-    """Canonical JSON encoding; byte-identical for identical inputs."""
-    return dict_json_bytes(report_to_dict(report))

@@ -46,11 +46,6 @@ class FamilySpec:
     family: str
     params: tuple[int, ...]
 
-    def label(self) -> str:
-        if not self.params:
-            return self.family
-        return f"{self.family}:{','.join(str(x) for x in self.params)}"
-
 
 def cube(d: int) -> Polytope:
     """Unit d-dimensional hypercube, vertices {0,1}^d."""

@@ -426,10 +426,13 @@ def cmd_explore(args) -> int:
             print(f"# re-verification FAILED for {spec}", file=sys.stderr)
         flagged_records.append(record)
     if flagged_records:
-        store.parent.mkdir(parents=True, exist_ok=True)
-        with store.open("a") as fh:
-            for record in flagged_records:
-                fh.write(json.dumps(record) + "\n")
+        try:
+            store.parent.mkdir(parents=True, exist_ok=True)
+            with store.open("a") as fh:
+                for record in flagged_records:
+                    fh.write(json.dumps(record) + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write store {store}: {e}") from e
     print(f"explored {args.count} samples (dim={args.dim}, seed={args.seed}, "
           f"bound={args.bound}): flagged={len(flagged_records)} "
           f"(eg_violation={counts['eg_violation']}, oda_gap={counts['oda_gap']}, "

@@ -80,24 +80,24 @@ def det_exact(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def echelon(vectors) -> list[tuple[int, Vector]]:
+    """Echelon basis of the span of integer vectors, as (pivot column, row).
+
+    Each new vector is reduced fraction-free against the rows so far; every
+    row is zero in the pivot columns of the rows before it, so a vector
+    reduces to zero exactly when it lies in their span.
+    """
+    basis = []
+    for v in vectors:
+        for c, row in basis:
+            if v[c]:
+                v = sub(scale(row[c], v), scale(v[c], row))
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis.append((pivot, primitive(v)))
+    return basis
+
+
 def rank(m) -> int:
-    """Rank over the rationals, by fraction-free integer row elimination."""
-    rows = [list(r) for r in m if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [pr[c] * x - f * y for x, y in zip(rows[i], pr)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank over the rationals: the size of an echelon basis of the rows."""
+    return len(echelon(m))

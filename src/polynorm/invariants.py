@@ -6,7 +6,7 @@ S_j = S_(j-1) + P∩M is one int bitmask: a lattice point x of jP is packed
 into a bit position by a mixed-radix map that is linear across levels, so
 S_j is the OR of the shifts of S_(j-1) by the packed points of P∩M and |S_j|
 is its bit count.  jP has no holes exactly when that count is |jP∩M|, which
-is enumerated for j <= dim and read off the Ehrhart polynomial above; hole
+is read off the Ehrhart polynomial at every level j alike; hole
 points are decoded only when asked for.  The same shifted union decides the
 decomposition thresholds d_P and nu_P, which come out of the finite
 failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
@@ -249,10 +249,8 @@ def _ehrhart(p: Polytope) -> tuple[int, ...]:
 
 
 def _point_count(p: Polytope, k: int) -> int:
-    """|kP∩M|: the enumerated points for k <= dim, which the pipeline lists
-    anyway, and the Ehrhart polynomial above, where nothing is listed."""
-    if k <= p.dim:
-        return len(p.lattice_points(k))
+    """|kP∩M|, evaluated from the forward differences of `_ehrhart`: the
+    levels 1..dim are listed once, and no level above dim ever is."""
     return sum(delta * comb(k, i) for i, delta in enumerate(_ehrhart(p)))
 
 
@@ -264,10 +262,10 @@ def _iter_holes(p: Polytope, k: int):
     slice of the mask's bits, least significant first; its zeros are holes.
     """
     packing, mask = _level(p, k)
-    *head, step = packing.weights
+    step = packing.weights[-1]
     bits = format(mask, "b")[::-1].ljust(packing.top(k) + 1, "0")
     for prefix, lo, hi in p.lattice_rows(k):
-        start = sum(map(mul, prefix, head)) + lo * step - k * packing.origin
+        start = packing.pack(prefix + (lo,), k)
         row = bits[start:start + (hi - lo) * step + 1:step]
         i = row.find("0")
         while i >= 0:
@@ -552,8 +550,6 @@ def smooth_data(p: Polytope) -> SmoothData:
     single coefficient over vertices v and lattice points u != v.  Each of
     the dim coefficients is at most m_prime, so gamma <= dim * m_prime.
     """
-    if p.dim == 0:
-        return SmoothData(True, 1, 1)
     corners = []
     for v in p.vertices:
         tight = [f for f in p.facets if f.slack(v) == 0]

@@ -17,10 +17,10 @@ from .exactmath import (
     Vector,
     det_exact,
     dot,
+    echelon,
     neg,
     primitive,
     rank,
-    scale,
     sub,
     vec,
 )
@@ -77,10 +77,6 @@ class Polytope:
 
     def _validate(self):
         d = self.dim
-        if d == 0:
-            if self.vertices != ((),) or self.facets != ():
-                raise GeometryError("invalid 0-dimensional polytope")
-            return
         if not self.vertices or not self.facets:
             raise GeometryError("polytope needs vertices and facets")
         for f in self.facets:
@@ -130,11 +126,8 @@ class Polytope:
         cached = self._point_cache.get(k)
         if cached is not None:
             return cached
-        if self.dim == 0:
-            points = frozenset({()})
-        else:
-            points = frozenset(prefix + (z,) for prefix, lo, hi in self.lattice_rows(k)
-                               for z in range(lo, hi + 1))
+        points = frozenset(prefix + (z,) for prefix, lo, hi in self.lattice_rows(k)
+                           for z in range(lo, hi + 1))
         # setdefault keeps the fill idempotent under concurrent callers
         return self._point_cache.setdefault(k, points)
 
@@ -148,7 +141,7 @@ class Polytope:
         minus the prefix part of a·x: z <= r // a_z when a_z > 0 and
         z >= ceil(r/a_z) = -(r // -a_z) when a_z < 0, in exact integer
         division.  A facet with a_z = 0 either holds on the whole row
-        (r >= 0) or empties it.  Empty rows are skipped.  Needs dim >= 1.
+        (r >= 0) or empties it.  Empty rows are skipped.
         """
         axes = [range(k * min(c), k * max(c) + 1)
                 for c in itertools.islice(zip(*self.vertices), self.dim - 1)]
@@ -170,24 +163,6 @@ class Polytope:
 # -- hull construction ---------------------------------------------------------
 
 
-def _span(vectors) -> list[tuple[int, Vector]]:
-    """Echelon basis of the span of integer vectors, as (pivot column, row).
-
-    Each new vector is reduced fraction-free against the rows so far; every
-    row is zero in the pivot columns of the rows before it, so a vector
-    reduces to zero exactly when it lies in their span.
-    """
-    basis = []
-    for v in vectors:
-        for c, row in basis:
-            if v[c]:
-                v = sub(scale(row[c], v), scale(v[c], row))
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            basis.append((pivot, primitive(v)))
-    return basis
-
-
 def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
     """The inequality of the hyperplane through point spanned by the d-1
     rows of basis, oriented to hold inside/(d+1) strictly.
@@ -205,15 +180,6 @@ def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
     if dot(normal, inside) > (len(point) + 1) * offset:
         normal, offset = neg(normal), -offset
     return HalfSpace(normal, offset)
-
-
-def hrep_from_vrep(points) -> tuple[HalfSpace, ...]:
-    """Facet inequalities of the convex hull of a full-dimensional point set,
-    sorted: the keys of `_hull_tight_sets`."""
-    pts = sorted({vec(p) for p in points})
-    if not pts:
-        raise GeometryError("empty point set")
-    return tuple(sorted(_hull_tight_sets(pts)))
 
 
 def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
@@ -254,11 +220,9 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise GeometryError("points of mixed dimension")
-    if d == 0:
-        return {}
     simplex = [pts[0]]
     for p in pts[1:]:
-        if len(_span(sub(q, pts[0]) for q in simplex[1:] + [p])) == len(simplex):
+        if len(echelon(sub(q, pts[0]) for q in simplex[1:] + [p])) == len(simplex):
             simplex.append(p)
             if len(simplex) == d + 1:
                 break
@@ -271,7 +235,7 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     tight: dict[HalfSpace, set[Vector]] = {}
     for i in range(d + 1):
         face = simplex[:i] + simplex[i + 1:]
-        rows = _span(sub(q, face[0]) for q in face[1:])
+        rows = echelon(sub(q, face[0]) for q in face[1:])
         tight[_halfspace(face[0], rows, inside)] = set(face)
     for p in pts:
         slack = {f: f.slack(p) for f in tight}
@@ -285,7 +249,7 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
                 ridge = on_f & on_g
                 if len(ridge) < d - 1:
                     continue
-                rows = _span(sub(r, p) for r in ridge)
+                rows = echelon(sub(r, p) for r in ridge)
                 if len(rows) == d - 1:
                     h = _halfspace(p, rows, inside)
                     tight.setdefault(h, set()).update(ridge, (p,))
@@ -293,7 +257,8 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
 
 
 def from_points(points, name: str | None = None) -> Polytope:
-    """Validated polytope from any full-dimensional set of lattice points.
+    """Validated polytope from any full-dimensional set of lattice points,
+    each with at least one coordinate.
 
     A point is a vertex when the normals of the facets through it have rank
     dim.  The hull's tight sets are complete, so they list those facets for
@@ -304,7 +269,7 @@ def from_points(points, name: str | None = None) -> Polytope:
         raise GeometryError("empty point set")
     d = len(pts[0])
     if d == 0:
-        return Polytope(((),), 0, (), name)
+        raise GeometryError("points must have at least one coordinate")
     tight = _hull_tight_sets(pts)
     facets = tuple(sorted(tight))
     active: dict[Vector, list[Vector]] = {}

@@ -6,8 +6,15 @@ interior points are counted by reciprocity.  The oracles and fixtures that
 check those shortcuts build and list them here.
 """
 
+from types import SimpleNamespace
+
 from polynorm.exactmath import scale
 from polynorm.polytope import HalfSpace, Polytope, from_points
+
+# The one-point polytope {()}.  polynorm builds no 0-dimensional polytope;
+# product and join read only dim and vertices of a factor, so they take this
+# stand-in.
+POINT = SimpleNamespace(dim=0, vertices=((),))
 
 
 def dilate(p: Polytope, m: int) -> Polytope:
@@ -45,7 +52,5 @@ def join(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
 
 def interior_lattice_points(p: Polytope, k: int = 1) -> frozenset:
     """Lattice points strictly inside the k-th dilate."""
-    if p.dim == 0:
-        return frozenset()
     return frozenset(x for x in p.lattice_points(k)
                      if all(f.slack(x, k) > 0 for f in p.facets))

@@ -1,9 +1,10 @@
-"""Exact rational solving for the test oracles.
+"""Exact rational solving and row elimination for the test oracles.
 
 The pipeline reads volumes off integer forward differences and edge
 coefficients off facet slacks; the Vandermonde volume, the reciprocity
 counts and the edge-fan coefficients that check those shortcuts solve their
-systems here, in `Fraction`s.
+systems here, in `Fraction`s.  `exactmath.rank` counts the rows of the
+hull's echelon basis; the row elimination it replaced checks it here.
 """
 
 from fractions import Fraction
@@ -48,3 +49,26 @@ def solve_rational(a, b):
     if len(pivots) < ncols:
         return UNDERDETERMINED
     return [aug[i][ncols] for i in range(ncols)]
+
+
+def rank_by_elimination(m) -> int:
+    """Rank over the rationals, by fraction-free integer row elimination."""
+    rows = [list(r) for r in m if any(x != 0 for x in r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [pr[c] * x - f * y for x, y in zip(rows[i], pr)]
+        r += 1
+        if r == len(rows):
+            break
+    return r

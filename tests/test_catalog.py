@@ -117,8 +117,9 @@ class TestFamilyGrammar:
         assert parse_family("random:2,3,6,42") == FamilySpec("random", (2, 3, 6, 42))
 
     def test_labels(self):
-        assert parse_family("bruns:5").label() == "bruns:5"
-        assert parse_family("reeve").label() == "reeve"
+        # a built family is named by its spec
+        assert build_family(parse_family("bruns:5")).name == "bruns:5"
+        assert build_family("reeve").name == "reeve"
 
     def test_errors(self):
         for bad in ("unknown:1", "cube", "cube:x", "cube:1,2", "reeve:1", "./file.json"):

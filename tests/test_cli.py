@@ -532,6 +532,21 @@ class TestExplore:
         assert err == f"error: {message}\n"
         assert not store.exists()
 
+    @pytest.mark.parametrize("where", ["directory", "under_file"])
+    def test_unwritable_store(self, capsys, tmp_path, monkeypatch, where):
+        monkeypatch.setattr(cli, "explore_flags", lambda p, report: ("oda_gap",))
+        if where == "directory":
+            store = tmp_path
+        else:
+            (tmp_path / "file").write_text("")
+            store = tmp_path / "file" / "r.jsonl"
+        code, out, err = run(capsys, "explore", "--dim", "2", "--count", "1",
+                             "--store", str(store))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write store {store}: ")
+        assert err.count("\n") == 1
+
 
 class TestRepeatedMain:
     """main runs many commands in one process, as the benchmark and library

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from polynorm.exactmath import det_exact, primitive, rank, vec
 
-from exact_solve import NO_SOLUTION, UNDERDETERMINED, solve_rational
+from exact_solve import NO_SOLUTION, UNDERDETERMINED, rank_by_elimination, solve_rational
 
 
 def cofactor_det(m):
@@ -85,6 +85,36 @@ class TestRank:
             m = tuple(tuple(a * b for b in v) for a in u)
             expected = 1 if any(u) and any(v) else 0
             assert rank(m) == expected
+
+    def test_matches_row_elimination(self):
+        # every shape from 1x1 to 5x6, with zero rows, repeated rows and rows
+        # that combine two others, small negative and 20-digit entries
+        rng = random.Random(12)
+        deficient = set()
+        for nrows in range(1, 6):
+            for ncols in range(1, 7):
+                for trial in range(24):
+                    bound = 10 ** 20 if trial % 3 == 2 else 3
+                    rows = [[rng.randint(-bound, bound) for _ in range(ncols)]
+                            for _ in range(nrows)]
+                    if trial % 4 == 1:
+                        rows[rng.randrange(nrows)] = [0] * ncols
+                    elif trial % 4 == 2 and nrows > 1:
+                        i, j = rng.sample(range(nrows), 2)
+                        rows[i] = list(rows[j])
+                    elif trial % 4 == 3 and nrows > 2:
+                        i, j, k = rng.sample(range(nrows), 3)
+                        c = rng.randint(-bound, bound)
+                        rows[k] = [c * a + b for a, b in zip(rows[i], rows[j])]
+                    m = tuple(map(tuple, rows))
+                    r = rank(m)
+                    assert r == rank_by_elimination(m), m
+                    if nrows == ncols:
+                        assert (r == nrows) == (det_exact(m) != 0), m
+                    if r < min(nrows, ncols):
+                        deficient.add((nrows, ncols))
+        # a zero row leaves a wide or square matrix rank-deficient
+        assert deficient >= {(n, c) for n in range(1, 6) for c in range(n, 7)}
 
 
 class TestSolveRational:

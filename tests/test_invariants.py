@@ -298,18 +298,18 @@ class TestProductJoinInvariants:
         assert prod.k_P == 3
 
     def test_join_d_threshold_and_hole_inheritance(self, poly):
-        # the decomposition threshold passes to the join unchanged, but
+        # the pyramid over bruns:4, its join with a point: the
+        # decomposition threshold passes to the join unchanged, but
         # k-normality does not: a lattice point at height k-2 of the k-th
         # dilate forces a 2-fold sum on the non-normal factor, so the hole
         # (1,1,3) recurs at every k >= 2 and the join is not very ample
         from polynorm.bounds import full_report
-        point = from_points([()])
-        j = full_report(join(poly("bruns:4"), point))
+        jp = from_points([v + (0,) for v in poly("bruns:4").vertices] + [(0, 0, 0, 1)])
+        j = full_report(jp)
         assert j.d_P == 2
         assert not j.very_ample
         assert j.k_P is None
         assert j.witnesses["non_saturation"] is not None
-        jp = join(poly("bruns:4"), point)
         for k in (2, 3, 4):
             flag, holes = is_k_normal(jp, k)
             assert not flag

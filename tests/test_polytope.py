@@ -6,16 +6,15 @@ from polynorm.catalog import bruns_gubeladze, cube, standard_simplex
 from polynorm.polytope import (
     GeometryError,
     HalfSpace,
+    Polytope,
     from_points,
-    hrep_from_vrep,
     parse_points_json,
     parse_points_text,
 )
 
-from constructions import interior_lattice_points, join, product
+from constructions import POINT, interior_lattice_points, join, product
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
-POINT = from_points([()])
 
 
 class TestFromPoints:
@@ -50,21 +49,23 @@ class TestFromPoints:
             assert again.facets == p.facets
 
     def test_zero_dimensional_point(self):
-        assert POINT.dim == 0
-        assert POINT.vertices == ((),)
-        assert POINT.lattice_points(5) == frozenset({()})
+        for points in ([()], [(), (1,)]):
+            with pytest.raises(GeometryError, match="at least one coordinate"):
+                from_points(points)
+        with pytest.raises(GeometryError):
+            Polytope(((),), 0, ())
 
 
 class TestHRep:
     def test_unit_square(self):
-        facets = set(hrep_from_vrep(SQUARE))
+        facets = set(from_points(SQUARE).facets)
         assert facets == {
             HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0),
             HalfSpace((1, 0), 1), HalfSpace((0, 1), 1),
         }
 
     def test_standard_3_simplex(self):
-        facets = set(hrep_from_vrep([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        facets = set(from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).facets)
         assert HalfSpace((1, 1, 1), 1) in facets
         assert len(facets) == 4
 
@@ -76,7 +77,7 @@ class TestHRep:
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
-            hrep_from_vrep([(0, 0), (1, 1), (2, 2)])
+            from_points([(0, 0), (1, 1), (2, 2)])
 
 
 class TestLatticePoints:

@@ -30,7 +30,7 @@
 - volume_triangulation recurses on faces given as vertex tuples cut out by
   the facets of P; the oracle projects each facet avoiding the pulled vertex
   and rebuilds its hull with from_points.
-- hrep_from_vrep inserts points one at a time into an exact beneath-beyond
+- from_points inserts points one at a time into an exact beneath-beyond
   hull; the oracle, hull_by_d_subsets, keeps every hyperplane through d of
   the points that has all of them on one side, and the sorted HalfSpace
   tuples must be equal.
@@ -84,7 +84,6 @@ from polynorm.polytope import (
     GeometryError,
     HalfSpace,
     from_points,
-    hrep_from_vrep,
 )
 from polynorm.semigroup import (
     INFEASIBLE,
@@ -532,6 +531,12 @@ def test_ehrhart_counts_match_enumeration(poly):
         assert volume_ehrhart(p) == volume_by_vandermonde(p), p.name
         for k in range(1, p.dim + 5):
             assert invariants._point_count(p, k) == len(p.lattice_points(k)), (p.name, k)
+        # every level comes off the Ehrhart polynomial, so a level k <= dim
+        # asked for first, with nothing listed, gives the same count
+        for k in range(1, p.dim + 1):
+            fresh = from_points(p.vertices)
+            assert not fresh._point_cache and fresh._ehrhart is None
+            assert invariants._point_count(fresh, k) == len(p.lattice_points(k)), (p.name, k)
         # counting above dim lists nothing
         fresh = from_points(p.vertices)
         invariants._point_count(fresh, fresh.dim + 4)
@@ -650,8 +655,6 @@ def edge_coefficients(fan, target):
 def smooth_data_from_edge_fans(p):
     """Smooth when every vertex has dim edge directions with |det| = 1;
     gamma and m_prime from the solved edge coefficients of u - v."""
-    if p.dim == 0:
-        return SmoothData(True, 1, 1)
     fans = [edge_fan(p, v) for v in p.vertices]
     if any(len(fan.edge_directions) != p.dim or abs(det_exact(fan.edge_directions)) != 1
            for fan in fans):
@@ -762,8 +765,6 @@ def hull_by_d_subsets(points):
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise GeometryError("points of mixed dimension")
-    if d == 0:
-        return ()
     arank = rank(tuple(sub(p, pts[0]) for p in pts[1:]))
     if arank < d:
         raise GeometryError(
@@ -812,6 +813,10 @@ def point_clouds():
             yield cloud
 
 
+def hull_facets(points):
+    return from_points(points).facets
+
+
 def hull_or_error(hull, points):
     try:
         return hull(points)
@@ -824,13 +829,13 @@ def test_hull_matches_d_subsets(poly):
     assert "cube:4" in specs
     for spec in specs:
         p = poly(spec)
-        assert p.facets == hrep_from_vrep(p.vertices) == hull_by_d_subsets(p.vertices), spec
+        assert p.facets == hull_facets(p.vertices) == hull_by_d_subsets(p.vertices), spec
     rng = SplitMix64(9)
     edge_points = crowded_facets = full = 0
     for cloud in point_clouds():
         want = hull_or_error(hull_by_d_subsets, cloud)
-        assert hull_or_error(hrep_from_vrep, sorted(cloud)) == want, cloud
-        assert hull_or_error(hrep_from_vrep, shuffled(cloud, rng)) == want, cloud
+        assert hull_or_error(hull_facets, sorted(cloud)) == want, cloud
+        assert hull_or_error(hull_facets, shuffled(cloud, rng)) == want, cloud
         if isinstance(want, str):
             continue
         full += 1
@@ -852,7 +857,7 @@ def test_hull_matches_d_subsets(poly):
 def vertices_by_ranking(points):
     """The points whose tight facet normals have rank dim, each point tested
     against every facet."""
-    facets = hrep_from_vrep(points)
+    facets = hull_facets(points)
     pts = sorted(set(points))
     d = len(pts[0])
     return tuple(x for x in pts
@@ -894,7 +899,7 @@ def test_vertices_match_ranking_every_point(poly):
         full += 1
         assert got == vertices_by_ranking(cloud), cloud
         d = len(cloud[0])
-        facets = hrep_from_vrep(cloud)
+        facets = hull_facets(cloud)
         tight = [sum(f.slack(x) == 0 for f in facets) for x in set(cloud) - set(got)]
         boundary += any(tight)
         crowded += any(n >= d for n in tight)

@@ -6,7 +6,8 @@ normalized volume s + 6, yet fails to be (s-2)-normal: the point
 The refined bound is sharp at s = 4.
 """
 
-from polynorm import bruns_gubeladze, full_report, is_k_normal
+from polynorm import bruns_gubeladze, full_report
+from polynorm.invariants import hole_count, iter_holes
 
 for s in (4, 5, 6, 7):
     p = bruns_gubeladze(s)
@@ -22,8 +23,8 @@ for s in (4, 5, 6, 7):
           f"{'sharp' if r.bounds['refined'] == r.k_P else 'not sharp'})")
 
     # the failure of (s-2)-normality, witnessed explicitly
-    flag, holes = is_k_normal(p, s - 2)
-    print(f"({s - 2})-normal? {flag}; holes: {sorted(holes)}")
+    k = s - 2
+    print(f"({k})-normal? {hole_count(p, k) == 0}; holes: {list(iter_holes(p, k))}")
     print()
 
 print("The theorem bound (m_P - d_P)*n + 1 equals k_P exactly when the")

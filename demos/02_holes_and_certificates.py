@@ -13,18 +13,19 @@ from polynorm import (
     generator_set,
     higashitani,
     reeve_like,
-    scan_normality,
     sigma,
 )
+from polynorm.invariants import hole_count, iter_holes
 
 # -- holes of the higashitani family ------------------------------------------
 
 for h in (1, 2, 3):
     p = higashitani(3, h)
-    scan = scan_normality(p)
-    print(f"{p.name}: d_P={scan.d_P}  k_P={scan.k_P}")
-    for k, (flag, holes) in sorted(scan.per_k.items()):
-        print(f"  k={k}: {'normal' if flag else f'{len(holes)} hole(s): {sorted(holes)}'}")
+    r = full_report(p)
+    print(f"{p.name}: d_P={r.d_P}  k_P={r.k_P}")
+    for k in range(1, r.k_P + 1):
+        count = hole_count(p, k)
+        print(f"  k={k}: {f'{count} hole(s): {list(iter_holes(p, k))}' if count else 'normal'}")
 print()
 
 # -- decomposing a deep dilate point -------------------------------------------

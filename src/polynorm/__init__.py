@@ -31,15 +31,12 @@ from .catalog import (
     standard_simplex,
 )
 from .invariants import (
-    NormalityScan,
     SmoothData,
     compute_d_P,
     compute_k_P,
     compute_nu_P,
     decompose_point,
     degree,
-    is_k_normal,
-    scan_normality,
     volume_ehrhart,
     volume_triangulation,
 )
@@ -63,9 +60,8 @@ __all__ = [
     "report_to_dict", "smooth_bounds", "theorem_bound",
     "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
-    "NormalityScan", "SmoothData", "compute_d_P", "compute_k_P",
-    "compute_nu_P", "decompose_point", "degree", "is_k_normal",
-    "scan_normality", "volume_ehrhart", "volume_triangulation",
+    "SmoothData", "compute_d_P", "compute_k_P", "compute_nu_P",
+    "decompose_point", "degree", "volume_ehrhart", "volume_triangulation",
     "GeometryError", "HalfSpace", "Polytope", "from_points",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",

@@ -181,7 +181,8 @@ def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
         k_P = stage("k-normality",
                     lambda: inv.compute_k_P(p, mres.m_P, d_P, max_k=max_k))
         if k_P > 1:
-            hole = stage("k-normality", lambda: inv.least_hole(p, k_P - 1))
+            # level k_P - 1 is the last failing one, so it has a hole
+            hole = stage("k-normality", lambda: next(inv.iter_holes(p, k_P - 1)))
             holes_witness = {"k": k_P - 1, "point": list(hole)}
     vol = stage("volume", lambda: inv.volume_ehrhart(p))
     vol_tri = stage("volume", lambda: inv.volume_triangulation(p))

@@ -45,6 +45,8 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
 DEFAULT_MAX_K = 64
+MAX_K_HELP = ("safety cap for k-normality scans "
+              f"(default: $POLYNORM_MAX_K or {DEFAULT_MAX_K})")
 
 
 class InputError(ValueError):
@@ -244,18 +246,34 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_holes(args) -> int:
+    """Write each level's holes as they are decoded, so that only one level
+    is held at a time."""
     p = resolve_input(args.input)
-    scan = inv.scan_normality(p, max_k=_effective_max_k(args), through_k=args.max_k)
-    label = p.name or "polytope"
-    k_P = scan.k_P if scan.k_P is not None else "undefined"
-    print(f"# holes of {label} (k_P = {k_P})")
-    for k in sorted(scan.per_k):
-        _, holes = scan.per_k[k]
-        if holes:
-            listing = " ".join(str(tuple(h)) for h in sorted(holes))
-            print(f"k={k}: {len(holes)} hole(s): {listing}")
-        else:
+    report = full_report(p, max_k=_effective_max_k(args))
+    if report.k_P is None:
+        limit = args.max_k if args.max_k is not None else report.d_P + 1
+    else:
+        limit = max(report.k_P, args.max_k or 1)
+    k_P = "undefined" if report.k_P is None else report.k_P
+    print(f"# holes of {p.name or 'polytope'} (k_P = {k_P})")
+    normal_from = None
+    for k in range(1, limit + 1):
+        count = inv.hole_count(p, k)
+        if not count:
             print(f"k={k}: no holes")
+            if normal_from is None and k >= report.d_P:
+                normal_from = k
+            continue
+        if normal_from is not None:
+            raise AssertionError(f"normality lost from k={normal_from} to {k} (bug)")
+        sys.stdout.write(f"k={k}: {count} hole(s):")
+        listed = 0
+        for hole in inv.iter_holes(p, k):
+            sys.stdout.write(f" {hole}")
+            listed += 1
+        print()
+        if listed != count:
+            raise AssertionError(f"listed {listed} holes at k={k}, counted {count} (bug)")
     return EXIT_OK
 
 
@@ -383,6 +401,16 @@ def explore_flags(p: Polytope, report) -> tuple[str, ...]:
     return tuple(flags)
 
 
+def _check_store(store: Path) -> None:
+    """Reject a store that can never be written as a file, before any sample
+    is computed and without creating anything."""
+    nearest = next((a for a in (store, *store.parents) if a.exists()), None)
+    if nearest == store and store.is_dir():
+        raise InputError(f"cannot write store {store}: is a directory")
+    if nearest not in (None, store) and not nearest.is_dir():
+        raise InputError(f"cannot write store {store}: {nearest} is not a directory")
+
+
 def cmd_explore(args) -> int:
     if not 2 <= args.dim <= 4:
         raise InputError("explore supports --dim 2..4")
@@ -393,6 +421,7 @@ def cmd_explore(args) -> int:
     max_k = _effective_max_k(args)
     master = SplitMix64(args.seed)
     store = Path(args.store)
+    _check_store(store)
     counts = {"eg_violation": 0, "oda_gap": 0, "d_P_minimality_gap": 0}
     errors = 0
     reverify_failures = 0
@@ -464,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polynorm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(sp, max_k_help="safety cap for k-normality scans "
-                                 f"(default: $POLYNORM_MAX_K or {DEFAULT_MAX_K})"):
+    def add_input(sp, max_k_help=MAX_K_HELP):
         sp.add_argument("input", help="family spec (e.g. bruns:4) or vertex file path")
         sp.add_argument("--max-k", type=int, default=None, help=max_k_help)
 
@@ -494,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--bound", type=int, default=3)
     ep.add_argument("--store", default="explore_records.jsonl",
                     help="append-only JSONL store for flagged records")
-    ep.add_argument("--max-k", type=int, default=None)
+    ep.add_argument("--max-k", type=int, default=None, help=MAX_K_HELP)
     ep.set_defaults(func=cmd_explore)
 
     gp = sub.add_parser("gen", help="print a family's vertex file (plain text)")

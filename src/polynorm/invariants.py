@@ -42,31 +42,6 @@ class SearchCapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NormalityScan:
-    """Aggregated k-normality data for one polytope.
-
-    per_k maps k to (is_k_normal, holes); k_P is None when the polytope is
-    not very ample (then no threshold exists).
-    """
-
-    name: str | None
-    per_k: dict
-    d_P: int
-    nu_P: int
-    k_P: int | None
-
-    def __post_init__(self):
-        if not 1 <= self.d_P <= self.nu_P:
-            raise AssertionError("threshold ordering violated (bug)")
-        for k, (flag, holes) in self.per_k.items():
-            if flag != (not holes):
-                raise AssertionError(f"flag/hole mismatch at k={k} (bug)")
-            nxt = self.per_k.get(k + 1)
-            if flag and k >= self.d_P and nxt is not None and not nxt[0]:
-                raise AssertionError(f"normality lost from k={k} to {k + 1} (bug)")
-
-
-@dataclass(frozen=True)
 class SmoothData:
     """Smoothness flag, with gamma and m_prime for a smooth polytope (None
     otherwise)."""
@@ -254,7 +229,7 @@ def _point_count(p: Polytope, k: int) -> int:
     return sum(delta * comb(k, i) for i, delta in enumerate(_ehrhart(p)))
 
 
-def _iter_holes(p: Polytope, k: int):
+def iter_holes(p: Polytope, k: int):
     """The holes of kP in lexicographic order, decoded lazily.
 
     The rows of kP come in lexicographic order, and along a row the last
@@ -278,7 +253,8 @@ def hole_count(p: Polytope, k: int) -> int:
     lattice points of P.
 
     S_k lies in kP∩M and the packing is injective there, so the count is
-    |kP∩M| minus the number of set bits of the mask of S_k.
+    |kP∩M| minus the number of set bits of the mask of S_k.  The tower keeps
+    every level, so counting k = 1..K costs K shifted unions, not K²/2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -300,14 +276,6 @@ def sumset_membership(p: Polytope, k: int):
     return contains
 
 
-def least_hole(p: Polytope, k: int) -> Vector | None:
-    """The lexicographically least hole of kP, or None if kP has none; the
-    row scan stops at the first hole."""
-    if not hole_count(p, k):
-        return None
-    return next(_iter_holes(p, k))
-
-
 def _fills_next_dilate(p: Polytope, summand, k: int, m: int = 1) -> bool:
     """Whether summand + kmP∩M = (k+1)mP∩M, summand a set of lattice points
     of mP.
@@ -322,19 +290,6 @@ def _fills_next_dilate(p: Polytope, summand, k: int, m: int = 1) -> bool:
     mask = _bitmask(packing.pack(x, k * m) for x in p.lattice_points(k * m))
     image = _shifted_union(mask, [packing.pack(b, m) for b in summand])
     return image.bit_count() == _point_count(p, (k + 1) * m)
-
-
-def is_k_normal(p: Polytope, k: int):
-    """Whether every lattice point of kP is a sum of k lattice points of P.
-
-    Returns (flag, holes); holes are the unreachable points of kP, decoded
-    from the polytope's memoized sumset tower only when there are any.  The
-    tower builds each level S_j = S_(j-1) + P∩M at most once, so scanning
-    k = 1..K costs K shifted unions, not K²/2.
-    """
-    if not hole_count(p, k):
-        return (True, frozenset())
-    return (False, frozenset(_iter_holes(p, k)))
 
 
 def compute_d_P(p: Polytope) -> int:
@@ -394,27 +349,6 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
             raise SearchCapExceeded(
                 f"k-normality scan reached the safety cap max_k={max_k}")
     return last_failing + 1
-
-
-def scan_normality(p: Polytope, max_k: int | None = None,
-                   through_k: int | None = None) -> NormalityScan:
-    """Thresholds plus per-k normality flags and holes, in one scan.
-
-    Records k = 1 .. max(k_P, through_k); for a polytope that is not very
-    ample (k_P undefined) the recorded window is through_k or d_P + 1.
-    """
-    from .semigroup import compute_m_P
-
-    d_P = compute_d_P(p)
-    nu_P = compute_nu_P(p)
-    mres = compute_m_P(p, d_P)
-    k_P = compute_k_P(p, mres.m_P, d_P, max_k=max_k) if mres.very_ample else None
-    if k_P is None:
-        limit = through_k if through_k is not None else d_P + 1
-    else:
-        limit = max(k_P, through_k or 1)
-    per_k = {k: is_k_normal(p, k) for k in range(1, limit + 1)}
-    return NormalityScan(p.name, per_k, d_P, nu_P, k_P)
 
 
 def decompose_point(p: Polytope, u: Vector, k: int, d_P: int):

@@ -3,12 +3,14 @@
 The pipeline never builds a dilate, product or join and never lists
 interior points: dilate normality is decided on P's own lattice points, and
 interior points are counted by reciprocity.  The oracles and fixtures that
-check those shortcuts build and list them here.
+check those shortcuts build and list them here.  The pipeline counts holes
+and lists them lazily; k_normality gathers a level's flag and hole set.
 """
 
 from types import SimpleNamespace
 
 from polynorm.exactmath import scale
+from polynorm.invariants import hole_count, iter_holes
 from polynorm.polytope import HalfSpace, Polytope, from_points
 
 # The one-point polytope {()}.  polynorm builds no 0-dimensional polytope;
@@ -54,3 +56,10 @@ def interior_lattice_points(p: Polytope, k: int = 1) -> frozenset:
     """Lattice points strictly inside the k-th dilate."""
     return frozenset(x for x in p.lattice_points(k)
                      if all(f.slack(x, k) > 0 for f in p.facets))
+
+
+def k_normality(p: Polytope, k: int) -> tuple[bool, frozenset]:
+    """(whether kP has no holes, the holes of kP)."""
+    if not hole_count(p, k):
+        return (True, frozenset())
+    return (False, frozenset(iter_holes(p, k)))

@@ -11,10 +11,11 @@ from polynorm.bounds import full_report, report_to_dict
 from polynorm.catalog import bruns_gubeladze, random_polytope
 from polynorm.cli import main, render_table, run_check_suite
 from polynorm.exactmath import add, sub
-from polynorm.invariants import is_k_normal, volume_ehrhart, volume_triangulation
+from polynorm.invariants import volume_ehrhart, volume_triangulation
 from polynorm.semigroup import INFEASIBLE, generator_set, sigma
 
 from conftest import CATALOG_SPECS, VERY_AMPLE_SPECS
+from constructions import k_normality
 
 
 @contextmanager
@@ -41,7 +42,7 @@ def test_criterion_01_bruns_regression():
             assert r.regularity == s
             assert r.very_ample is True
             assert r.normal is False
-            flag, holes = is_k_normal(p, s - 2)
+            flag, holes = k_normality(p, s - 2)
             assert not flag and (1, 1, s - 1) in holes
             assert r.witnesses["hole"] == {"k": s - 2, "point": [1, 1, s - 1]}
             assert time.monotonic() - start <= 120
@@ -77,7 +78,7 @@ def test_criterion_04_higashitani(report):
             assert r.regularity == 4
             assert r.bounds["refined"] <= r.num_vertices
             from conftest import _poly
-            _, holes = is_k_normal(_poly(spec), 2)
+            _, holes = k_normality(_poly(spec), 2)
             assert len(holes) == h
 
 

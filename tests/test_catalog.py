@@ -91,10 +91,11 @@ class TestRandom:
             assert p.dim == 3
 
     def test_polygons_normal(self):
-        from polynorm.invariants import compute_d_P, is_k_normal
+        from polynorm.invariants import compute_d_P
+        from constructions import k_normality
         p = random_polytope(2, 3, 6, seed=42)
         assert compute_d_P(p) == 1
-        assert is_k_normal(p, 2)[0]
+        assert k_normality(p, 2)[0]
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -405,6 +406,13 @@ class TestMaxK:
         # the flag still overrides the environment
         assert run(capsys, "analyze", "cube:2", "--max-k", "1")[0] == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["analyze", "check", "explore"])
+    def test_help_names_the_cap(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--max-k MAX_K safety cap for k-normality scans "
+                "(default: $POLYNORM_MAX_K or 64)") in " ".join(capsys.readouterr().out.split())
+
 
 class TestHoles:
     def test_bruns(self, capsys):
@@ -445,6 +453,22 @@ class TestHoles:
         listed = [line.split(":")[0] for line in out.splitlines()[1:]]
         assert listed == [f"k={k}" for k in range(1, 8)]
         assert "k=4: 10 hole(s)" in out and "k=5: no holes" in out
+
+    def test_listed_holes_must_match_the_count(self, capsys, monkeypatch):
+        # higashitani:3,3 has 3 holes at k = 2, so a witness survives the drop
+        decode = invariants.iter_holes
+        monkeypatch.setattr(invariants, "iter_holes",
+                            lambda p, k: itertools.islice(decode(p, k), 1, None))
+        with pytest.raises(AssertionError, match=r"listed 2 holes at k=2, counted 3 \(bug\)"):
+            main(["holes", "higashitani:3,3"])
+
+    def test_normality_must_not_be_lost(self, capsys, monkeypatch):
+        # bruns:4 has d_P = 2 and k_P = 3; a hole at k = 4 contradicts k_P
+        count = invariants.hole_count
+        monkeypatch.setattr(invariants, "hole_count",
+                            lambda p, k: count(p, k) or int(k == 4))
+        with pytest.raises(AssertionError, match=r"normality lost from k=3 to 4 \(bug\)"):
+            main(["holes", "bruns:4", "--max-k", "4"])
 
 
 class TestCheck:
@@ -535,6 +559,9 @@ class TestExplore:
     @pytest.mark.parametrize("where", ["directory", "under_file"])
     def test_unwritable_store(self, capsys, tmp_path, monkeypatch, where):
         monkeypatch.setattr(cli, "explore_flags", lambda p, report: ("oda_gap",))
+        reports, compute = [], cli.full_report
+        monkeypatch.setattr(cli, "full_report",
+                            lambda p, **kw: reports.append(p.name) or compute(p, **kw))
         if where == "directory":
             store = tmp_path
         else:
@@ -546,6 +573,8 @@ class TestExplore:
         assert out == ""
         assert err.startswith(f"error: cannot write store {store}: ")
         assert err.count("\n") == 1
+        # rejected before the first sample is computed
+        assert reports == []
 
 
 class TestRepeatedMain:

@@ -18,7 +18,6 @@ from polynorm.invariants import (
     decompose_point,
     degree,
     dilate_normality_profile,
-    is_k_normal,
     smooth_data,
     volume_ehrhart,
     volume_triangulation,
@@ -26,7 +25,7 @@ from polynorm.invariants import (
 from polynorm.polytope import from_points
 
 from conftest import CATALOG_SPECS, VERY_AMPLE_SPECS
-from constructions import dilate, interior_lattice_points, join, product
+from constructions import dilate, interior_lattice_points, join, k_normality, product
 from exact_solve import solve_rational
 
 SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -48,22 +47,22 @@ def ehrhart_interior_counts(p, up_to):
 
 class TestKNormal:
     def test_bruns_k2_has_hole(self, poly):
-        flag, holes = is_k_normal(poly("bruns:4"), 2)
+        flag, holes = k_normality(poly("bruns:4"), 2)
         assert not flag
         assert (1, 1, 3) in holes
 
     def test_bruns_k3_normal(self, poly):
-        flag, holes = is_k_normal(poly("bruns:4"), 3)
+        flag, holes = k_normality(poly("bruns:4"), 3)
         assert flag and not holes
 
     def test_square_deep_dilate(self):
-        flag, holes = is_k_normal(SQUARE, 5)
+        flag, holes = k_normality(SQUARE, 5)
         assert flag and not holes
 
     def test_holes_partition_dilate(self, poly):
         p = poly("higashitani:3,2")
         for k in (2, 3):
-            _, holes = is_k_normal(p, k)
+            _, holes = k_normality(p, k)
             assert holes <= p.lattice_points(k)
 
 
@@ -104,7 +103,7 @@ class TestKP:
         for spec in VERY_AMPLE_SPECS:
             r = report(spec)
             p = poly(spec)
-            flags = {k: is_k_normal(p, k)[0] for k in range(1, r.k_P + 2)}
+            flags = {k: k_normality(p, k)[0] for k in range(1, r.k_P + 2)}
             for k in range(r.d_P, r.k_P + 1):
                 if flags[k]:
                     assert flags[k + 1]
@@ -311,7 +310,7 @@ class TestProductJoinInvariants:
         assert j.k_P is None
         assert j.witnesses["non_saturation"] is not None
         for k in (2, 3, 4):
-            flag, holes = is_k_normal(jp, k)
+            flag, holes = k_normality(jp, k)
             assert not flag
             assert (1, 1, 3, k - 2) in holes
 
@@ -325,30 +324,6 @@ class TestProductJoinInvariants:
             assert rp.d_P == rj.d_P == 1
 
 
-class TestNormalityScan:
-    def test_bruns_scan(self, poly):
-        from polynorm.invariants import scan_normality
-        scan = scan_normality(poly("bruns:4"))
-        assert (scan.d_P, scan.nu_P, scan.k_P) == (2, 2, 3)
-        assert {k: flag for k, (flag, _) in scan.per_k.items()} == {1: True, 2: False, 3: True}
-        assert scan.per_k[2][1] == frozenset({(1, 1, 3)})
-
-    def test_non_very_ample_window(self, poly):
-        from polynorm.invariants import scan_normality
-        scan = scan_normality(poly("reeve"), through_k=4)
-        assert scan.k_P is None
-        assert sorted(scan.per_k) == [1, 2, 3, 4]
-        assert all(not scan.per_k[k][0] for k in (2, 3, 4))
-
-    def test_validation_rejects_inconsistent(self):
-        from polynorm.invariants import NormalityScan
-        with pytest.raises(AssertionError):
-            NormalityScan("x", {1: (True, frozenset({(0, 0)}))}, 1, 1, 1)
-        with pytest.raises(AssertionError):
-            NormalityScan("x", {1: (True, frozenset()), 2: (False, frozenset({(0, 0)}))},
-                          1, 1, 1)
-
-
 class TestHigashitaniHoles:
     def test_total_holes_equal_h(self, poly, report):
         for h in (1, 2, 3):
@@ -356,6 +331,6 @@ class TestHigashitaniHoles:
             k_P = report(f"higashitani:3,{h}").k_P
             total = 0
             for k in range(2, k_P):
-                _, holes = is_k_normal(p, k)
+                _, holes = k_normality(p, k)
                 total += len(holes)
             assert total == h

@@ -159,11 +159,12 @@ class TestVeryAmple:
 
     def test_bruns_7_very_ample_not_normal(self):
         from polynorm.catalog import bruns_gubeladze
-        from polynorm.invariants import compute_d_P, is_k_normal
+        from polynorm.invariants import compute_d_P
+        from constructions import k_normality
         p = bruns_gubeladze(7)
         d_P = compute_d_P(p)
         assert compute_m_P(p, d_P).very_ample
-        flag, holes = is_k_normal(p, 5)
+        flag, holes = k_normality(p, 5)
         assert not flag and (1, 1, 6) in holes
 
     def test_cube_very_ample(self, report):

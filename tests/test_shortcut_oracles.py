@@ -11,10 +11,12 @@
   certificates must agree part for part.
 - Polytope.lattice_points scans rows with an exact interval for the last
   coordinate; the oracle tests every point of the bounding box.
-- is_k_normal and compute_k_P read a memoized tower of sumset bitmasks;
+- hole_count and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
   Holes are decoded by a row scan of the mask; the oracle filters the
   enumerated points of kP by a bit test.
+- `holes` writes each level as iter_holes decodes it; the oracle renders
+  the listing from the tuple hole sets, sorted level by level.
 - Point counts above dim come from the Ehrhart polynomial in forward-
   difference form; the oracle enumerates the points, and for the volume
   solves the Vandermonde system of the counts.
@@ -57,7 +59,7 @@ from polynorm.catalog import (
     random_polytope,
     standard_simplex,
 )
-from polynorm.cli import run_check_suite
+from polynorm.cli import main, run_check_suite
 from polynorm.exactmath import (
     Vector,
     add,
@@ -74,8 +76,7 @@ from polynorm.invariants import (
     compute_k_P,
     compute_nu_P,
     hole_count,
-    is_k_normal,
-    least_hole,
+    iter_holes,
     smooth_data,
     volume_ehrhart,
     volume_triangulation,
@@ -96,7 +97,7 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
-from constructions import dilate, product
+from constructions import dilate, k_normality, product
 from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
@@ -373,15 +374,16 @@ def test_row_scan_matches_box_scan(poly):
 # -- k-normality: packed tower against tuple sumsets ----------------------------
 
 
-def tuple_holes(p, levels):
-    """Holes of kP for k = 1..levels from tuple sumsets S_k = S_(k-1) + P∩M."""
-    pts = lattice_points_box_scan(p, 1)
+def tuple_holes(p, levels, points=lattice_points_box_scan):
+    """Holes of kP for k = 1..levels from tuple sumsets S_k = S_(k-1) + P∩M,
+    with the points of kP listed by points(p, k)."""
+    pts = points(p, 1)
     reach = set(pts)
     holes = []
     for k in range(1, levels + 1):
         if k > 1:
             reach = {add(x, y) for x in reach for y in pts}
-        holes.append(lattice_points_box_scan(p, k) - reach)
+        holes.append(points(p, k) - reach)
     return holes
 
 
@@ -423,11 +425,11 @@ def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
         # fresh polytopes, so each tower is built by the order of the queries
         ascending, descending = build_family(spec), build_family(spec)
         for k in range(1, levels + 1):
-            assert is_k_normal(ascending, k) == (not expected[k - 1], expected[k - 1])
+            assert k_normality(ascending, k) == (not expected[k - 1], expected[k - 1])
             assert hole_count(ascending, k) == len(expected[k - 1])
         for k in range(levels, 0, -1):
-            assert is_k_normal(descending, k)[1] == expected[k - 1], (spec, k)
-            assert least_hole(descending, k) == min(expected[k - 1], default=None)
+            assert k_normality(descending, k)[1] == expected[k - 1], (spec, k)
+            assert next(iter_holes(descending, k), None) == min(expected[k - 1], default=None)
         if r.very_ample:
             fresh = build_family(spec)
             k_P = compute_k_P(fresh, r.m_P, r.d_P)
@@ -435,7 +437,8 @@ def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
     assert deep >= 5
 
 
-def test_tower_builds_each_level_once(monkeypatch):
+def test_tower_builds_each_level_once(monkeypatch, capsys, report):
+    k_P = report("bruns:6").k_P
     built = []
     extended = invariants._Tower.extended
 
@@ -444,12 +447,14 @@ def test_tower_builds_each_level_once(monkeypatch):
         return extended(self)
 
     monkeypatch.setattr(invariants._Tower, "extended", counting)
-    p = build_family("bruns:6")
     # full_report (k_P scan and hole witness) plus the k = 1..k_P+1 flags
-    results, ok = run_check_suite(p)
-    scan = invariants.scan_normality(p, through_k=3)
-    assert ok and scan.k_P > 3
-    assert built == list(range(1, scan.k_P + 2))
+    results, ok = run_check_suite(build_family("bruns:6"))
+    assert ok and built == list(range(1, k_P + 2))
+    built.clear()
+    # full_report, then the listing of k = 1..k_P+1 on the same tower
+    assert main(["holes", "bruns:6", "--max-k", str(k_P + 1)]) == 0
+    assert f"k={k_P + 1}: no holes" in capsys.readouterr().out
+    assert built == list(range(1, k_P + 2))
 
 
 # -- packing: round trip at the corners of the bounding box ----------------------
@@ -560,14 +565,51 @@ def test_decoded_holes_match_filtered_points(report, monkeypatch, min_levels):
             in_sumset = invariants.sumset_membership(p, k)
             filtered = [x for x in sorted(p.lattice_points(k)) if not in_sumset(x)]
             # the decoder yields the holes in lexicographic order
-            assert list(invariants._iter_holes(p, k)) == filtered, (p.name, k)
+            assert list(iter_holes(p, k)) == filtered, (p.name, k)
             assert hole_count(p, k) == len(filtered)
-            assert least_hole(p, k) == (filtered[0] if filtered else None)
+            assert next(iter_holes(p, k), None) == (filtered[0] if filtered else None)
             decoded += len(filtered)
             above_dim += len(filtered) * (k > p.dim)
     # 973 holes, 773 of them above dim, where hole_count reads the Ehrhart
     # polynomial instead of the enumerated points
     assert decoded >= 900 and above_dim >= 700
+
+
+def old_holes_listing(name, r, holes, max_k):
+    """`holes` stdout rendered from tuple hole sets, each level sorted."""
+    if r.k_P is None:
+        limit = max_k if max_k is not None else r.d_P + 1
+    else:
+        limit = max(r.k_P, max_k or 1)
+    lines = [f"# holes of {name} (k_P = {'undefined' if r.k_P is None else r.k_P})"]
+    for k in range(1, limit + 1):
+        level = sorted(holes[k - 1])
+        lines.append(f"k={k}: {len(level)} hole(s): " + " ".join(map(str, level))
+                     if level else f"k={k}: no holes")
+    return "\n".join(lines) + "\n"
+
+
+def test_holes_listing_matches_sorted_tuple_holes(report, capsys):
+    cases = [(build_family(s), report(s), (None, 2, 7)) for s in CATALOG_SPECS]
+    cases += [(p, full_report(p), (None, 2, 7)) for p in random_cases()]
+    cases.append((build_family("reeve"), report("reeve"), (4,)))
+    listed = capped = 0
+    for p, r, flags in cases:
+        depth = max(r.k_P or r.d_P + 1, *(f for f in flags if f is not None))
+        # the row scan lists kP∩M; test_row_scan_matches_box_scan checks it
+        holes = tuple_holes(p, depth, lambda p, k: p.lattice_points(k))
+        for max_k in flags:
+            argv = ["holes", p.name] + ([] if max_k is None else ["--max-k", str(max_k)])
+            code = main(argv)
+            out = capsys.readouterr().out
+            if max_k is not None and r.k_P is not None and r.k_P > max_k:
+                assert (code, out) == (2, ""), argv
+                capped += 1
+            else:
+                assert (code, out) == (0, old_holes_listing(p.name, r, holes, max_k)), argv
+                listed += out.count("hole(s)")
+    # 93 listed levels with holes, 6 runs stopped by the cap
+    assert listed >= 90 and capped >= 5
 
 
 # -- sigma: BFS lengths against the sumset tower ----------------------------------
@@ -585,7 +627,7 @@ def tower_length(p, x, v, d_P, cap):
         return 0
     for j in range(1, cap + 1):
         y = add(x, scale(j - d_P, v))
-        if p.contains(y, j) and y not in is_k_normal(p, j)[1]:
+        if p.contains(y, j) and y not in k_normality(p, j)[1]:
             return j
     return None
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactmath import rank, sub
-from .polytope import GeometryError, Polytope, from_points
+from .polytope import GeometryError, Polytope, from_points, integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -161,7 +161,7 @@ def parse_family(spec: str) -> FamilySpec:
             raise ValueError(f"family {head!r} takes no parameters")
         return FamilySpec(head, ())
     try:
-        params = tuple(int(tok) for tok in tail.split(","))
+        params = tuple(integer(tok) for tok in tail.split(","))
     except ValueError:
         raise ValueError(f"family {head!r} needs integer parameters, got {tail!r}") from None
     if len(params) != arity[head]:

@@ -1,8 +1,8 @@
 """Command-line interface: analyze, holes, check, explore, gen.
 
-Exit codes: 0 success, 1 input or usage error, 2 property violation or an
-unmet requirement (--require-kp on a non-very-ample polytope, safety cap
-reached, or a failed check).
+Exit codes: 0 success, 1 input or usage error or a closed output pipe, 2
+property violation or an unmet requirement (--require-kp on a
+non-very-ample polytope, safety cap reached, or a failed check).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .polytope import (
     GeometryError,
     Polytope,
     from_points,
+    integer,
     parse_points_json,
     parse_points_text,
 )
@@ -95,7 +96,7 @@ def _effective_max_k(args) -> int:
         if not env:
             return DEFAULT_MAX_K
         try:
-            max_k, source = int(env), "POLYNORM_MAX_K"
+            max_k, source = integer(env), "POLYNORM_MAX_K"
         except ValueError as e:
             raise InputError(f"POLYNORM_MAX_K must be an integer, got {env!r}") from e
     if max_k < 1:
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(sp, max_k_help=MAX_K_HELP):
         sp.add_argument("input", help="family spec (e.g. bruns:4) or vertex file path")
-        sp.add_argument("--max-k", type=int, default=None, help=max_k_help)
+        sp.add_argument("--max-k", type=integer, default=None, help=max_k_help)
 
     ap = sub.add_parser("analyze", help="compute all invariants and bounds")
     add_input(ap)
@@ -516,13 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_check)
 
     ep = sub.add_parser("explore", help="sample random polytopes and record flagged ones")
-    ep.add_argument("--dim", type=int, required=True)
-    ep.add_argument("--count", type=int, default=100)
-    ep.add_argument("--seed", type=int, default=0)
-    ep.add_argument("--bound", type=int, default=3)
+    ep.add_argument("--dim", type=integer, required=True)
+    ep.add_argument("--count", type=integer, default=100)
+    ep.add_argument("--seed", type=integer, default=0)
+    ep.add_argument("--bound", type=integer, default=3)
     ep.add_argument("--store", default="explore_records.jsonl",
                     help="append-only JSONL store for flagged records")
-    ep.add_argument("--max-k", type=int, default=None, help=MAX_K_HELP)
+    ep.add_argument("--max-k", type=integer, default=None, help=MAX_K_HELP)
     ep.set_defaults(func=cmd_explore)
 
     gp = sub.add_parser("gen", help="print a family's vertex file (plain text)")
@@ -533,9 +534,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
+        if e.code != 2:
+            raise
+        return EXIT_INPUT
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except SearchCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -23,7 +23,6 @@ triangulation, which the test suite requires to agree exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import comb
 from operator import mul
@@ -53,8 +52,8 @@ class SmoothData:
 
 # -- bitmask sumsets and the k-normality tower --------------------------------
 
-# Levels a fresh packing serves at least; a deeper request re-packs the tower
-# with twice the depth, so no digit ever outgrows its radix.
+# Levels a fresh packing serves at least; a deeper request rebuilds the tower
+# under a packing for twice that depth, so no digit ever outgrows its radix.
 _MIN_LEVELS = 4
 
 
@@ -65,15 +64,14 @@ class _Packing:
 
     lo is the least corner of the bounding box of P and w its widths.  The
     weights are mixed-radix place values: coordinate i gets the radix
-    capacity·w_i + 1, and order lists the coordinates from the least
-    significant place up, widest first.  A point x of jP has digits
-    0 <= x_i - j·lo_i <= j·w_i < that radix, so pack(x, j) is a numeral and
-    distinct points of jP get distinct values in [0, top(j)].  Packing is
-    linear across levels: pack(x, i) + pack(b, j) = pack(x + b, i + j).
+    capacity·w_i + 1, and the places go up from the widest coordinate.  A
+    point x of jP has digits 0 <= x_i - j·lo_i <= j·w_i < that radix, so
+    pack(x, j) is a numeral and distinct points of jP get distinct values in
+    [0, top(j)].  Packing is linear across levels:
+    pack(x, i) + pack(b, j) = pack(x + b, i + j).
     """
 
     widths: tuple[int, ...]
-    order: tuple[int, ...]
     capacity: int
     weights: tuple[int, ...]
     origin: int
@@ -89,40 +87,13 @@ class _Packing:
 def _packing(p: Polytope, capacity: int) -> _Packing:
     columns = list(zip(*p.vertices))
     widths = tuple(max(c) - min(c) for c in columns)
-    order = tuple(sorted(range(p.dim), key=lambda i: -widths[i]))
     weights = [0] * p.dim
     place = 1
-    for i in order:
+    for i in sorted(range(p.dim), key=lambda i: -widths[i]):
         weights[i] = place
         place *= capacity * widths[i] + 1
     origin = sum(map(mul, map(min, columns), weights))
-    return _Packing(widths, order, capacity, tuple(weights), origin)
-
-
-def _repacked(mask: int, j: int, old: _Packing, new: _Packing) -> int:
-    """The bitmask of a level-j set under old, re-packed under new.
-
-    With every digit but the least significant one fixed, the points of the
-    box of jP are a run of j·w + 1 consecutive bits in either packing, and
-    the runs come in the same order; the new mask is the old runs moved to
-    their new places.  The widest coordinate is the least significant, so
-    the runs are as long, and as few, as they can be.
-    """
-    if not old.order:
-        return mask
-    first, *rest = old.order
-    rest.reverse()  # most significant first, so the places increase
-    run = j * old.widths[first] + 1
-    bits = format(mask, "b")[::-1]
-    pieces, end = [], 0
-    for digits in itertools.product(*(range(j * old.widths[i] + 1) for i in rest)):
-        start = sum(d * old.weights[i] for d, i in zip(digits, rest))
-        piece = bits[start:start + run]
-        if "1" in piece:
-            place = sum(d * new.weights[i] for d, i in zip(digits, rest))
-            pieces += ("0" * (place - end), piece)
-            end = place + len(piece)
-    return int("".join(pieces)[::-1] or "0", 2)
+    return _Packing(widths, capacity, tuple(weights), origin)
 
 
 def _bitmask(positions) -> int:
@@ -149,60 +120,42 @@ def _shifted_union(mask: int, shifts) -> int:
 
 @dataclass(frozen=True)
 class _Tower:
-    """Immutable state of one polytope's k-normality memo.
+    """Immutable state of one polytope's k-normality memo: masks[j] is the
+    bitmask of the j-fold sumset S_j of P∩M (S_0 = {0}) for j < len(masks),
+    bit packing.pack(x, j) set exactly when x is in S_j, and shifts are the
+    packed points of P∩M at level 1.
 
-    levels[j] = (packing_j, mask) for j = 0 .. len(levels)-1, mask the
-    bitmask of the j-fold sumset S_j of P∩M (S_0 = {0}): bit
-    packing_j.pack(x, j) is set exactly when x is in S_j.  Each level keeps
-    the packing it was built in; the top level is in `packing`, whose
-    shifts are the packed points of P∩M at level 1.
-
-    Size.  The mask of S_j has at most top(j) + 1 bits: the lattice points
-    of the box of jP with every digit but the most significant one widened
-    to the capacity C of the level's packing, about (C/j)^(dim-1) times the
-    points of that box.  C is at least 4 and otherwise twice the deepest
-    level asked for when the packing was made, so C/j stays small on the
-    levels a scan builds.  |S_j| <= |jP∩M| of the bits are set.  A
-    frozenset of tuples spends on the order of a hundred bytes per point,
-    the mask one bit per box point, so the mask is the smaller unless the
-    box of P holds hundreds of times more lattice points than P, as for a
-    thin simplex along a diagonal.
+    Size.  The mask of S_j has at most top(j) + 1 bits: the box of jP with
+    every digit but the most significant one widened to the capacity C, so
+    a level j built under C spans about (C/j)^(dim-1) times the box of jP.
+    C is twice the level whose query built the tower, or _MIN_LEVELS, so
+    C/j stays small on the levels a scan builds.  |S_j| <= |jP∩M| of the
+    bits are set.  A frozenset of tuples spends on the order of a hundred
+    bytes per point, the mask one bit per box point, so the mask is the
+    smaller unless the box of P holds hundreds of times more lattice points
+    than P, as for a thin simplex along a diagonal.
     """
 
     packing: _Packing
     shifts: tuple[int, ...]
-    levels: tuple[tuple[_Packing, int], ...]
-
-    def extended(self) -> "_Tower":
-        """The tower one level up: S_(j+1) = S_j + P∩M, an OR of shifts."""
-        top = _shifted_union(self.levels[-1][1], self.shifts)
-        return replace(self, levels=self.levels + ((self.packing, top),))
-
-
-def _packed_tower(p: Polytope, depth: int) -> _Tower:
-    """The polytope's tower, re-packed first when its packing does not reach
-    depth: only the top level moves to the new packing, the one the next
-    extension shifts; no level is rebuilt."""
-    tower = p._tower
-    if tower is None or depth > tower.packing.capacity:
-        packing = _packing(p, max(2 * depth, _MIN_LEVELS))
-        shifts = tuple(sorted(packing.pack(x, 1) for x in p.lattice_points(1)))
-        if tower is None:
-            levels = ((packing, 1),)
-        else:
-            top, (old, mask) = len(tower.levels) - 1, tower.levels[-1]
-            levels = tower.levels[:-1] + ((packing, _repacked(mask, top, old, packing)),)
-        tower = p._tower = _Tower(packing, shifts, levels)
-    return tower
+    masks: tuple[int, ...]
 
 
 def _level(p: Polytope, k: int) -> tuple[_Packing, int]:
-    """The packing and the bitmask of S_k, extending the tower to level k if
-    needed; each extension is published by one assignment."""
-    tower = _packed_tower(p, k)
-    while len(tower.levels) <= k:
-        tower = p._tower = tower.extended()
-    return tower.levels[k]
+    """The packing and the bitmask of S_k.  A level above the capacity
+    builds the tower again from S_0 under a packing for max(2k, _MIN_LEVELS)
+    levels, so the capacity at least doubles and a deepest level K costs at
+    most log2(K / _MIN_LEVELS) + 1 rebuilds; each build and each shifted
+    union S_(j+1) = S_j + P∩M is published by one assignment."""
+    tower = p._tower
+    if tower is None or k > tower.packing.capacity:
+        packing = _packing(p, max(2 * k, _MIN_LEVELS))
+        shifts = tuple(sorted(packing.pack(x, 1) for x in p.lattice_points(1)))
+        tower = p._tower = _Tower(packing, shifts, (1,))
+    while len(tower.masks) <= k:
+        top = _shifted_union(tower.masks[-1], tower.shifts)
+        tower = p._tower = replace(tower, masks=tower.masks + (top,))
+    return tower.packing, tower.masks[k]
 
 
 def _ehrhart(p: Polytope) -> tuple[int, ...]:
@@ -254,7 +207,8 @@ def hole_count(p: Polytope, k: int) -> int:
 
     S_k lies in kP∩M and the packing is injective there, so the count is
     |kP∩M| minus the number of set bits of the mask of S_k.  The tower keeps
-    every level, so counting k = 1..K costs K shifted unions, not K²/2.
+    its levels, and the towers a rebuild drops held fewer than 2K levels in
+    all, so counting k = 1..K costs under 3K shifted unions, not K²/2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

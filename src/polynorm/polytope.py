@@ -55,7 +55,7 @@ class Polytope:
     the same way by every caller and set by one assignment; and the
     k-normality tower of `invariants`, an immutable state that is replaced
     whole by one assignment, so a reader sees the old tower or the extended
-    one and never a half-extended one.
+    or rebuilt one and never a half-built one.
     """
 
     __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache",
@@ -310,20 +310,27 @@ def parse_points_json(text: str):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_points_text(text: str):
-    """Plain-text polytope input: one point per line, '#' comments ignored.
+def integer(text: str) -> int:
+    """The one rule for integers in every input, family specs and flags as
+    well as vertex files: an optionally signed run of ASCII digits, where
+    int() alone would also take '1_0' and non-ASCII digits.  The ValueError
+    names the text."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(repr(text))
+    return int(text)
 
-    A coordinate is an optionally signed run of ASCII digits; int() alone
-    would also take '1_0' and non-ASCII digits.
-    """
+
+def parse_points_text(text: str):
+    """Plain-text polytope input: one point per line of `integer`
+    coordinates, '#' comments ignored."""
     points = []
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        tokens = body.split()
-        bad = next((tok for tok in tokens if not _INTEGER.fullmatch(tok)), None)
-        if bad is not None:
-            raise GeometryError(f"line {lineno}: coordinates must be integers, got {bad!r}")
-        points.append(tuple(int(tok) for tok in tokens))
+        try:
+            points.append(tuple(map(integer, body.split())))
+        except ValueError as e:
+            raise GeometryError(
+                f"line {lineno}: coordinates must be integers, got {e}") from None
     return points, None

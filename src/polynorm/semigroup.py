@@ -204,8 +204,9 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
 
     Depth.  Levels j = 1 .. d_P + 1 are read, through sumset_membership, so
     the tower never goes past dim (d_P <= dim - 1) and compute_k_P reuses
-    every level it builds.  The scan stops at the first level j >= d_P without
-    holes: there y_j lies in jP∩M = S_j for every pair, so no pair is left.
+    every level it builds, unless it outgrows their packing.  The scan stops
+    at the first level j >= d_P without holes: there y_j lies in
+    jP∩M = S_j for every pair, so no pair is left.
 
     BFS.  At each vertex, in order, one search covers the pairs the tower
     left open; their lengths exceed the last level read.  Then one

@@ -114,6 +114,7 @@ class TestFamilyGrammar:
     def test_parse(self):
         assert parse_family("cube:3") == FamilySpec("cube", (3,))
         assert parse_family("higashitani:3,2") == FamilySpec("higashitani", (3, 2))
+        assert parse_family("higashitani:+3, 2") == FamilySpec("higashitani", (3, 2))
         assert parse_family("reeve") == FamilySpec("reeve", ())
         assert parse_family("random:2,3,6,42") == FamilySpec("random", (2, 3, 6, 42))
 
@@ -126,6 +127,13 @@ class TestFamilyGrammar:
         for bad in ("unknown:1", "cube", "cube:x", "cube:1,2", "reeve:1", "./file.json"):
             with pytest.raises(ValueError):
                 parse_family(bad)
+
+    # the vertex files' integer rule: int() alone takes all of these
+    @pytest.mark.parametrize("bad", ["bruns:1_0", "cube:\u0663", "higashitani:3,\u0662",
+                                     "random:2,3,6,4_2", "cube:\uff13"])
+    def test_parameters_are_ascii_integers(self, bad):
+        with pytest.raises(ValueError, match="needs integer parameters"):
+            parse_family(bad)
 
     def test_build(self):
         assert build_family("cube:3") == cube(3)

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -406,6 +408,23 @@ class TestMaxK:
         # the flag still overrides the environment
         assert run(capsys, "analyze", "cube:2", "--max-k", "1")[0] == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["\u0662", "6_4", "\uff16\uff14"])
+    def test_flag_is_an_ascii_integer(self, capsys, value):
+        code, out, err = run(capsys, "analyze", "cube:2", "--max-k", value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"argument --max-k: invalid integer value: {value!r}" in err
+        # a sign and surrounding blanks are still allowed, as in vertex files
+        assert run(capsys, "analyze", "cube:2", "--max-k", " +2")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["\u0662", "6_4", " 6_4 "])
+    def test_env_is_an_ascii_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POLYNORM_MAX_K", value)
+        code, out, err = run(capsys, "analyze", "cube:2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: POLYNORM_MAX_K must be an integer, got {value!r}\n"
+
     @pytest.mark.parametrize("command", ["analyze", "check", "explore"])
     def test_help_names_the_cap(self, capsys, command):
         with pytest.raises(SystemExit):
@@ -575,6 +594,58 @@ class TestExplore:
         assert err.count("\n") == 1
         # rejected before the first sample is computed
         assert reports == []
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("analyze", "cube:2", "--max-k", "abc"),
+        ("check", "cube:2", "--no-such-flag"),
+        ("nosuch",),
+        (),
+    ])
+    def test_usage_error_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "usage: polynorm" in err and "error:" in err
+
+    # the vertex files' integer rule; int() alone takes all of these
+    @pytest.mark.parametrize("flag", ["--dim", "--count", "--seed", "--bound", "--max-k"])
+    @pytest.mark.parametrize("value", ["\u0662", "1_0"])
+    def test_integer_flags_are_ascii(self, capsys, tmp_path, flag, value):
+        argv = {"--dim": "2", "--count": "1", "--seed": "1", "--bound": "2",
+                "--store": str(tmp_path / "r.jsonl")}
+        argv[flag] = value
+        code, out, err = run(capsys, "explore", *itertools.chain(*argv.items()))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"argument {flag}: invalid integer value: {value!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen", "analyze"])
+    @pytest.mark.parametrize("spec", ["bruns:1_0", "cube:\u0663"])
+    def test_family_parameters_are_ascii(self, capsys, command, spec):
+        code, out, err = run(capsys, command, spec)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("holes", "bruns:20"), ("gen", "bruns:4")])
+    def test_closed_pipe_ends_quietly(self, argv):
+        # the reader is gone before the first write: holes fails inside its
+        # listing, gen in the flush at the end of main
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            child = subprocess.run([sys.executable, "-m", "polynorm.cli", *argv],
+                                   env=dict(os.environ, PYTHONPATH=src), stdout=writer,
+                                   stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(writer)
+        assert child.returncode == EXIT_INPUT
+        assert child.stderr == b""
 
 
 class TestRepeatedMain:

@@ -412,7 +412,7 @@ def scan_depth(r):
 
 @pytest.mark.parametrize("min_levels", [None, 2])
 def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
-    # min_levels = 2 forces the tower to re-pack with a larger radix
+    # min_levels = 2 forces the tower to be rebuilt under a wider packing
     # several times on the way up
     if min_levels is not None:
         monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
@@ -440,21 +440,28 @@ def test_tower_matches_tuple_sumsets(report, monkeypatch, min_levels):
 def test_tower_builds_each_level_once(monkeypatch, capsys, report):
     k_P = report("bruns:6").k_P
     built = []
-    extended = invariants._Tower.extended
 
-    def counting(self):
-        built.append(len(self.levels))
-        return extended(self)
+    @dataclass(frozen=True)
+    class Counting(invariants._Tower):
+        def __post_init__(self):
+            # every build and every extension is a new tower; a build holds S_0
+            if len(self.masks) > 1:
+                built.append((self.packing.capacity, len(self.masks) - 1))
 
-    monkeypatch.setattr(invariants._Tower, "extended", counting)
+    monkeypatch.setattr(invariants, "_Tower", Counting)
+    # each level once per packing: levels 1..4 under the first one, then the
+    # query for k_P = 5 outgrows it and the tower is rebuilt under capacity
+    # 10, from S_0 up to k_P + 1
+    assert k_P == 5
+    expected = [(4, k) for k in range(1, 5)] + [(10, k) for k in range(1, k_P + 2)]
     # full_report (k_P scan and hole witness) plus the k = 1..k_P+1 flags
     results, ok = run_check_suite(build_family("bruns:6"))
-    assert ok and built == list(range(1, k_P + 2))
+    assert ok and built == expected
     built.clear()
     # full_report, then the listing of k = 1..k_P+1 on the same tower
     assert main(["holes", "bruns:6", "--max-k", str(k_P + 1)]) == 0
     assert f"k={k_P + 1}: no holes" in capsys.readouterr().out
-    assert built == list(range(1, k_P + 2))
+    assert built == expected
 
 
 # -- packing: round trip at the corners of the bounding box ----------------------
@@ -486,17 +493,14 @@ def test_packing_round_trips_at_box_corners(report, monkeypatch, min_levels):
             hole_count(p, k)
         tower = p._tower
         packing = tower.packing
-        assert len(tower.levels) - 1 == levels <= packing.capacity
-        assert tower.levels[-1][0] is packing
+        assert len(tower.masks) - 1 == levels <= packing.capacity
         lows = tuple(min(c) for c in zip(*p.vertices))
         highs = tuple(max(c) for c in zip(*p.vertices))
-        # every level's mask fits below the packed top corner of its box, in
-        # the packing that level was built in
-        for level, (own, mask) in enumerate(tower.levels):
-            assert level <= own.capacity <= packing.capacity
-            assert own.origin == dot(lows, own.weights)
-            assert own.pack(scale(level, highs), level) == own.top(level)
-            assert mask.bit_length() <= own.top(level) + 1
+        assert packing.origin == dot(lows, packing.weights)
+        # every level's mask fits below the packed top corner of its box
+        for level, mask in enumerate(tower.masks):
+            assert packing.pack(scale(level, highs), level) == packing.top(level)
+            assert mask.bit_length() <= packing.top(level) + 1
         weights = packing.weights
         for level in sorted({1, levels, packing.capacity}):
             corners = list(itertools.product(

@@ -227,7 +227,9 @@ def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
         x, v = mres.failure
         witnesses["non_saturation"] = {"x": list(x), "vertex": list(v)}
 
-    return InvariantReport(
+    # the report checks itself against the certified bounds, so a failure
+    # there is a failure of this stage
+    return stage("bounds", lambda: InvariantReport(
         name=p.name,
         dim=p.dim,
         num_vertices=p.num_vertices,
@@ -248,7 +250,7 @@ def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
         eg_rhs=eg_rhs_val,
         eg_holds=eg_holds,
         witnesses=witnesses,
-    )
+    ))
 
 
 # -- serialization ----------------------------------------------------------------

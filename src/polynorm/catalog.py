@@ -8,9 +8,7 @@ The family grammar is shared with the command line:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .exactmath import rank, sub
 from .polytope import GeometryError, Polytope, from_points, integer
 
 _MASK64 = (1 << 64) - 1
@@ -37,14 +35,6 @@ class SplitMix64:
         """Uniform-ish draw in [0, n); deterministic, bias negligible for
         the tiny ranges used here."""
         return self.next_u64() % n
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A parsed family name with its parameters."""
-
-    family: str
-    params: tuple[int, ...]
 
 
 def cube(d: int) -> Polytope:
@@ -123,7 +113,8 @@ def random_polytope(d: int, coordinate_bound: int, point_count: int, seed: int) 
     """Hull of point_count random points with coordinates in [0, bound].
 
     Deterministic for a given seed; the point set is resampled whole until
-    it affinely spans the ambient space (at most 1000 attempts).
+    it affinely spans the ambient space, which from_points checks (at most
+    1000 attempts).
     """
     if not 2 <= d <= 4:
         raise ValueError("random polytopes support dimensions 2..4")
@@ -133,9 +124,11 @@ def random_polytope(d: int, coordinate_bound: int, point_count: int, seed: int) 
     for _ in range(1000):
         points = [tuple(rng.below(coordinate_bound + 1) for _ in range(d))
                   for _ in range(point_count)]
-        if rank(tuple(sub(q, points[0]) for q in points[1:])) == d:
+        try:
             return from_points(
                 points, name=f"random:{d},{coordinate_bound},{point_count},{seed}")
+        except GeometryError:
+            continue
     raise GeometryError("random sampling failed to span the space after 1000 attempts")
 
 
@@ -149,36 +142,39 @@ def default_catalog() -> list[Polytope]:
     return polys
 
 
-def parse_family(spec: str) -> FamilySpec:
-    """Parse a family spec string; raises ValueError if it is not one."""
+# The family grammar: each name with its builder and its number of parameters.
+FAMILIES = {
+    "cube": (cube, 1),
+    "simplex": (standard_simplex, 1),
+    "bruns": (bruns_gubeladze, 1),
+    "higashitani": (higashitani, 2),
+    "reeve": (reeve_like, 0),
+    "random": (random_polytope, 4),
+}
+
+
+def parse_family(spec: str):
+    """Parse a family spec string into (builder, params); raises ValueError
+    if it is not one."""
     head, _, tail = spec.partition(":")
     head = head.strip()
-    arity = {"cube": 1, "simplex": 1, "bruns": 1, "higashitani": 2, "reeve": 0, "random": 4}
-    if head not in arity:
+    if head not in FAMILIES:
         raise ValueError(f"unknown family {head!r}")
-    if arity[head] == 0:
+    builder, arity = FAMILIES[head]
+    if arity == 0:
         if tail:
             raise ValueError(f"family {head!r} takes no parameters")
-        return FamilySpec(head, ())
+        return builder, ()
     try:
         params = tuple(integer(tok) for tok in tail.split(","))
     except ValueError:
         raise ValueError(f"family {head!r} needs integer parameters, got {tail!r}") from None
-    if len(params) != arity[head]:
-        raise ValueError(f"family {head!r} takes {arity[head]} parameter(s)")
-    return FamilySpec(head, params)
+    if len(params) != arity:
+        raise ValueError(f"family {head!r} takes {arity} parameter(s)")
+    return builder, params
 
 
-def build_family(spec: FamilySpec | str) -> Polytope:
-    """Instantiate a parsed (or textual) family spec."""
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    builders = {
-        "cube": cube,
-        "simplex": standard_simplex,
-        "bruns": bruns_gubeladze,
-        "higashitani": higashitani,
-        "reeve": reeve_like,
-        "random": random_polytope,
-    }
-    return builders[spec.family](*spec.params)
+def build_family(spec: str) -> Polytope:
+    """Instantiate a textual family spec."""
+    builder, params = parse_family(spec)
+    return builder(*params)

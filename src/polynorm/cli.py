@@ -26,8 +26,8 @@ from .bounds import (
     report_to_dict,
 )
 from .catalog import (
+    FAMILIES,
     SplitMix64,
-    build_family,
     parse_family,
     random_polytope,
 )
@@ -57,24 +57,27 @@ class InputError(ValueError):
 # -- input handling ---------------------------------------------------------------
 
 
-def _build(spec, text: str) -> Polytope:
+def _build(builder, params, text: str) -> Polytope:
     try:
-        return build_family(spec)
+        return builder(*params)
     except ValueError as e:  # GeometryError is a ValueError
         raise InputError(f"bad family parameters {text!r}: {e}") from e
 
 
 def resolve_input(text: str) -> Polytope:
-    """Interpret the input as a family spec, else as a vertex file path."""
-    try:
-        spec = parse_family(text)
-    except ValueError:
-        spec = None
-    if spec is not None:
-        return _build(spec, text)
+    """Interpret the input as a family spec, else as a vertex file path.
+    Text that names no file but starts with a known family name is that
+    family with bad parameters, and the error says what is wrong with them."""
     path = Path(text)
-    if not path.is_file():
-        raise InputError(f"no such file or family: {text}")
+    try:
+        builder, params = parse_family(text)
+    except ValueError as e:
+        if not path.is_file():
+            if text.partition(":")[0].strip() in FAMILIES:
+                raise InputError(str(e)) from e
+            raise InputError(f"no such file or family: {text}") from None
+    else:
+        return _build(builder, params, text)
     try:
         content = path.read_text()
         if path.suffix == ".json":
@@ -288,93 +291,79 @@ def run_check_suite(p: Polytope, max_k: int | None = None):
     """
     results = []
 
-    def record(name, status, detail=""):
-        results.append((status, name, detail))
+    def check(name, holds, detail):
+        results.append(("PASS" if holds else "FAIL", name, detail))
+
+    def skip(name, detail):
+        results.append(("SKIP", name, detail))
 
     report = full_report(p, max_k=max_k)
     n = report.num_vertices
-    record("thresholds_ordered",
-           "PASS" if report.d_P <= report.nu_P <= max(report.dim, 1) else "FAIL",
-           f"d_P={report.d_P} nu_P={report.nu_P} n={n}")
+    check("thresholds_ordered", report.d_P <= report.nu_P <= max(report.dim, 1),
+          f"d_P={report.d_P} nu_P={report.nu_P} n={n}")
     # full_report raises PipelineError("volume", ...) unless the triangulation
     # volume equals the interpolated one, so a report here has passed the check.
     vol = report.volume_normalized
-    record("volume_dual_oracle", "PASS", f"interpolation={vol} triangulation={vol}")
-    record("degree_at_most_dim",
-           "PASS" if report.degree <= report.dim else "FAIL",
-           f"deg={report.degree} dim={report.dim}")
+    check("volume_dual_oracle", True, f"interpolation={vol} triangulation={vol}")
+    check("degree_at_most_dim", report.degree <= report.dim,
+          f"deg={report.degree} dim={report.dim}")
 
     # a unimodular simplex has d_P = 1 and degree 0
     if report.num_vertices == report.dim + 1 and report.volume_normalized == 1:
-        record("d_P_le_deg", "SKIP", "unimodular simplex")
+        skip("d_P_le_deg", "unimodular simplex")
     else:
-        record("d_P_le_deg",
-               "PASS" if report.d_P <= report.degree else "FAIL",
-               f"d_P={report.d_P} deg={report.degree}")
+        check("d_P_le_deg", report.d_P <= report.degree,
+              f"d_P={report.d_P} deg={report.degree}")
 
     if not report.very_ample:
-        record("very_ample", "SKIP",
-               f"not very ample; witness {report.witnesses['non_saturation']}; "
-               "k_P-dependent checks skipped")
+        skip("very_ample",
+             f"not very ample; witness {report.witnesses['non_saturation']}; "
+             "k_P-dependent checks skipped")
     else:
-        record("chain_dP_mP_kP",
-               "PASS" if report.d_P <= report.m_P <= report.k_P else "FAIL",
-               f"d_P={report.d_P} m_P={report.m_P} k_P={report.k_P}")
+        check("chain_dP_mP_kP", report.d_P <= report.m_P <= report.k_P,
+              f"d_P={report.d_P} m_P={report.m_P} k_P={report.k_P}")
         theorem = report.bounds["theorem"]
-        record("theorem_bound_dominates",
-               "PASS" if theorem >= report.k_P else "FAIL",
-               f"bound={theorem} k_P={report.k_P}")
-        record("theorem_equality_iff_normal",
-               "PASS" if (theorem == report.k_P) == report.normal else "FAIL",
-               f"bound={theorem} k_P={report.k_P} normal={report.normal}")
+        check("theorem_bound_dominates", theorem >= report.k_P,
+              f"bound={theorem} k_P={report.k_P}")
+        check("theorem_equality_iff_normal", (theorem == report.k_P) == report.normal,
+              f"bound={theorem} k_P={report.k_P} normal={report.normal}")
         if not report.normal:
             refined = report.bounds["refined"]
-            record("refined_bound_dominates",
-                   "PASS" if report.k_P <= refined <= theorem else "FAIL",
-                   f"k_P={report.k_P} refined={refined} theorem={theorem}")
+            check("refined_bound_dominates", report.k_P <= refined <= theorem,
+                  f"k_P={report.k_P} refined={refined} theorem={theorem}")
         flags = {k: not inv.hole_count(p, k) for k in range(1, report.k_P + 2)}
         monotone = all(flags[k + 1] for k in range(report.d_P, report.k_P + 1) if flags[k])
-        record("normality_monotone_beyond_dP", "PASS" if monotone else "FAIL",
-               f"flags={flags}")
+        check("normality_monotone_beyond_dP", monotone, f"flags={flags}")
         if report.degree <= 1:
-            record("low_degree_implies_normal",
-                   "PASS" if report.k_P == 1 else "FAIL",
-                   f"deg={report.degree} k_P={report.k_P}")
-        record("eg_conjecture",
-               "PASS" if report.eg_holds else "FAIL",
-               f"k_P={report.k_P} <= {report.eg_rhs}? (conjecture, not a code bug)")
-        record("d_P_le_volume_excess",
-               "PASS" if report.d_P <= report.volume_normalized + report.dim + 1
-               - report.num_lattice_points else "FAIL",
-               f"d_P={report.d_P} rhs={report.volume_normalized + report.dim + 1 - report.num_lattice_points}")
+            check("low_degree_implies_normal", report.k_P == 1,
+                  f"deg={report.degree} k_P={report.k_P}")
+        check("eg_conjecture", report.eg_holds,
+              f"k_P={report.k_P} <= {report.eg_rhs}? (conjecture, not a code bug)")
+        check("d_P_le_volume_excess", report.d_P <= report.eg_rhs,
+              f"d_P={report.d_P} rhs={report.eg_rhs}")
         if report.smooth:
-            ok_corner = report.m_P <= report.d_P * report.gamma
-            ok_volume = report.m_P <= report.dim * report.d_P ** report.dim * report.volume_normalized
-            ok_gm = report.gamma <= report.dim * report.m_prime
-            record("smooth_mP_le_dP_gamma", "PASS" if ok_corner else "FAIL",
-                   f"m_P={report.m_P} d_P*gamma={report.d_P * report.gamma}")
-            record("smooth_mP_le_volume_form", "PASS" if ok_volume else "FAIL",
-                   f"m_P={report.m_P}")
-            record("smooth_gamma_le_dim_m_prime", "PASS" if ok_gm else "FAIL",
-                   f"gamma={report.gamma} dim*m_prime={report.dim * report.m_prime}")
+            check("smooth_mP_le_dP_gamma", report.m_P <= report.d_P * report.gamma,
+                  f"m_P={report.m_P} d_P*gamma={report.d_P * report.gamma}")
+            check("smooth_mP_le_volume_form", report.m_P
+                  <= report.dim * report.d_P ** report.dim * report.volume_normalized,
+                  f"m_P={report.m_P}")
+            check("smooth_gamma_le_dim_m_prime", report.gamma <= report.dim * report.m_prime,
+                  f"gamma={report.gamma} dim*m_prime={report.dim * report.m_prime}")
             mumford = report.bounds["mumford_general"]
             if mumford is None:
-                record("mumford_bound_dominates", "SKIP", "degenerate embedding")
+                skip("mumford_bound_dominates", "degenerate embedding")
             else:
-                record("mumford_bound_dominates",
-                       "PASS" if mumford >= report.regularity else "FAIL",
-                       f"mumford_general={mumford} reg={report.regularity}")
+                check("mumford_bound_dominates", mumford >= report.regularity,
+                      f"mumford_general={mumford} reg={report.regularity}")
         else:
-            record("mumford_bound_dominates", "SKIP",
-                   "certified only for smooth polytopes")
+            skip("mumford_bound_dominates", "certified only for smooth polytopes")
 
     if report.dim <= 3:
         threshold, flags = inv.dilate_normality_profile(p, report.d_P)
-        record("dilates_normal_from_dP",
-               "PASS" if flags[report.d_P] and threshold == report.d_P else "FAIL",
-               f"threshold={threshold} d_P={report.d_P} flags={flags}")
+        check("dilates_normal_from_dP", flags[report.d_P] and threshold == report.d_P,
+              f"threshold={threshold} d_P={report.d_P} flags={flags}")
     else:
-        record("dilates_normal_from_dP", "SKIP", "asserted only for dim <= 3")
+        skip("dilates_normal_from_dP", "asserted only for dim <= 3")
 
     ok = not any(status == "FAIL" for status, _, _ in results)
     return results, ok
@@ -473,10 +462,10 @@ def cmd_explore(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        spec = parse_family(args.family)
+        builder, params = parse_family(args.family)
     except ValueError as e:
         raise InputError(str(e)) from e
-    p = _build(spec, args.family)
+    p = _build(builder, params, args.family)
     print(f"# {p.name}")
     for v in p.vertices:
         print(" ".join(str(c) for c in v))

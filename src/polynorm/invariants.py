@@ -64,11 +64,18 @@ class _Packing:
 
     lo is the least corner of the bounding box of P and w its widths.  The
     weights are mixed-radix place values: coordinate i gets the radix
-    capacity·w_i + 1, and the places go up from the widest coordinate.  A
-    point x of jP has digits 0 <= x_i - j·lo_i <= j·w_i < that radix, so
-    pack(x, j) is a numeral and distinct points of jP get distinct values in
-    [0, top(j)].  Packing is linear across levels:
+    capacity·w_i + 1, and the first coordinate is the most significant
+    place.  A point x of jP has digits 0 <= x_i - j·lo_i <= j·w_i < that
+    radix, so pack(x, j) is a numeral and distinct points of jP get distinct
+    values in [0, top(j)].  Packed order is then lexicographic order, so a
+    row of jP (fixed prefix, last coordinate running) is a run of
+    consecutive values.  Packing is linear across levels:
     pack(x, i) + pack(b, j) = pack(x + b, i + j).
+
+    The place order does not change the box: C·w_i·W_i, with C the capacity
+    and W_i the product of the radices C·w_l + 1 below place i, is the
+    product up to i minus the product below i, so Σ w_i·W_i telescopes to
+    (Π (C·w_i + 1) - 1) / C in any order.
     """
 
     widths: tuple[int, ...]
@@ -89,7 +96,7 @@ def _packing(p: Polytope, capacity: int) -> _Packing:
     widths = tuple(max(c) - min(c) for c in columns)
     weights = [0] * p.dim
     place = 1
-    for i in sorted(range(p.dim), key=lambda i: -widths[i]):
+    for i in reversed(range(p.dim)):
         weights[i] = place
         place *= capacity * widths[i] + 1
     origin = sum(map(mul, map(min, columns), weights))
@@ -185,16 +192,15 @@ def _point_count(p: Polytope, k: int) -> int:
 def iter_holes(p: Polytope, k: int):
     """The holes of kP in lexicographic order, decoded lazily.
 
-    The rows of kP come in lexicographic order, and along a row the last
-    coordinate steps the packed value by its weight, so a row is a strided
-    slice of the mask's bits, least significant first; its zeros are holes.
+    The rows of kP come in lexicographic order, and a row is a run of
+    consecutive packed values, so it is a slice of the mask's bits, least
+    significant first; its zeros are holes.
     """
     packing, mask = _level(p, k)
-    step = packing.weights[-1]
     bits = format(mask, "b")[::-1].ljust(packing.top(k) + 1, "0")
     for prefix, lo, hi in p.lattice_rows(k):
         start = packing.pack(prefix + (lo,), k)
-        row = bits[start:start + (hi - lo) * step + 1:step]
+        row = bits[start:start + hi - lo + 1]
         i = row.find("0")
         while i >= 0:
             yield prefix + (lo + i,)
@@ -230,7 +236,7 @@ def sumset_membership(p: Polytope, k: int):
     return contains
 
 
-def _fills_next_dilate(p: Polytope, summand, k: int, m: int = 1) -> bool:
+def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:
     """Whether summand + kmP∩M = (k+1)mP∩M, summand a set of lattice points
     of mP.
 
@@ -246,18 +252,21 @@ def _fills_next_dilate(p: Polytope, summand, k: int, m: int = 1) -> bool:
     return image.bit_count() == _point_count(p, (k + 1) * m)
 
 
+def _last_failing(p: Polytope, summand, m: int, top: int) -> int:
+    """The largest k in 1..top with summand + kmP∩M != (k+1)mP∩M, or 0 when
+    every such k fills the next dilate; the scan runs down from top and stops
+    at the first failure."""
+    return next((k for k in range(top, 0, -1)
+                 if not _fills_next_dilate(p, summand, k, m)), 0)
+
+
 def compute_d_P(p: Polytope) -> int:
     """Smallest n with P∩M + kP∩M = (k+1)P∩M for every k >= n.
 
     Only k <= dim-2 can fail, so the scan is finite; dimensions <= 2 always
     give 1.
     """
-    pts = p.lattice_points(1)
-    last_failing = 0
-    for k in range(1, p.dim - 1):
-        if not _fills_next_dilate(p, pts, k):
-            last_failing = k
-    return last_failing + 1
+    return _last_failing(p, p.lattice_points(1), 1, p.dim - 2) + 1
 
 
 def compute_nu_P(p: Polytope) -> int:
@@ -271,11 +280,7 @@ def compute_nu_P(p: Polytope) -> int:
     longer than the k <= n-2 that the same argument gives with n in place of
     dim+1.
     """
-    last_failing = 0
-    for k in range(1, p.dim):
-        if not _fills_next_dilate(p, p.vertices, k):
-            last_failing = k
-    return last_failing + 1
+    return _last_failing(p, p.vertices, 1, p.dim - 1) + 1
 
 
 def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> int:
@@ -337,19 +342,14 @@ def dilate_normality_profile(p: Polytope, d_P: int):
     mP is normal exactly when its own decomposition threshold is 1, that is
     when mP∩M + kmP∩M = (k+1)mP∩M for k = 1..dim-2, which is decided on P's
     own lattice points.  Beyond d_P every dilate is normal, so the least n
-    with "kP normal for all k >= n" is found by walking m downward from d_P
-    while dilates stay normal.  Returns (threshold, {m: is_normal}).
+    with "mP normal for all m >= n" is one past the last m <= d_P whose
+    dilate is not normal.  Returns (threshold, {m: is_normal}).
     """
-    flags = {m: all(_fills_next_dilate(p, p.lattice_points(m), k, m)
-                    for k in range(1, p.dim - 1))
+    flags = {m: not _last_failing(p, p.lattice_points(m), m, p.dim - 2)
              for m in range(1, d_P + 1)}
     if not flags[d_P]:
         raise AssertionError(f"{d_P}P is not normal although m >= d_P (bug)")
-    threshold = d_P
-    for m in range(d_P - 1, 0, -1):
-        if not flags[m]:
-            break
-        threshold = m
+    threshold = max((m for m, normal in flags.items() if not normal), default=0) + 1
     return threshold, flags
 
 

@@ -29,10 +29,6 @@ from .exactmath import (
 class GeometryError(ValueError):
     """Degenerate or invalid geometric input."""
 
-    def __init__(self, message: str, *, affine_rank: int | None = None):
-        super().__init__(message)
-        self.affine_rank = affine_rank
-
 
 @dataclass(frozen=True, order=True)
 class HalfSpace:
@@ -227,10 +223,8 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
             if len(simplex) == d + 1:
                 break
     if len(simplex) <= d:
-        arank = len(simplex) - 1
-        raise GeometryError(
-            f"point set is not full-dimensional (affine rank {arank} < {d})",
-            affine_rank=arank)
+        raise GeometryError("point set is not full-dimensional "
+                            f"(affine rank {len(simplex) - 1} < {d})")
     inside = tuple(map(sum, zip(*simplex)))  # (d+1) times the centroid
     tight: dict[HalfSpace, set[Vector]] = {}
     for i in range(d + 1):

@@ -24,8 +24,6 @@ from . import invariants as inv
 from .exactmath import Vector, add, dot, scale, sub
 from .polytope import Polytope
 
-INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -46,11 +44,12 @@ class ReprCertificate:
 
     target: Vector
     parts: tuple[Vector, ...]
-    length: int
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
 
     def __post_init__(self):
-        if self.length != len(self.parts):
-            raise ValueError("certificate length disagrees with its parts")
         total = (0,) * len(self.target)
         for part in self.parts:
             total = add(total, part)
@@ -138,7 +137,7 @@ def shortest_representations(gs: GeneratorSet, targets):
                 node, g = parent[node]
                 parts.append(g)
             parts.sort()
-            results[t] = ReprCertificate(t, tuple(parts), len(parts))
+            results[t] = ReprCertificate(t, tuple(parts))
     return results
 
 
@@ -180,11 +179,10 @@ def _pareto_minimal(images):
 def sigma(gs: GeneratorSet, target: Vector):
     """Minimal number of generators summing to target, with a witness.
 
-    Returns a ReprCertificate, or the sentinel INFEASIBLE when the target is
-    outside the N-span (never an exception: infeasibility is an answer).
+    Returns a ReprCertificate, or None when the target is outside the N-span
+    (never an exception: infeasibility is an answer).
     """
-    cert = shortest_representations(gs, (target,))[target]
-    return cert if cert is not None else INFEASIBLE
+    return shortest_representations(gs, (target,))[target]
 
 
 def compute_m_P(p: Polytope, d_P: int) -> MPResult:
@@ -277,6 +275,6 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     v, x = max(((v, x) for v in vertices for x in xs), key=lengths.__getitem__)
     gs = searches.get(v) or generator_set(p, v)
     cert = sigma(gs, sub(x, scale(d_P, v)))
-    if cert == INFEASIBLE or cert.length != lengths[v, x]:
+    if cert is None or cert.length != lengths[v, x]:
         raise AssertionError(f"extremal certificate {cert} disagrees with sigma (bug)")
     return MPResult(True, cert.length, MPWitness(x, v, cert), None)

@@ -1,7 +1,6 @@
 import pytest
 
 from polynorm.catalog import (
-    FamilySpec,
     SplitMix64,
     bruns_gubeladze,
     build_family,
@@ -10,6 +9,7 @@ from polynorm.catalog import (
     higashitani,
     parse_family,
     random_polytope,
+    reeve_like,
     standard_simplex,
 )
 
@@ -112,15 +112,15 @@ class TestRandom:
 
 class TestFamilyGrammar:
     def test_parse(self):
-        assert parse_family("cube:3") == FamilySpec("cube", (3,))
-        assert parse_family("higashitani:3,2") == FamilySpec("higashitani", (3, 2))
-        assert parse_family("higashitani:+3, 2") == FamilySpec("higashitani", (3, 2))
-        assert parse_family("reeve") == FamilySpec("reeve", ())
-        assert parse_family("random:2,3,6,42") == FamilySpec("random", (2, 3, 6, 42))
+        assert parse_family("cube:3") == (cube, (3,))
+        assert parse_family("higashitani:3,2") == (higashitani, (3, 2))
+        assert parse_family("higashitani:+3, 2") == (higashitani, (3, 2))
+        assert parse_family("reeve") == (reeve_like, ())
+        assert parse_family("random:2,3,6,42") == (random_polytope, (2, 3, 6, 42))
 
     def test_labels(self):
         # a built family is named by its spec
-        assert build_family(parse_family("bruns:5")).name == "bruns:5"
+        assert build_family("bruns:5").name == "bruns:5"
         assert build_family("reeve").name == "reeve"
 
     def test_errors(self):

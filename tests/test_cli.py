@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from polynorm import cli, invariants
+from polynorm import bounds, cli, invariants
 from polynorm.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -518,6 +518,16 @@ class TestCheck:
         assert "stage 'volume'" in err
         assert "volume_dual_oracle" not in out
 
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_failed_report_self_check_is_a_stage_error(self, capsys, monkeypatch, command):
+        # the report rejects a certified bound below k_P; that is a failure
+        # of the bounds stage, one error line and no traceback
+        monkeypatch.setattr(bounds, "theorem_bound", lambda m_P, d_P, n: 0)
+        code, out, err = run(capsys, command, "bruns:4")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: stage 'bounds': certified bound theorem=0 < k_P (bug)\n"
+
     @pytest.mark.parametrize("spec", ["simplex:2", "simplex:3", "simplex:4", "cube:2", "reeve"])
     def test_d_P_le_deg_skipped_for_unimodular_simplex(self, capsys, spec):
         code, out, _ = run(capsys, "check", spec)
@@ -714,3 +724,22 @@ class TestGen:
         assert err.startswith(f"error: bad family parameters {spec!r}: ")
         assert err.count("\n") == 1
         assert run(capsys, "analyze", spec) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["analyze", "check", "holes"])
+    @pytest.mark.parametrize("spec", ["cube:x", "cube:3,4", "reeve:1", "cube"])
+    def test_bad_parameters_of_a_known_family_as_in_gen(self, capsys, command, spec):
+        code, out, err = run(capsys, "gen", spec)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: family {spec.split(':')[0]!r} ")
+        assert run(capsys, command, spec) == (code, out, err)
+
+    def test_files_before_family_errors(self, capsys, tmp_path, monkeypatch):
+        # an existing file is read although its name starts like a family
+        # spec, and an unknown family that names no file is a missing file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cube:x").write_text("0 0\n1 0\n0 1\n")
+        code, out, _ = run(capsys, "analyze", "cube:x", "--format", "csv")
+        assert code == EXIT_OK and out.splitlines()[1].startswith("cube:x,2,3,3,1,")
+        code, _, err = run(capsys, "analyze", "nope:1")
+        assert code == EXIT_INPUT
+        assert err == "error: no such file or family: nope:1\n"

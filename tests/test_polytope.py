@@ -35,7 +35,7 @@ class TestFromPoints:
     def test_not_full_dimensional(self):
         with pytest.raises(GeometryError) as err:
             from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert err.value.affine_rank == 2
+        assert "affine rank 2" in str(err.value)
 
     def test_empty_input(self):
         with pytest.raises(GeometryError):

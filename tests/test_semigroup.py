@@ -5,7 +5,6 @@ import pytest
 from polynorm import semigroup
 from polynorm.exactmath import add, scale, sub
 from polynorm.semigroup import (
-    INFEASIBLE,
     ReprCertificate,
     compute_m_P,
     generator_set,
@@ -51,7 +50,7 @@ class TestSigma:
     def test_parity_infeasible(self, poly):
         gs = generator_set(poly("reeve"), (0, 0, 0))
         assert set(gs.generators) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
-        assert sigma(gs, (1, 1, 1)) == INFEASIBLE
+        assert sigma(gs, (1, 1, 1)) is None
 
     def test_zero_target(self):
         gs = generator_set(SQUARE, (1, 1))
@@ -60,7 +59,7 @@ class TestSigma:
 
     def test_outside_cone_infeasible(self):
         gs = generator_set(SQUARE, (0, 0))
-        assert sigma(gs, (-1, 0)) == INFEASIBLE
+        assert sigma(gs, (-1, 0)) is None
 
     def test_search_stops_once_every_target_is_reached(self, poly, monkeypatch):
         sums = []
@@ -83,9 +82,7 @@ class TestSigma:
 class TestCertificates:
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
-            ReprCertificate((2, 2), ((1, 1),), 1)
-        with pytest.raises(ValueError):
-            ReprCertificate((1, 1), ((1, 1),), 2)
+            ReprCertificate((2, 2), ((1, 1),))
 
     def test_all_certificates_resum(self, poly):
         for spec in ("cube:3", "bruns:4", "higashitani:3,2"):
@@ -110,9 +107,9 @@ class TestMinimalityOracle:
                     cert = sigma(gs, target)
                     brute = brute_force_min_length(gs.generators, target, 4)
                     if brute is not None:
-                        assert cert != INFEASIBLE and cert.length == brute
+                        assert cert is not None and cert.length == brute
                     else:
-                        assert cert == INFEASIBLE or cert.length > 4
+                        assert cert is None or cert.length > 4
 
 
 class TestMP:

@@ -8,13 +8,13 @@ polytope is not very ample.
 """
 
 from polynorm import (
-    decompose_point,
     full_report,
     generator_set,
     higashitani,
     reeve_like,
     sigma,
 )
+from polynorm.exactmath import sub
 from polynorm.invariants import hole_count, iter_holes
 
 # -- holes of the higashitani family ------------------------------------------
@@ -30,9 +30,14 @@ print()
 
 # -- decomposing a deep dilate point -------------------------------------------
 
+# Above d_P = 2 every point of kP is a point of (k-1)P plus a lattice point
+# of P, so peeling the least such unit twice takes u in 4P down to 2P.
 p = higashitani(3, 2)
 u = (2, 3, 5)
-x, units = decompose_point(p, u, k=4, d_P=2)
+x, units = u, []
+for level in (4, 3):
+    w = min(w for w in p.lattice_points(1) if sub(x, w) in p.lattice_points(level - 1))
+    x, units = sub(x, w), units + [w]
 print(f"{u} in 4P splits as {x} (in 2P) + {' + '.join(map(str, units))}")
 print()
 

@@ -35,7 +35,6 @@ from .invariants import (
     compute_d_P,
     compute_k_P,
     compute_nu_P,
-    decompose_point,
     degree,
     volume_ehrhart,
     volume_triangulation,
@@ -61,7 +60,7 @@ __all__ = [
     "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
     "SmoothData", "compute_d_P", "compute_k_P", "compute_nu_P",
-    "decompose_point", "degree", "volume_ehrhart", "volume_triangulation",
+    "degree", "volume_ehrhart", "volume_triangulation",
     "GeometryError", "HalfSpace", "Polytope", "from_points",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",
     "sigma",

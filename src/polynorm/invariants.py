@@ -310,32 +310,6 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
     return last_failing + 1
 
 
-def decompose_point(p: Polytope, u: Vector, k: int, d_P: int):
-    """Split u in kP∩M as x + (k - d_P) lattice points of P with x in d_P·P∩M.
-
-    Greedy: at each level some unit always works because the level is at or
-    above d_P; ties are broken lexicographically so the result is
-    deterministic.
-    """
-    if k < d_P:
-        raise InvariantError(f"k={k} must be >= d_P={d_P}")
-    if not p.contains(u, k):
-        raise InvariantError(f"{u} is not a lattice point of {k}P")
-    units = []
-    current = u
-    pts = sorted(p.lattice_points(1))
-    for level in range(k, d_P, -1):
-        for w in pts:
-            remainder = sub(current, w)
-            if p.contains(remainder, level - 1):
-                units.append(w)
-                current = remainder
-                break
-        else:
-            raise AssertionError("no unit peels off although level >= d_P (bug)")
-    return current, tuple(units)
-
-
 def dilate_normality_profile(p: Polytope, d_P: int):
     """Normality of the dilates mP for m = 1..d_P, and the least threshold.
 

@@ -98,10 +98,6 @@ class Polytope:
     def is_vertex(self, point: Vector) -> bool:
         return point in self._vertex_set
 
-    def contains(self, point: Vector, k: int = 1) -> bool:
-        """Membership of an integer point in the k-th dilate."""
-        return all(f.slack(point, k) >= 0 for f in self.facets)
-
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
 

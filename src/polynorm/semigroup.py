@@ -7,7 +7,10 @@ reaches it; the BFS layer index of first arrival is the minimal number of
 generators needed.  Exhausting that set without arrival certifies
 infeasibility, because every partial sum of any representation stays inside
 it.  The search stops as soon as every target has been reached, so it
-exhausts that set only when some target is infeasible.
+exhausts that set only when some target is infeasible.  A node is in that
+set iff its image under the cone normals dominates a target's, which sorting
+decides as in Kung, Luccio and Preparata (1975): one bisection and one AND
+of prefix bitsets per normal, not a scan of every target.
 
 m_P reads most minimal lengths off the k-normality sumset tower of
 `invariants` instead: x - d_P·v is a sum of at most j generators exactly
@@ -18,7 +21,10 @@ first few levels leave open and for the certificate of the extremal pair.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, or_
 
 from . import invariants as inv
 from .exactmath import Vector, add, dot, scale, sub
@@ -102,7 +108,8 @@ def shortest_representations(gs: GeneratorSet, targets):
     this: if o <= td componentwise, then dy >= td implies dy >= o.  So the
     test runs against the minimal images alone and answers exactly as it
     would against all of them, which leaves the search and every
-    certificate unchanged.
+    certificate unchanged.  _dominance_test's prefix bitsets decide the
+    same predicate, so every parent entry stays the one a scan would give.
 
     The search stops once every target has a parent entry, and it does not
     run at all when the only target in the cone is 0.  That leaves every
@@ -112,21 +119,19 @@ def shortest_representations(gs: GeneratorSet, targets):
     infeasible target never gets an entry, so with one among the targets
     the search still exhausts the lower set, which certifies infeasibility.
     """
-    targets = tuple(dict.fromkeys(targets))
-    results = {t: None for t in targets}
-    live = [t for t in targets if gs.in_cone(t)]
+    results = dict.fromkeys(targets)
+    live = [t for t in results if gs.in_cone(t)]
     if not live:
         return results
     zero = (0,) * len(gs.vertex)
 
-    # y stays in the lower set iff target - y is still in the cone for some
-    # target, i.e. the normal image of y dominates some target's image.
     normals = gs.cone_normals
-    target_dots = _pareto_minimal(tuple(dot(n, t) for n in normals) for t in live)
+    dominates = _dominance_test(
+        _pareto_minimal(tuple(dot(n, t) for n in normals) for t in live))
 
     def in_lower_set(y):
-        dy = tuple(dot(n, y) for n in normals)
-        return any(all(a >= b for a, b in zip(dy, td)) for td in target_dots)
+        # dot(n, y), as y and n have dim entries; lazy, so a miss skips the rest
+        return dominates(sum(map(mul, n, y)) for n in normals)
 
     parent = _search(gs.generators, in_lower_set, set(live) - {zero}, zero)
     for t in live:
@@ -136,8 +141,7 @@ def shortest_representations(gs: GeneratorSet, targets):
             while parent[node] is not None:
                 node, g = parent[node]
                 parts.append(g)
-            parts.sort()
-            results[t] = ReprCertificate(t, tuple(parts))
+            results[t] = ReprCertificate(t, tuple(sorted(parts)))
     return results
 
 
@@ -161,6 +165,31 @@ def _search(generators, in_lower_set, pending, zero):
                         return parent
         frontier = next_frontier
     return parent
+
+
+def _dominance_test(images):
+    """The test "dy >= td componentwise for some td in the list images".
+
+    Per coordinate i the images are sorted by entry; masks[j] holds the first
+    j, and bisect_right passes every entry <= dy[i], ties included.  So the
+    AND over i holds the images dy dominates: nonzero iff any(all(a >= b)).
+    """
+    columns = []
+    for entries in zip(*images):
+        order = sorted(range(len(images)), key=entries.__getitem__)
+        columns.append(([entries[k] for k in order],
+                        list(accumulate((1 << k for k in order), or_, initial=0))))
+    everything = (1 << len(images)) - 1
+
+    def dominates(dy):
+        hit = everything
+        for a, (values, masks) in zip(dy, columns):
+            hit &= masks[bisect_right(values, a)]
+            if not hit:
+                return False
+        return hit != 0
+
+    return dominates
 
 
 def _pareto_minimal(images):

@@ -5,12 +5,14 @@ interior points: dilate normality is decided on P's own lattice points, and
 interior points are counted by reciprocity.  The oracles and fixtures that
 check those shortcuts build and list them here.  The pipeline counts holes
 and lists them lazily; k_normality gathers a level's flag and hole set.
+Membership in a dilate (contains) and the greedy split of a point of kP
+into a point of d_P·P plus units (decompose_point) serve the tests only.
 """
 
 from types import SimpleNamespace
 
-from polynorm.exactmath import scale
-from polynorm.invariants import hole_count, iter_holes
+from polynorm.exactmath import scale, sub
+from polynorm.invariants import InvariantError, hole_count, iter_holes
 from polynorm.polytope import HalfSpace, Polytope, from_points
 
 # The one-point polytope {()}.  polynorm builds no 0-dimensional polytope;
@@ -56,6 +58,37 @@ def interior_lattice_points(p: Polytope, k: int = 1) -> frozenset:
     """Lattice points strictly inside the k-th dilate."""
     return frozenset(x for x in p.lattice_points(k)
                      if all(f.slack(x, k) > 0 for f in p.facets))
+
+
+def contains(p: Polytope, point, k: int = 1) -> bool:
+    """Membership of an integer point in the k-th dilate."""
+    return all(f.slack(point, k) >= 0 for f in p.facets)
+
+
+def decompose_point(p: Polytope, u, k: int, d_P: int):
+    """Split u in kP∩M as x + (k - d_P) lattice points of P with x in d_P·P∩M.
+
+    Greedy: at each level some unit always works because the level is at or
+    above d_P; ties are broken lexicographically so the result is
+    deterministic.
+    """
+    if k < d_P:
+        raise InvariantError(f"k={k} must be >= d_P={d_P}")
+    if not contains(p, u, k):
+        raise InvariantError(f"{u} is not a lattice point of {k}P")
+    units = []
+    current = u
+    pts = sorted(p.lattice_points(1))
+    for level in range(k, d_P, -1):
+        for w in pts:
+            remainder = sub(current, w)
+            if contains(p, remainder, level - 1):
+                units.append(w)
+                current = remainder
+                break
+        else:
+            raise AssertionError("no unit peels off although level >= d_P (bug)")
+    return current, tuple(units)
 
 
 def k_normality(p: Polytope, k: int) -> tuple[bool, frozenset]:

@@ -15,7 +15,6 @@ from polynorm.invariants import (
     compute_d_P,
     compute_k_P,
     compute_nu_P,
-    decompose_point,
     degree,
     dilate_normality_profile,
     smooth_data,
@@ -25,7 +24,15 @@ from polynorm.invariants import (
 from polynorm.polytope import from_points
 
 from conftest import CATALOG_SPECS, VERY_AMPLE_SPECS
-from constructions import dilate, interior_lattice_points, join, k_normality, product
+from constructions import (
+    contains,
+    decompose_point,
+    dilate,
+    interior_lattice_points,
+    join,
+    k_normality,
+    product,
+)
 from exact_solve import solve_rational
 
 SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -137,8 +144,8 @@ class TestDecomposePoint:
             for w in units:
                 total = tuple(a + b for a, b in zip(total, w))
             assert total == u
-            assert p.contains(x, 2)
-            assert all(p.contains(w, 1) for w in units)
+            assert contains(p, x, 2)
+            assert all(contains(p, w, 1) for w in units)
 
     def test_outside_rejected(self):
         with pytest.raises(InvariantError):

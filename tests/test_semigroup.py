@@ -14,6 +14,7 @@ from polynorm.semigroup import (
 from polynorm.polytope import from_points
 
 from conftest import VERY_AMPLE_SPECS
+from constructions import contains
 
 SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -125,7 +126,7 @@ class TestMP:
         assert res.very_ample
         assert res.m_P == 3
         wit = res.witness
-        assert p.contains(wit.x, 2)
+        assert contains(p, wit.x, 2)
         assert p.is_vertex(wit.vertex)
         assert wit.certificate.length == 3
         total = scale(2, wit.vertex)

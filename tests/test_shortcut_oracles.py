@@ -9,6 +9,9 @@
 - shortest_representations tests BFS candidates against the Pareto-minimal
   target images only; the oracle tests them against every image, and the
   certificates must agree part for part.
+- The lower-set test ANDs per-normal prefix bitsets of the images sorted by
+  entry (semigroup._dominance_test); the oracle scans every image, on pruned
+  and unpruned image lists.
 - Polytope.lattice_points scans rows with an exact interval for the last
   coordinate; the oracle tests every point of the bounding box.
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
@@ -96,7 +99,7 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
-from constructions import dilate, k_normality, product
+from constructions import contains, dilate, k_normality, product
 from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
@@ -277,7 +280,7 @@ def test_point_outside_P_fails_the_cone_check():
         # lattice points of the bounding box outside P: the point cache
         # accepts them and the stages before the semigroup do not fail
         box = itertools.product(*(range(min(c), max(c) + 1) for c in zip(*base.vertices)))
-        outside = [x for x in box if not base.contains(x)]
+        outside = [x for x in box if not contains(base, x)]
         for x in outside[:2] + outside[-1:]:
             p = from_points(base.vertices, name=base.name)
             p._point_cache[1] = p.lattice_points(1) | {x}
@@ -344,6 +347,41 @@ def test_pareto_minimal_against_pairwise_filter():
             a for a in images
             if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in images)})
         assert semigroup._pareto_minimal(images) == pairwise
+
+
+def dominates_some_image(dy, images):
+    """The per-image dominance scan that semigroup._dominance_test replaces."""
+    return any(all(a >= b for a, b in zip(dy, td)) for td in images)
+
+
+def test_dominance_test_against_per_image_scan():
+    rng = SplitMix64(16)
+    answers = set()
+    for case in range(120):
+        width = 1 + rng.below(10)
+        spread = 1 + rng.below(6)
+        count = rng.below(601) if case % 8 == 0 else rng.below(40)
+        images = [tuple(rng.below(2 * spread + 1) - spread for _ in range(width))
+                  for _ in range(count)]
+        images += [images[rng.below(count)] for _ in range(count // 3)]  # repeats
+        queries = [tuple(rng.below(2 * spread + 5) - spread - 2 for _ in range(width))
+                   for _ in range(30)]
+        # ties at the bisect boundaries: images, and each one moved one step
+        # down or up in a single coordinate
+        picked = images[:10] + [images[rng.below(count)] for _ in range(10 if count else 0)]
+        for td in picked:
+            i = rng.below(width)
+            queries += [td, td[:i] + (td[i] - 1,) + td[i + 1:], td[:i] + (td[i] + 1,) + td[i + 1:]]
+        pruned = semigroup._pareto_minimal(images)
+        unpruned_test = semigroup._dominance_test(images)
+        pruned_test = semigroup._dominance_test(pruned)
+        for dy in queries:
+            expected = dominates_some_image(dy, images)
+            # the search hands the test its images lazily
+            assert unpruned_test(iter(dy)) == expected, (images, dy)
+            assert pruned_test(dy) == dominates_some_image(dy, pruned) == expected, (pruned, dy)
+            answers.add((bool(images), expected))
+    assert answers == {(False, False), (True, False), (True, True)}
 
 
 # -- lattice points: row scan against the bounding-box scan --------------------
@@ -638,7 +676,7 @@ def tower_length(p, x, v, d_P, cap):
         return 0
     for j in range(1, cap + 1):
         y = add(x, scale(j - d_P, v))
-        if p.contains(y, j) and y not in k_normality(p, j)[1]:
+        if contains(p, y, j) and y not in k_normality(p, j)[1]:
             return j
     return None
 

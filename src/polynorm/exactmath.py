@@ -7,6 +7,7 @@ here ever touches floating point.
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 
 Vector = tuple[int, ...]
@@ -23,11 +24,15 @@ def vec(coords) -> Vector:
 
 
 def add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(operator.add, u, v))
 
 
 def sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(operator.sub, u, v))
 
 
 def neg(v: Vector) -> Vector:
@@ -39,7 +44,9 @@ def scale(c: int, v: Vector) -> Vector:
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("vectors of different lengths")
+    return sum(map(operator.mul, u, v))
 
 
 def primitive(v: Vector) -> Vector:

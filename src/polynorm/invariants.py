@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from operator import mul
 
-from .exactmath import Vector, det_exact, rank, sub
+from .exactmath import Vector, det_exact, dot, rank, sub
 # unused here; perfbench's tracer test reads it as an aliased import
 from .polytope import Polytope, from_points
 
@@ -84,11 +83,11 @@ class _Packing:
     origin: int
 
     def pack(self, x: Vector, j: int) -> int:
-        return sum(map(mul, x, self.weights)) - j * self.origin
+        return dot(x, self.weights) - j * self.origin
 
     def top(self, j: int) -> int:
         """pack of the top corner of the box of jP, the largest value."""
-        return j * sum(map(mul, self.widths, self.weights))
+        return j * dot(self.widths, self.weights)
 
 
 def _packing(p: Polytope, capacity: int) -> _Packing:
@@ -99,7 +98,7 @@ def _packing(p: Polytope, capacity: int) -> _Packing:
     for i in reversed(range(p.dim)):
         weights[i] = place
         place *= capacity * widths[i] + 1
-    origin = sum(map(mul, map(min, columns), weights))
+    origin = dot(tuple(map(min, columns)), weights)
     return _Packing(widths, capacity, tuple(weights), origin)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul, or_
+from operator import or_
 
 from . import invariants as inv
 from .exactmath import Vector, add, dot, scale, sub
@@ -104,12 +104,7 @@ def shortest_representations(gs: GeneratorSet, targets):
     BFS layer reaching a target gives its minimal length.
 
     y lies in that union iff its image under the cone normals dominates some
-    target's image componentwise.  Only the Pareto-minimal images can decide
-    this: if o <= td componentwise, then dy >= td implies dy >= o.  So the
-    test runs against the minimal images alone and answers exactly as it
-    would against all of them, which leaves the search and every
-    certificate unchanged.  _dominance_test's prefix bitsets decide the
-    same predicate, so every parent entry stays the one a scan would give.
+    target's image componentwise, which _dominance_test decides.
 
     The search stops once every target has a parent entry, and it does not
     run at all when the only target in the cone is 0.  That leaves every
@@ -126,12 +121,11 @@ def shortest_representations(gs: GeneratorSet, targets):
     zero = (0,) * len(gs.vertex)
 
     normals = gs.cone_normals
-    dominates = _dominance_test(
-        _pareto_minimal(tuple(dot(n, t) for n in normals) for t in live))
+    dominates = _dominance_test([tuple(dot(n, t) for n in normals) for t in live])
 
     def in_lower_set(y):
-        # dot(n, y), as y and n have dim entries; lazy, so a miss skips the rest
-        return dominates(sum(map(mul, n, y)) for n in normals)
+        # lazy, so a miss skips the remaining normals
+        return dominates(dot(n, y) for n in normals)
 
     parent = _search(gs.generators, in_lower_set, set(live) - {zero}, zero)
     for t in live:
@@ -192,19 +186,6 @@ def _dominance_test(images):
     return dominates
 
 
-def _pareto_minimal(images):
-    """The componentwise-minimal members of a set of integer vectors.
-
-    In lexicographic order every vector comes after all vectors below it, so
-    one pass that keeps a vector unless a kept one lies below it finds them.
-    """
-    kept = []
-    for td in sorted(set(images)):
-        if not any(all(a <= b for a, b in zip(o, td)) for o in kept):
-            kept.append(td)
-    return kept
-
-
 def sigma(gs: GeneratorSet, target: Vector):
     """Minimal number of generators summing to target, with a witness.
 
@@ -247,7 +228,16 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     searches, and as the frontier is visited in sorted order, it gets the
     same parent entry and the certificate the same parts.
 
-    Generator sets are built only for those searches.  Their assertion that
+    The scan keeps (sigma, v, x) of the first pair seen at the largest
+    sigma, replaced only by a strictly larger one.  That is the first such
+    pair in vertex order and then sorted x, as all pairs of one sigma are
+    decided in one pass that visits them in that order: the tower reads its
+    levels upward, each in vertex order and sorted x, every BFS length
+    exceeds the last level read (asserted), and the searches run in the same
+    order.  The pairs x = d_P·v, of sigma 0, are skipped: P is
+    full-dimensional, so every vertex has a pair of sigma >= 1.
+
+    Generator sets are built only for the searches.  Their assertion that
     every generator u - v lies in the tangent cone at v is checked for all
     vertices at once, as f.slack(u) >= 0 for every facet f and every u in
     P∩M: for a facet f tight at v, n·(u - v) = -f.slack(u), so u - v is in
@@ -264,8 +254,9 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
                     f"lattice point {u} violates facet {f}: a generator escapes "
                     "the tangent cone (bug)")
     xs = sorted(p.lattice_points(d_P))
-    lengths = {(v, scale(d_P, v)): 0 for v in vertices}
-    open_xs = {v: [x for x in xs if (v, x) not in lengths] for v in vertices}
+    apexes = {v: scale(d_P, v) for v in vertices}
+    open_xs = {v: [x for x in xs if x != apexes[v]] for v in vertices}
+    best = 0, None, None
     for depth in range(1, d_P + 2):
         points = p.lattice_points(depth)
         in_sumset = inv.sumset_membership(p, depth)
@@ -275,7 +266,8 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
             for x in pending:
                 y = add(x, shift)
                 if y in points and in_sumset(y):
-                    lengths[v, x] = depth
+                    if depth > best[0]:
+                        best = depth, v, x
                 else:
                     still_open.append(x)
             open_xs[v] = still_open
@@ -288,7 +280,7 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
         if not pending:
             continue
         gs = searches[v] = generator_set(p, v)
-        shift = scale(d_P, v)
+        shift = apexes[v]
         certs = shortest_representations(gs, tuple(sub(x, shift) for x in pending))
         for x in pending:
             cert = certs[sub(x, shift)]
@@ -297,13 +289,14 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
             if cert.length <= depth:
                 raise AssertionError(
                     f"sigma={cert.length} of an open pair is within the tower (bug)")
-            lengths[v, x] = cert.length
+            if cert.length > best[0]:
+                best = cert.length, v, x
 
-    if not lengths:
-        raise AssertionError("m_P scan found no (x, vertex) pair (bug)")
-    v, x = max(((v, x) for v in vertices for x in xs), key=lengths.__getitem__)
+    length, v, x = best
+    if v is None:
+        raise AssertionError("m_P scan decided no (x, vertex) pair (bug)")
     gs = searches.get(v) or generator_set(p, v)
-    cert = sigma(gs, sub(x, scale(d_P, v)))
-    if cert is None or cert.length != lengths[v, x]:
+    cert = sigma(gs, sub(x, apexes[v]))
+    if cert is None or cert.length != length:
         raise AssertionError(f"extremal certificate {cert} disagrees with sigma (bug)")
     return MPResult(True, cert.length, MPWitness(x, v, cert), None)

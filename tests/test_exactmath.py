@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from polynorm.exactmath import det_exact, primitive, rank, vec
+from polynorm.exactmath import add, det_exact, dot, primitive, rank, sub, vec
 
 from exact_solve import NO_SOLUTION, UNDERDETERMINED, rank_by_elimination, solve_rational
 
@@ -22,6 +22,14 @@ def cofactor_det(m):
         minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+class TestVectorOps:
+    @pytest.mark.parametrize("op", [add, sub, dot])
+    def test_length_mismatch_rejected(self, op):
+        for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2))):
+            with pytest.raises(ValueError):
+                op(u, v)
 
 
 class TestPrimitive:

@@ -6,12 +6,9 @@
   own lattice points, at level m of a packing of P's box; the oracle
   builds mP as a polytope of its own from the scaled vertices and facet
   offsets (constructions.dilate) and takes compute_d_P of it.
-- shortest_representations tests BFS candidates against the Pareto-minimal
-  target images only; the oracle tests them against every image, and the
-  certificates must agree part for part.
 - The lower-set test ANDs per-normal prefix bitsets of the images sorted by
-  entry (semigroup._dominance_test); the oracle scans every image, on pruned
-  and unpruned image lists.
+  entry (semigroup._dominance_test); the oracle scans every image, with the
+  node's image given lazily and eagerly.
 - Polytope.lattice_points scans rows with an exact interval for the last
   coordinate; the oracle tests every point of the bounding box.
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
@@ -27,8 +24,10 @@
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
 - compute_m_P reads sigma off that tower and searches only the pairs it
-  leaves open, plus the extremal pair alone; the oracle runs one search over
-  every target at every vertex, and the results must agree part for part.
+  leaves open, plus the extremal pair alone, which it keeps during the scan;
+  the oracle runs one search over every target at every vertex and takes
+  the first pair of the largest sigma, and the results must agree part for
+  part.
 - smooth_data reads smoothness, gamma and m_prime off the facets tight at
   each vertex; the oracle builds each vertex's edge fan and solves for the
   edge coefficients of every difference u - v.
@@ -191,18 +190,12 @@ def test_dilate_profile_matches_fresh_dilates(poly, report):
     assert not all(flags)
 
 
-def test_pruned_targets_give_identical_certificates(poly, monkeypatch):
-    cases = [(p, compute_d_P(p)) for p in oracle_cases(poly)]
-    pruned = [all_certificates(p, d_P) for p, d_P in cases]
-    monkeypatch.setattr(semigroup, "_pareto_minimal", list)
-    for (p, d_P), got in zip(cases, pruned):
-        assert got == all_certificates(p, d_P), p.name
-
-
 def m_P_per_vertex(p, d_P):
     """compute_m_P without the tower: one search over every target at each
-    vertex, failing at the first infeasible pair in vertex and sorted-x order."""
+    vertex, failing at the first infeasible pair in vertex and sorted-x order.
+    Also returns the largest sigma at each vertex searched."""
     best = None
+    largest = {}
     for v in p.vertices:
         gs = generator_set(p, v)
         shift = scale(d_P, v)
@@ -211,10 +204,11 @@ def m_P_per_vertex(p, d_P):
         for x in xs:
             cert = certs[sub(x, shift)]
             if cert is None:
-                return MPResult(False, None, None, (x, v))
+                return MPResult(False, None, None, (x, v)), largest
+            largest[v] = max(largest.get(v, 0), cert.length)
             if best is None or cert.length > best.certificate.length:
                 best = MPWitness(x, v, cert)
-    return MPResult(True, best.certificate.length, best, None)
+    return MPResult(True, best.certificate.length, best, None), largest
 
 
 def test_m_P_matches_per_vertex_search(poly, monkeypatch):
@@ -227,20 +221,30 @@ def test_m_P_matches_per_vertex_search(poly, monkeypatch):
         return shortest_representations(gs, targets)
 
     monkeypatch.setattr(semigroup, "shortest_representations", counting)
-    left_open, very_ample = [], []
+    left_open, very_ample, by_tower, tied = [], [], [], []
     for p in cases:
         d_P = compute_d_P(p)
         searched[0] = 0
         got = compute_m_P(p, d_P)
-        assert got == m_P_per_vertex(p, d_P), p.name
+        expected, largest = m_P_per_vertex(p, d_P)
+        assert got == expected, p.name
         # a very ample polytope adds one single-target search for its
         # extremal certificate
         left_open.append(searched[0] - got.very_ample)
         very_ample.append(got.very_ample)
+        if got.very_ample:
+            # BFS lengths exceed every tower level read, the last one d_P + 1
+            by_tower.append(got.m_P <= d_P + 1)
+            tied.append(list(largest.values()).count(got.m_P) >= 2)
     # both paths occur: pairs left to the BFS, and the tower alone
     assert any(n > 0 for n in left_open)
     assert any(n == 0 for n in left_open)
     assert not all(very_ample)
+    # the extremal pair is decided by the tower and by the BFS, and the
+    # largest sigma is reached at several vertices, so the scan order that
+    # picks the first extremal pair is exercised
+    assert any(by_tower) and not all(by_tower)
+    assert any(tied)
 
 
 def test_generator_sets_only_where_searched(poly, monkeypatch):
@@ -337,18 +341,6 @@ def test_early_stop_gives_identical_certificates(poly, monkeypatch):
                for got in single for cert in got.values())
 
 
-def test_pareto_minimal_against_pairwise_filter():
-    rng = SplitMix64(7)
-    for _ in range(200):
-        width = 1 + rng.below(4)
-        images = [tuple(rng.below(5) - 2 for _ in range(width))
-                  for _ in range(rng.below(30))]
-        pairwise = sorted({
-            a for a in images
-            if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in images)})
-        assert semigroup._pareto_minimal(images) == pairwise
-
-
 def dominates_some_image(dy, images):
     """The per-image dominance scan that semigroup._dominance_test replaces."""
     return any(all(a >= b for a, b in zip(dy, td)) for td in images)
@@ -372,14 +364,12 @@ def test_dominance_test_against_per_image_scan():
         for td in picked:
             i = rng.below(width)
             queries += [td, td[:i] + (td[i] - 1,) + td[i + 1:], td[:i] + (td[i] + 1,) + td[i + 1:]]
-        pruned = semigroup._pareto_minimal(images)
-        unpruned_test = semigroup._dominance_test(images)
-        pruned_test = semigroup._dominance_test(pruned)
+        dominates = semigroup._dominance_test(images)
         for dy in queries:
             expected = dominates_some_image(dy, images)
             # the search hands the test its images lazily
-            assert unpruned_test(iter(dy)) == expected, (images, dy)
-            assert pruned_test(dy) == dominates_some_image(dy, pruned) == expected, (pruned, dy)
+            assert dominates(iter(dy)) == expected, (images, dy)
+            assert dominates(dy) == expected, (images, dy)
             answers.add((bool(images), expected))
     assert answers == {(False, False), (True, False), (True, True)}
 

@@ -9,7 +9,7 @@ violating k_P <= Vol - |P∩M| + dim + 1.
 
 from polynorm.bounds import full_report
 from polynorm.catalog import SplitMix64, random_polytope
-from polynorm.invariants import dilate_normality_profile
+from polynorm.invariants import dilate_is_normal
 
 rng = SplitMix64(2024)
 
@@ -31,8 +31,10 @@ for _ in range(30):
         print(f"  !! smooth sample with k_P={r.k_P}: {p.name}")
     if r.eg_holds is False:
         print(f"  !! inequality k_P <= Vol - points + dim + 1 fails: {p.name}")
-    threshold, _ = dilate_normality_profile(p, r.d_P)
-    assert threshold == r.d_P, p.name
+    # d_P <= dim - 1 = 2, so the threshold is d_P exactly when d_P·P is
+    # normal and, for d_P = 2, P is not
+    assert dilate_is_normal(p, r.d_P), p.name
+    assert r.d_P == 1 or not dilate_is_normal(p, 1), p.name
 print(f"  {stats['normal']} normal, {stats['non_normal']} non-normal, "
       f"{stats['smooth']} smooth; every dilate threshold equals d_P")
 print("no flags raised" if stats["non_normal"] >= 0 else "")

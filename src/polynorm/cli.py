@@ -359,7 +359,8 @@ def run_check_suite(p: Polytope, max_k: int | None = None):
             skip("mumford_bound_dominates", "certified only for smooth polytopes")
 
     if report.dim <= 3:
-        threshold, flags = inv.dilate_normality_profile(p, report.d_P)
+        flags = {m: inv.dilate_is_normal(p, m) for m in range(1, report.d_P + 1)}
+        threshold = max((m for m, normal in flags.items() if not normal), default=0) + 1
         check("dilates_normal_from_dP", flags[report.d_P] and threshold == report.d_P,
               f"threshold={threshold} d_P={report.d_P} flags={flags}")
     else:
@@ -385,8 +386,11 @@ def explore_flags(p: Polytope, report) -> tuple[str, ...]:
         flags.append("eg_violation")
     if report.smooth and report.k_P is not None and report.k_P > 1:
         flags.append("oda_gap")
-    threshold, _ = inv.dilate_normality_profile(p, report.d_P)
-    if threshold != report.d_P:
+    # The least n with mP normal for all m >= n differs from d_P exactly
+    # when (d_P - 1)P is normal: d_P·P and every larger dilate are normal
+    # (peel units, (k+1)P∩M = P∩M + kP∩M for k >= d_P, then group them in
+    # blocks of m), and P itself is not normal when d_P > 1.
+    if report.d_P >= 3 and inv.dilate_is_normal(p, report.d_P - 1):
         flags.append("d_P_minimality_gap")
     return tuple(flags)
 

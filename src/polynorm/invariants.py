@@ -192,14 +192,17 @@ def iter_holes(p: Polytope, k: int):
     """The holes of kP in lexicographic order, decoded lazily.
 
     The rows of kP come in lexicographic order, and a row is a run of
-    consecutive packed values, so it is a slice of the mask's bits, least
-    significant first; its zeros are holes.
+    consecutive packed values, so it is a slice of the mask's bits, read
+    from the few bytes of the mask that hold it, least significant first;
+    its zeros are holes.
     """
     packing, mask = _level(p, k)
-    bits = format(mask, "b")[::-1].ljust(packing.top(k) + 1, "0")
+    buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
     for prefix, lo, hi in p.lattice_rows(k):
         start = packing.pack(prefix + (lo,), k)
-        row = bits[start:start + hi - lo + 1]
+        n = hi - lo + 1
+        bits = int.from_bytes(buf[start >> 3:((start + n - 1) >> 3) + 1], "little")
+        row = format((bits >> (start & 7)) & ((1 << n) - 1), f"0{n}b")[::-1]
         i = row.find("0")
         while i >= 0:
             yield prefix + (lo + i,)
@@ -309,21 +312,14 @@ def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> in
     return last_failing + 1
 
 
-def dilate_normality_profile(p: Polytope, d_P: int):
-    """Normality of the dilates mP for m = 1..d_P, and the least threshold.
+def dilate_is_normal(p: Polytope, m: int) -> bool:
+    """Whether the dilate mP is normal.
 
     mP is normal exactly when its own decomposition threshold is 1, that is
     when mP∩M + kmP∩M = (k+1)mP∩M for k = 1..dim-2, which is decided on P's
-    own lattice points.  Beyond d_P every dilate is normal, so the least n
-    with "mP normal for all m >= n" is one past the last m <= d_P whose
-    dilate is not normal.  Returns (threshold, {m: is_normal}).
+    own lattice points.
     """
-    flags = {m: not _last_failing(p, p.lattice_points(m), m, p.dim - 2)
-             for m in range(1, d_P + 1)}
-    if not flags[d_P]:
-        raise AssertionError(f"{d_P}P is not normal although m >= d_P (bug)")
-    threshold = max((m for m, normal in flags.items() if not normal), default=0) + 1
-    return threshold, flags
+    return not _last_failing(p, p.lattice_points(m), m, p.dim - 2)
 
 
 def degree(p: Polytope) -> int:

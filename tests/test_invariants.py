@@ -16,7 +16,7 @@ from polynorm.invariants import (
     compute_k_P,
     compute_nu_P,
     degree,
-    dilate_normality_profile,
+    dilate_is_normal,
     smooth_data,
     volume_ehrhart,
     volume_triangulation,
@@ -290,9 +290,9 @@ class TestDilates:
     def test_threshold_equals_d_P_dim_le_3(self, poly, report):
         for spec in ("cube:2", "cube:3", "bruns:4", "bruns:5",
                      "higashitani:3,2", "reeve", "simplex:3"):
-            threshold, flags = dilate_normality_profile(poly(spec), report(spec).d_P)
-            assert threshold == report(spec).d_P
-            assert flags[report(spec).d_P]
+            p, d_P = poly(spec), report(spec).d_P
+            assert dilate_is_normal(p, d_P)
+            assert d_P == 1 or not dilate_is_normal(p, d_P - 1)
 
 
 class TestProductJoinInvariants:

@@ -2,10 +2,12 @@
 
 - compute_nu_P scans k = 1..dim-1 (Carathéodory); the oracle scans the
   original k = 1..n-2 range, n the number of vertices.
-- dilate_normality_profile decides the normality of each dilate mP on P's
-  own lattice points, at level m of a packing of P's box; the oracle
-  builds mP as a polytope of its own from the scaled vertices and facet
-  offsets (constructions.dilate) and takes compute_d_P of it.
+- dilate_is_normal decides the normality of a dilate mP on P's own
+  lattice points, at level m of a packing of P's box; the oracle builds mP
+  as a polytope of its own from the scaled vertices and facet offsets
+  (constructions.dilate) and takes compute_d_P of it.  explore_flags
+  decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
+  threshold from every m = 1..d_P.
 - The lower-set test ANDs per-normal prefix bitsets of the images sorted by
   entry (semigroup._dominance_test); the oracle scans every image, with the
   node's image given lazily and eagerly.
@@ -61,7 +63,7 @@ from polynorm.catalog import (
     random_polytope,
     standard_simplex,
 )
-from polynorm.cli import main, run_check_suite
+from polynorm.cli import explore_flags, main, run_check_suite
 from polynorm.exactmath import (
     Vector,
     add,
@@ -157,8 +159,8 @@ def test_nu_P_matches_full_scan(poly):
 
 
 def profile_of_fresh_dilates(p, d_P):
-    """dilate_normality_profile from compute_d_P of each dilate mP, built
-    as a polytope of its own."""
+    """The normality of each dilate mP, m = 1..d_P, from compute_d_P of mP
+    built as a polytope of its own, and the least threshold from it."""
     flags = {m: compute_d_P(dilate(p, m)) == 1 for m in range(1, d_P + 1)}
     threshold = d_P
     for m in range(d_P - 1, 0, -1):
@@ -168,7 +170,7 @@ def profile_of_fresh_dilates(p, d_P):
     return threshold, flags
 
 
-def test_dilate_profile_matches_fresh_dilates(poly, report):
+def test_dilate_test_and_gap_flag_match_fresh_dilates(poly, report):
     cases = [(poly(s), report(s).d_P) for s in CATALOG_SPECS + ("higashitani:4,2",)]
     rng = SplitMix64(1)
     wide = [random_polytope(3, 4, 8, rng.next_u64()) for _ in range(8)]
@@ -182,9 +184,12 @@ def test_dilate_profile_matches_fresh_dilates(poly, report):
     cases += [(p, compute_d_P(p)) for p in wide + deep + moved]
     flags = []
     for p, d_P in cases:
-        got = invariants.dilate_normality_profile(p, d_P)
-        assert got == profile_of_fresh_dilates(p, d_P), p.name
-        flags += got[1].values()
+        threshold, fresh = profile_of_fresh_dilates(p, d_P)
+        got = {m: invariants.dilate_is_normal(p, m) for m in range(1, d_P + 1)}
+        assert got == fresh, p.name
+        flags += got.values()
+        flagged = "d_P_minimality_gap" in explore_flags(p, full_report(p))
+        assert flagged == (threshold != d_P), p.name
     # the comparison must reach level m = 3 and dilates that are not normal
     assert any(d_P == 3 for _, d_P in cases)
     assert not all(flags)

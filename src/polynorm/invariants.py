@@ -6,7 +6,10 @@ S_j = S_(j-1) + P∩M is one int bitmask: a lattice point x of jP is packed
 into a bit position by a mixed-radix map that is linear across levels, so
 S_j is the OR of the shifts of S_(j-1) by the packed points of P∩M and |S_j|
 is its bit count.  jP has no holes exactly when that count is |jP∩M|, which
-is read off the Ehrhart polynomial at every level j alike; hole
+is read off the Ehrhart polynomial at every level j alike; the polynomial
+comes from the levels up to ceil(dim/2), listed, and by Ehrhart-Macdonald
+reciprocity from the interior points of the levels up to floor(dim/2),
+counted by rows, so no level above ceil(dim/2) is listed for a count.  Hole
 points are decoded only when asked for.  The same shifted union decides the
 decomposition thresholds d_P and nu_P, which come out of the finite
 failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
@@ -168,23 +171,38 @@ def _ehrhart(p: Polytope) -> tuple[int, ...]:
     """Forward differences Δ^i L(0), i = 0..dim, of L(k) = |kP∩M|, memoized.
 
     By Ehrhart's theorem L is a polynomial of degree dim in k with L(0) = 1,
-    so it is the interpolant of its values at k = 0..dim, which Newton's
-    forward-difference form writes in integers: L(k) = Σ Δ^i L(0)·C(k, i).
+    and by Ehrhart-Macdonald reciprocity L(-k) = (-1)^dim·|int(kP)∩M|.  With
+    h = floor(dim/2), the dim+1 nodes k = -h..ceil(dim/2) fix L: the levels
+    1..ceil(dim/2) are listed, and the interior counts of levels 1..h are
+    sums of row lengths of the scan of int(kP), with no tuple built.  The
+    forward differences at the node -h are integers, and since E^h = (1+Δ)^h
+    the base moves to 0 by Δ^i L(0) = Σ_j C(h, j)·Δ^(i+j) L(-h), where
+    Δ^(i+j) vanishes above dim.  Newton's form then writes
+    L(k) = Σ Δ^i L(0)·C(k, i) in integers.
     """
     deltas = p._ehrhart
     if deltas is None:
-        row = [1] + [len(p.lattice_points(k)) for k in range(1, p.dim + 1)]
-        deltas = []
+        d = p.dim
+        h = d // 2
+        interior = [sum(hi - lo + 1 for _, lo, hi in
+                        p._rows(k, [k * f.offset - 1 for f in p.facets]))
+                    for k in range(h, 0, -1)]
+        row = ([(-1) ** d * count for count in interior] + [1]
+               + [len(p.lattice_points(k)) for k in range(1, d - h + 1)])
+        shifted = []
         while row:
-            deltas.append(row[0])
+            shifted.append(row[0])
             row = [b - a for a, b in zip(row, row[1:])]
-        deltas = p._ehrhart = tuple(deltas)
+        deltas = p._ehrhart = tuple(
+            sum(comb(h, j) * shifted[i + j] for j in range(min(h, d - i) + 1))
+            for i in range(d + 1))
     return deltas
 
 
 def _point_count(p: Polytope, k: int) -> int:
     """|kP∩M|, evaluated from the forward differences of `_ehrhart`: the
-    levels 1..dim are listed once, and no level above dim ever is."""
+    levels 1..ceil(dim/2) are listed once, and no level above ever is for a
+    count."""
     return sum(delta * comb(k, i) for i, delta in enumerate(_ehrhart(p)))
 
 
@@ -196,6 +214,8 @@ def iter_holes(p: Polytope, k: int):
     from the few bytes of the mask that hold it, least significant first;
     its zeros are holes.
     """
+    if k < 1:
+        raise ValueError("dilation factor must be >= 1")
     packing, mask = _level(p, k)
     buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
     for prefix, lo, hi in p.lattice_rows(k):
@@ -343,10 +363,11 @@ def degree(p: Polytope) -> int:
 def volume_ehrhart(p: Polytope) -> int:
     """Normalized volume dim!·vol(P) via exact interpolation of |kP∩M|.
 
-    The counts for k = 0..dim determine the degree-dim Ehrhart polynomial,
-    whose leading coefficient is vol(P); in the forward-difference form of
-    `_ehrhart` that coefficient is Δ^dim L(0) / dim!, so the normalized
-    volume is the last difference.
+    The counts |kP∩M| for k = 0..ceil(dim/2) and, by reciprocity, the
+    interior counts for k = 1..floor(dim/2) determine the degree-dim Ehrhart
+    polynomial, whose leading coefficient is vol(P); in the
+    forward-difference form of `_ehrhart` that coefficient is
+    Δ^dim L(0) / dim!, so the normalized volume is the last difference.
     """
     vol = _ehrhart(p)[-1]
     if vol <= 0:

@@ -8,7 +8,6 @@ all predicates are decided in exact integer or rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -125,31 +124,66 @@ class Polytope:
 
     def lattice_rows(self, k: int = 1):
         """The lattice points of kP as rows (prefix, lo, hi): the points
-        prefix + (z,) for lo <= z <= hi, in lexicographic order.
+        prefix + (z,) for lo <= z <= hi, in lexicographic order, where the
+        prefix is the first dim-1 coordinates and no row is empty.
 
-        The prefix, the first dim-1 coordinates, runs over the bounding box
-        of kP in lexicographic order.  For each prefix every facet
-        a·x <= k·c bounds the last coordinate z by a_z·z <= r, with r = k·c
-        minus the prefix part of a·x: z <= r // a_z when a_z > 0 and
-        z >= ceil(r/a_z) = -(r // -a_z) when a_z < 0, in exact integer
-        division.  A facet with a_z = 0 either holds on the whole row
-        (r >= 0) or empties it.  Empty rows are skipped.
+        The scan recurses over the coordinates x_0, x_1, ... and carries each
+        facet's residual r_f = k·c_f - a_f·prefix, so fixing a coordinate
+        subtracts one column of the normals.  Let floor_f(i+1) =
+        Σ_{j>i} min(a_{f,j}·k·lo_j, a_{f,j}·k·hi_j) be the least value of the
+        rest of a_f·x over the bounding box of kP.  At depth i, x_i runs over
+        the box range cut by every facet: r_f - a_{f,i}·x_i >= floor_f(i+1),
+        that is x_i <= (r_f - floor) // a when a = a_{f,i} > 0 and
+        x_i >= -((r_f - floor) // -a) when a < 0, in exact integer division;
+        a facet with a = 0 either admits every x_i (r_f >= floor) or none.
+        A value outside that range violates facet f for every completion
+        inside the box, so no point is lost, and since the values inside it
+        are visited in increasing order the rows come out in lexicographic
+        order, each non-empty row exactly once.  At the last coordinate
+        floor_f = 0, so its range is exactly the row.
         """
-        axes = [range(k * min(c), k * max(c) + 1)
-                for c in itertools.islice(zip(*self.vertices), self.dim - 1)]
-        upper = [(f.normal[:-1], f.normal[-1], k * f.offset)
-                 for f in self.facets if f.normal[-1] > 0]
-        lower = [(f.normal[:-1], -f.normal[-1], k * f.offset)
-                 for f in self.facets if f.normal[-1] < 0]
-        flat = [(f.normal[:-1], k * f.offset) for f in self.facets if f.normal[-1] == 0]
-        # a bounded polytope has facets with a_z > 0 and with a_z < 0
-        for prefix in itertools.product(*axes):
-            if any(dot(head, prefix) > c for head, c in flat):
-                continue
-            hi = min((c - dot(head, prefix)) // a for head, a, c in upper)
-            lo = -min((c - dot(head, prefix)) // b for head, b, c in lower)
-            if lo <= hi:
-                yield prefix, lo, hi
+        if k < 1:
+            raise ValueError("dilation factor must be >= 1")
+        return self._rows(k, [k * f.offset for f in self.facets])
+
+    def _rows(self, k: int, rhs: list[int]):
+        """The non-empty rows of {x : a_f·x <= rhs[f] for every facet f}
+        inside the bounding box of kP, scanned as in `lattice_rows`.
+
+        With rhs[f] = k·c_f that set is kP.  With k·c_f - 1 it is int(kP),
+        exactly: normals and offsets are integers, so a lattice point has
+        a_f·x < k·c_f exactly when a_f·x <= k·c_f - 1.
+        """
+        d = self.dim
+        normals = [f.normal for f in self.facets]
+        box = [(k * min(c), k * max(c)) for c in zip(*self.vertices)]
+        floor = [0] * len(normals)
+        cuts = [None] * d  # per depth: (above, below, flat, column, box range)
+        for i in reversed(range(d)):
+            lo, hi = box[i]
+            column = [a[i] for a in normals]
+            cuts[i] = ([(f, a, floor[f]) for f, a in enumerate(column) if a > 0],
+                       [(f, -a, floor[f]) for f, a in enumerate(column) if a < 0],
+                       [(f, floor[f]) for f, a in enumerate(column) if a == 0],
+                       column, lo, hi)
+            floor = [fl + min(a * lo, a * hi) for fl, a in zip(floor, column)]
+
+        def scan(i, prefix, residual):
+            above, below, flat, column, lo, hi = cuts[i]
+            if any(residual[f] < fl for f, fl in flat):
+                return
+            hi = min([hi] + [(residual[f] - fl) // a for f, a, fl in above])
+            lo = -min([-lo] + [(residual[f] - fl) // b for f, b, fl in below])
+            if i == d - 1:
+                if lo <= hi:
+                    yield prefix, lo, hi
+                return
+            residual = [r - a * (lo - 1) for r, a in zip(residual, column)]
+            for x in range(lo, hi + 1):
+                residual = [r - a for r, a in zip(residual, column)]
+                yield from scan(i + 1, prefix + (x,), residual)
+
+        return scan(0, (), list(rhs))
 
 
 # -- hull construction ---------------------------------------------------------

@@ -11,17 +11,23 @@
 - The lower-set test ANDs per-normal prefix bitsets of the images sorted by
   entry (semigroup._dominance_test); the oracle scans every image, with the
   node's image given lazily and eagerly.
-- Polytope.lattice_points scans rows with an exact interval for the last
-  coordinate; the oracle tests every point of the bounding box.
+- Polytope.lattice_rows recurses over the coordinates, carrying each
+  facet's residual and cutting each coordinate's range by the least value
+  of the rest over the box; the oracle tests every point of the bounding
+  box.  The same scan with right-hand sides k·c - 1 counts the interior
+  points of kP; the oracle filters the points of kP by strict slack.
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
   Holes are decoded by a row scan of the mask; the oracle filters the
   enumerated points of kP by a bit test.
 - `holes` writes each level as iter_holes decodes it; the oracle renders
   the listing from the tuple hole sets, sorted level by level.
-- Point counts above dim come from the Ehrhart polynomial in forward-
-  difference form; the oracle enumerates the points, and for the volume
-  solves the Vandermonde system of the counts.
+- Point counts above ceil(dim/2) come from the Ehrhart polynomial in
+  forward-difference form, fixed by the levels up to ceil(dim/2) and, by
+  reciprocity, the interior counts up to floor(dim/2); the oracles
+  enumerate the points, interpolate from the listed levels 0..dim
+  (ehrhart_by_listing), and for the volume solve the Vandermonde system of
+  the counts.
 - The BFS of shortest_representations stops once every target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
@@ -100,7 +106,7 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
-from constructions import contains, dilate, k_normality, product
+from constructions import contains, dilate, interior_lattice_points, k_normality, product
 from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
@@ -393,14 +399,53 @@ def translated(p, shift):
     return from_points([sub(v, shift) for v in p.vertices], name=p.name)
 
 
-def test_row_scan_matches_box_scan(poly):
+SEGMENT = ((0,), (1,))
+# conv(0, e1, e2, (7, 3, 8)): most of its box lies outside it, so the
+# residual cuts prune prefixes at every depth
+SKEWED = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 3, 8))
+
+
+def row_scan_cases(poly):
+    """The catalog, the random shapes and those shapes moved so that every
+    coordinate range crosses zero."""
     cases = [poly(s) for s in CATALOG_SPECS] + list(random_cases())
-    # the same shapes moved so that every coordinate range crosses zero
     cases += [translated(p, (2,) * p.dim) for p in random_cases()]
     assert any(min(min(v) for v in p.vertices) < 0 for p in cases)
+    return cases
+
+
+def test_row_scan_matches_box_scan(poly):
+    cases = [(p, 4) for p in row_scan_cases(poly)]
+    cases += [(from_points(SEGMENT), 4), (poly("cube:5"), 3), (from_points(SKEWED), 4)]
+    for p, levels in cases:
+        for k in range(1, levels + 1):
+            rows = list(p.lattice_rows(k))
+            assert all(lo <= hi for _, lo, hi in rows), (p.name, k)
+            # no prefix twice and every point once, in lexicographic order
+            points = [prefix + (z,) for prefix, lo, hi in rows for z in range(lo, hi + 1)]
+            assert points == sorted(lattice_points_box_scan(p, k)), (p.name, k)
+            assert p.lattice_points(k) == frozenset(points)
+
+
+def test_interior_row_scan_matches_filtered_points(poly):
+    cases = row_scan_cases(poly) + [from_points(SEGMENT), poly("cube:5"), from_points(SKEWED)]
+    nonzero = 0
     for p in cases:
-        for k in range(1, 5):
-            assert p.lattice_points(k) == lattice_points_box_scan(p, k), (p.name, k)
+        for k in range(1, 4):
+            rows = p._rows(k, [k * f.offset - 1 for f in p.facets])
+            count = sum(hi - lo + 1 for _, lo, hi in rows)
+            assert count == len(interior_lattice_points(p, k)), (p.name, k)
+            nonzero += count > 0
+    # the comparison must reach dilates with and without interior points
+    assert 0 < nonzero < 3 * len(cases)
+
+
+def test_dilation_factor_below_one_is_rejected(poly):
+    p = poly("bruns:4")
+    for k in (0, -1, -2):
+        for call in (p.lattice_points, p.lattice_rows, lambda k: list(iter_holes(p, k))):
+            with pytest.raises(ValueError, match="dilation factor must be >= 1"):
+                call(k)
 
 
 # -- k-normality: packed tower against tuple sumsets ----------------------------
@@ -573,6 +618,24 @@ def volume_by_vandermonde(p):
     return coeffs[-1] * factorial(d)
 
 
+def ehrhart_by_listing(p):
+    """Forward differences Δ^i L(0) of L(k) = |kP∩M| from the counts of the
+    listed levels k = 0..dim."""
+    row = [1] + [len(p.lattice_points(k)) for k in range(1, p.dim + 1)]
+    deltas = []
+    while row:
+        deltas.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(deltas)
+
+
+def test_ehrhart_from_half_the_levels_matches_listing(poly):
+    cases = row_scan_cases(poly) + [poly("cube:5"), from_points(SEGMENT)]
+    for p in cases:
+        # a fresh polytope, so nothing listed by the oracle is reused
+        assert invariants._ehrhart(from_points(p.vertices)) == ehrhart_by_listing(p), p.name
+
+
 def test_ehrhart_counts_match_enumeration(poly):
     cases = [poly(s) for s in CATALOG_SPECS]
     cases += [random_polytope(d, 5 - d, d + 5, seed) for d in (2, 3, 4) for seed in range(6)]
@@ -586,10 +649,10 @@ def test_ehrhart_counts_match_enumeration(poly):
             fresh = from_points(p.vertices)
             assert not fresh._point_cache and fresh._ehrhart is None
             assert invariants._point_count(fresh, k) == len(p.lattice_points(k)), (p.name, k)
-        # counting above dim lists nothing
+        # counting lists no level above ceil(dim/2)
         fresh = from_points(p.vertices)
         invariants._point_count(fresh, fresh.dim + 4)
-        assert max(fresh._point_cache) == fresh.dim
+        assert max(fresh._point_cache) == (fresh.dim + 1) // 2
 
 
 # -- hole decoding: row scan of the mask against filtering the points -----------

@@ -174,7 +174,7 @@ def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
     num_points = stage("geometry", lambda: len(p.lattice_points(1)))
     d_P = stage("decomposition-thresholds", lambda: inv.compute_d_P(p))
     nu_P = stage("decomposition-thresholds", lambda: inv.compute_nu_P(p))
-    mres = stage("semigroup", lambda: sg.compute_m_P(p, d_P))
+    mres = stage("semigroup", lambda: sg.compute_m_P(p, d_P, max_k=max_k))
     k_P = None
     holes_witness = None
     if mres.very_ample:

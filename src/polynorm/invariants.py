@@ -150,15 +150,17 @@ class _Tower:
     masks: tuple[int, ...]
 
 
-def _level(p: Polytope, k: int) -> tuple[_Packing, int]:
-    """The packing and the bitmask of S_k.  A level above the capacity
-    builds the tower again from S_0 under a packing for max(2k, _MIN_LEVELS)
-    levels, so the capacity at least doubles and a deepest level K costs at
-    most log2(K / _MIN_LEVELS) + 1 rebuilds; each build and each shifted
+def _level(p: Polytope, k: int, reach: int = 0) -> tuple[_Packing, int]:
+    """The packing and the bitmask of S_k, under a packing injective up to
+    level max(k, reach).  A level or reach above the capacity builds the
+    tower again from S_0 under a packing for max(2k, reach, _MIN_LEVELS)
+    levels.  A level above it at least doubles the capacity, so a deepest
+    level K costs at most log2(K / _MIN_LEVELS) + 1 rebuilds, and a reach
+    above it rebuilds once for that reach; each build and each shifted
     union S_(j+1) = S_j + P∩M is published by one assignment."""
     tower = p._tower
-    if tower is None or k > tower.packing.capacity:
-        packing = _packing(p, max(2 * k, _MIN_LEVELS))
+    if tower is None or max(k, reach) > tower.packing.capacity:
+        packing = _packing(p, max(2 * k, reach, _MIN_LEVELS))
         shifts = tuple(sorted(packing.pack(x, 1) for x in p.lattice_points(1)))
         tower = p._tower = _Tower(packing, shifts, (1,))
     while len(tower.masks) <= k:
@@ -244,18 +246,55 @@ def hole_count(p: Polytope, k: int) -> int:
     return _point_count(p, k) - mask.bit_count()
 
 
-def sumset_membership(p: Polytope, k: int):
-    """A test for whether a lattice point y of kP is a sum of k lattice
-    points of P: one bit of the mask of S_k, read from its bytes.  y must
-    lie in kP, where the packing is injective."""
-    packing, mask = _level(p, k)
-    buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
+def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
+    """Decide, one tower level at a time, which translates x + (j - d)·v lie
+    in S_j.
 
-    def contains(y: Vector) -> bool:
-        i = packing.pack(y, k)
-        return buf[i >> 3] >> (i & 7) & 1 == 1
+    groups maps lattice points v of P to sorted lists of lattice points x of
+    dP.  For j = 1, 2, ..., through last when given, the generator yields j
+    and a dict that maps each v with pairs open before level j, in the order
+    of groups, to two sorted lists: the x decided at level j and the x still
+    open after it.  It returns once no pair is open.
 
-    return contains
+    With q = pack(x, d), a pair is decided at level j when bit
+    q + (j - d)·pack(v, 1) of S_j is set, read from the level's bytes.  By
+    linearity that position is pack(x + (j - d)·v, j), and for j >= d the
+    point lies in jP, where the packing is injective, so the bit is set
+    exactly when the point is in S_j.  For j < d every level is read under a
+    packing for at least d levels.  A set bit in [0, top(j)] is pack(z, j)
+    for some z in S_j, and then pack(z + (d - j)·v, d) = q.  Both
+    z + (d - j)·v and x lie in dP, where the packing is injective, so
+    z = x - (d - j)·v.  Positions outside [0, top(j)] hold no point of S_j.
+    The positions q and steps pack(v, 1) are computed again from the open x
+    only when the tower is rebuilt under a new packing.
+    """
+    open_xs = {v: xs for v, xs in groups.items() if xs}
+    packing = None
+    j = 0
+    while open_xs and (last is None or j < last):
+        j += 1
+        level_packing, mask = _level(p, j, reach=d)
+        if level_packing is not packing:
+            packing = level_packing
+            steps = {v: packing.pack(v, 1) for v in open_xs}
+            # the groups share their points, so each is packed once
+            positions = {x: packing.pack(x, d) for x in set().union(*open_xs.values())}
+        top = packing.top(j)
+        buf = mask.to_bytes(top // 8 + 1, "little")
+        decided = {}
+        for v, xs in open_xs.items():
+            offset = (j - d) * steps[v]
+            hits, misses = [], []
+            for x in xs:
+                i = positions[x] + offset
+                if 0 <= i <= top and buf[i >> 3] >> (i & 7) & 1:
+                    hits.append(x)
+                else:
+                    misses.append(x)
+            decided[v] = hits, misses
+        del buf  # not alive while the next level is built
+        open_xs = {v: misses for v, (_, misses) in decided.items() if misses}
+        yield j, decided
 
 
 def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:

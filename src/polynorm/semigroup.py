@@ -12,11 +12,14 @@ set iff its image under the cone normals dominates a target's, which sorting
 decides as in Kung, Luccio and Preparata (1975): one bisection and one AND
 of prefix bitsets per normal, not a scan of every target.
 
-m_P reads most minimal lengths off the k-normality sumset tower of
-`invariants` instead: x - d_P·v is a sum of at most j generators exactly
-when x + (j - d_P)·v is a sum of j lattice points of P, and one tower
-answers that for every vertex at once.  The BFS runs only for the pairs the
-first few levels leave open and for the certificate of the extremal pair.
+m_P reads minimal lengths off the k-normality sumset tower of `invariants`
+instead: x - d_P·v is a sum of at most j generators exactly when
+x + (j - d_P)·v is a sum of j lattice points of P, and one tower answers
+that for every vertex at once, one bit per pair and level at the position
+pack(x, d_P) + (j - d_P)·pack(v, 1).  For a very ample P the tower that
+compute_k_P builds up to k_P decides every pair, since m_P <= k_P.  The BFS
+certifies the extremal pair, and searches only the pairs the tower leaves
+open when the scan stops early.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def sigma(gs: GeneratorSet, target: Vector):
     return shortest_representations(gs, (target,))[target]
 
 
-def compute_m_P(p: Polytope, d_P: int) -> MPResult:
+def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     """Maximum of sigma(x, d_P·v) over x in d_P·P∩M and vertices v.
 
     Any infeasible pair short-circuits: the polytope is then not very ample
@@ -206,17 +209,30 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     y_j = x + (j - d_P)·v, sigma(x, d_P·v) is the least j with y_j in S_j:
     a representation by j generators u_i - v gives y_j = Σ u_i, and padding
     with u_i = v turns a shorter one into j points.  S_0 = {0}, so sigma is
-    0 exactly when x = d_P·v.  For j >= 1, y_j is in S_j exactly when it is
-    a lattice point of jP whose bit is set in the tower's mask of S_j; for
-    j >= d_P it always lies in jP, as x lies in d_P·P and v in P.
+    0 exactly when x = d_P·v; for j >= d_P, y_j lies in jP, as x lies in
+    d_P·P and v in P.
 
-    Depth.  Levels j = 1 .. d_P + 1 are read, through sumset_membership, so
-    the tower never goes past dim (d_P <= dim - 1) and compute_k_P reuses
-    every level it builds, unless it outgrows their packing.  The scan stops
-    at the first level j >= d_P without holes: there y_j lies in
-    jP∩M = S_j for every pair, so no pair is left.
+    Depth.  Levels j = 1, 2, ... are read upward through
+    invariants.translate_scan, which tests bit pack(x, d_P) +
+    (j - d_P)·pack(v, 1) of S_j for each open pair.  For j >= d_P that is
+    the bit of y_j, a point of jP, where the packing is injective.  For
+    j < d_P a set bit is pack(z, j) for a z in S_j with
+    z + (d_P - j)·v = x, as both sides lie in d_P·P, where the packing is
+    injective as well; that is the same statement, y_j in S_j.  So a pair is
+    decided at level sigma, never before.  For a very ample P, m_P <= k_P.
+    First d_P <= k_P: for k >= k_P, (k+1)P∩M = S_(k+1) = S_k + P∩M lies in
+    kP∩M + P∩M.  So for j >= k_P, y_j lies in jP∩M = S_j.  The tower
+    compute_k_P builds up to k_P thus decides every pair, and the scan
+    builds no level that compute_k_P would not.  The scan stops
+    - when no pair is open;
+    - at level max_k, when given, the last level compute_k_P reads before
+      it refuses;
+    - at the first level j > d_P where some vertex with open pairs decides
+      none of them.  The tower has then stopped gaining on that vertex, as
+      it does for good once only infeasible pairs are open there, and the
+      BFS decides what is left.
 
-    BFS.  At each vertex, in order, one search covers the pairs the tower
+    BFS.  At each vertex, in order, one search covers the pairs the scan
     left open; their lengths exceed the last level read.  Then one
     single-target search gives the certificate of the extremal pair: the
     first pair, in vertex order and then sorted x, of the largest sigma.
@@ -257,21 +273,13 @@ def compute_m_P(p: Polytope, d_P: int) -> MPResult:
     apexes = {v: scale(d_P, v) for v in vertices}
     open_xs = {v: [x for x in xs if x != apexes[v]] for v in vertices}
     best = 0, None, None
-    for depth in range(1, d_P + 2):
-        points = p.lattice_points(depth)
-        in_sumset = inv.sumset_membership(p, depth)
-        for v, pending in open_xs.items():
-            shift = scale(depth - d_P, v)
-            still_open = []
-            for x in pending:
-                y = add(x, shift)
-                if y in points and in_sumset(y):
-                    if depth > best[0]:
-                        best = depth, v, x
-                else:
-                    still_open.append(x)
+    depth = 0
+    for depth, decided in inv.translate_scan(p, d_P, open_xs, max_k):
+        for v, (hits, still_open) in decided.items():
+            if hits and depth > best[0]:
+                best = depth, v, hits[0]
             open_xs[v] = still_open
-        if depth >= d_P and not inv.hole_count(p, depth):
+        if depth > d_P and not all(hits for hits, _ in decided.values()):
             break
 
     searches = {}

@@ -19,7 +19,7 @@
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
   Holes are decoded by a row scan of the mask; the oracle filters the
-  enumerated points of kP by a bit test.
+  enumerated points of kP by a bit test of the mask read through _level.
 - `holes` writes each level as iter_holes decodes it; the oracle renders
   the listing from the tuple hole sets, sorted level by level.
 - Point counts above ceil(dim/2) come from the Ehrhart polynomial in
@@ -31,11 +31,16 @@
 - The BFS of shortest_representations stops once every target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
-- compute_m_P reads sigma off that tower and searches only the pairs it
-  leaves open, plus the extremal pair alone, which it keeps during the scan;
-  the oracle runs one search over every target at every vertex and takes
-  the first pair of the largest sigma, and the results must agree part for
-  part.
+- translate_scan decides each pair (x, v) of the m_P scan by one bit of
+  S_j at the packed position pack(x, d_P) + (j - d_P)·pack(v, 1), below
+  level d_P too; the oracle is the BFS length of every pair, which must be
+  the level that decides it, and an infeasible pair must stay open.
+- compute_m_P reads sigma off that tower until no pair is open, searches
+  only the pairs left open when the scan stops early (at max_k, or where a
+  vertex stops gaining), and certifies the extremal pair alone, which it
+  keeps during the scan; the oracle runs one search over every target at
+  every vertex and takes the first pair of the largest sigma, and the
+  results must agree part for part.
 - smooth_data reads smoothness, gamma and m_prime off the facets tight at
   each vertex; the oracle builds each vertex's edge fan and solves for the
   edge coefficients of every difference u - v.
@@ -225,37 +230,93 @@ def m_P_per_vertex(p, d_P):
 def test_m_P_matches_per_vertex_search(poly, monkeypatch):
     cases = oracle_cases(poly)
     cases += [build_family(s) for s in ("random:4,3,9,11", "random:3,3,7,5")]
-    searched = [0]
+    searches = []
 
     def counting(gs, targets):
-        searched[0] += len(targets)
+        searches.append(len(targets))
         return shortest_representations(gs, targets)
 
     monkeypatch.setattr(semigroup, "shortest_representations", counting)
-    left_open, very_ample, by_tower, tied = [], [], [], []
+    left_open, deep, tied = [], [], []
     for p in cases:
         d_P = compute_d_P(p)
-        searched[0] = 0
+        searches.clear()
         got = compute_m_P(p, d_P)
         expected, largest = m_P_per_vertex(p, d_P)
         assert got == expected, p.name
-        # a very ample polytope adds one single-target search for its
-        # extremal certificate
-        left_open.append(searched[0] - got.very_ample)
-        very_ample.append(got.very_ample)
         if got.very_ample:
-            # BFS lengths exceed every tower level read, the last one d_P + 1
-            by_tower.append(got.m_P <= d_P + 1)
+            # m_P <= k_P, so the tower decides every pair, and the one
+            # search is the single-target certificate of the extremal pair
+            assert searches == [1], p.name
+            deep.append(p.name.startswith("bruns:") and got.m_P > d_P + 1)
             tied.append(list(largest.values()).count(got.m_P) >= 2)
-    # both paths occur: pairs left to the BFS, and the tower alone
-    assert any(n > 0 for n in left_open)
-    assert any(n == 0 for n in left_open)
-    assert not all(very_ample)
-    # the extremal pair is decided by the tower and by the BFS, and the
-    # largest sigma is reached at several vertices, so the scan order that
-    # picks the first extremal pair is exercised
-    assert any(by_tower) and not all(by_tower)
+        else:
+            left_open.append(sum(searches))
+    # an infeasible pair is never decided by the tower, so the BFS finds it
+    assert left_open and all(n > 0 for n in left_open)
+    # the tower decides extremal pairs above level d_P + 1, and the largest
+    # sigma is reached at several vertices, so the scan order that picks the
+    # first extremal pair is exercised
+    assert any(deep)
     assert any(tied)
+
+
+def test_m_P_scan_capped_at_max_k_hands_pairs_to_the_search(monkeypatch):
+    """No catalog input leaves very ample pairs to the BFS; a cap below m_P
+    does."""
+    uncapped = compute_m_P(build_family("bruns:10"), 2)
+    targets = []
+
+    def counting(gs, t):
+        targets.append(len(t))
+        return shortest_representations(gs, t)
+
+    monkeypatch.setattr(semigroup, "shortest_representations", counting)
+    p = build_family("bruns:10")
+    d_P = compute_d_P(p)
+    got = compute_m_P(p, d_P, max_k=3)
+    # no level above the cap is built, and the very ample pairs of
+    # sigma 4..9 go to the BFS
+    assert len(p._tower.masks) - 1 <= 3
+    assert sum(targets) > 1
+    assert got == uncapped == m_P_per_vertex(p, d_P)[0]
+    assert got.m_P == 9
+
+
+@pytest.mark.parametrize("min_levels", [None, 2])
+def test_translate_scan_decides_each_pair_at_sigma(poly, monkeypatch, min_levels):
+    """Every pair (x, v) is decided at level sigma(x, d_P·v), and an
+    infeasible one never; levels j < d_P are read under a packing injective
+    on d_P·P even when a fresh packing would serve fewer levels."""
+    if min_levels is not None:
+        monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
+    rng = SplitMix64(1)
+    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
+    cases = [poly(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
+    cases += [p for p in deep if compute_d_P(p) == 3][1:3]
+    cases += [translated(p, (-2, 1, 3, -1)[:p.dim]) for p in cases]
+    checked = below = 0
+    for p in cases:
+        p = from_points(p.vertices, name=p.name)  # a fresh tower
+        d_P = compute_d_P(p)
+        certs = all_certificates(p, d_P)
+        groups = {v: [x for x in sorted(p.lattice_points(d_P)) if x != scale(d_P, v)]
+                  for v in p.vertices}
+        sigmas = {}
+        for v, xs in groups.items():
+            for x in xs:
+                cert = certs[v][sub(x, scale(d_P, v))]
+                sigmas[x, v] = None if cert is None else cert.length
+        last = max(s for s in sigmas.values() if s is not None) + 1
+        levels = {}
+        for j, decided in invariants.translate_scan(p, d_P, groups, last):
+            for v, (hits, still_open) in decided.items():
+                levels.update(((x, v), j) for x in hits)
+                assert hits == sorted(hits) and still_open == sorted(still_open), p.name
+        assert levels == {pair: s for pair, s in sigmas.items() if s is not None}, p.name
+        checked += len(levels)
+        below += sum(j < d_P for j in levels.values())
+    assert checked >= 13000 and below >= 2800
 
 
 def test_generator_sets_only_where_searched(poly, monkeypatch):
@@ -669,8 +730,9 @@ def test_decoded_holes_match_filtered_points(report, monkeypatch, min_levels):
     decoded = above_dim = 0
     for p, levels in cases:
         for k in range(1, levels + 1):
-            in_sumset = invariants.sumset_membership(p, k)
-            filtered = [x for x in sorted(p.lattice_points(k)) if not in_sumset(x)]
+            packing, mask = invariants._level(p, k)
+            filtered = [x for x in sorted(p.lattice_points(k))
+                        if not mask >> packing.pack(x, k) & 1]
             # the decoder yields the holes in lexicographic order
             assert list(iter_holes(p, k)) == filtered, (p.name, k)
             assert hole_count(p, k) == len(filtered)

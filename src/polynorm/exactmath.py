@@ -49,9 +49,12 @@ def dot(u, v) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def primitive(v: Vector) -> Vector:
-    """Divide an integer vector by the gcd of its entries, keeping direction."""
+def primitive(v) -> Vector:
+    """Divide an integer vector (a tuple or a list) by the gcd of its
+    entries, keeping direction; the result is always a tuple."""
     g = gcd(*v) if v else 0
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("no primitive direction for the zero vector")
     return tuple(a // g for a in v)
@@ -87,21 +90,42 @@ def det_exact(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def extend_echelon(basis: list[tuple[int, Vector]], v) -> bool:
+    """Reduce v, of the rows' length, against an echelon basis and append
+    what is left, if anything, as a new (pivot column, primitive row);
+    True when the basis grew.
+
+    Each step v <- row[c]·v - v[c]·row, one per basis row whose pivot
+    column c is nonzero in v, clears that column and keeps the columns the
+    earlier rows cleared, since row is zero there.  So what is left is zero
+    in every pivot column, and it is the zero vector exactly when v lies in
+    the span of the rows.  Its first nonzero column becomes the new pivot.
+    """
+    for c, row in basis:
+        x = v[c]
+        if x:
+            a = row[c]
+            v = [a * y - x * z for y, z in zip(v, row)]
+    for pivot, x in enumerate(v):
+        if x:
+            basis.append((pivot, primitive(v)))
+            return True
+    return False
+
+
 def echelon(vectors) -> list[tuple[int, Vector]]:
     """Echelon basis of the span of integer vectors, as (pivot column, row).
 
-    Each new vector is reduced fraction-free against the rows so far; every
-    row is zero in the pivot columns of the rows before it, so a vector
-    reduces to zero exactly when it lies in their span.
+    The vectors are reduced in order by `extend_echelon`: the pivots are
+    distinct, and every row is zero in the pivot columns of the rows before
+    it.  Vectors of different lengths are rejected before any is reduced.
     """
+    vectors = list(vectors)
+    if len(set(map(len, vectors))) > 1:
+        raise ValueError("vectors of different lengths")
     basis = []
     for v in vectors:
-        for c, row in basis:
-            if v[c]:
-                v = sub(scale(row[c], v), scale(v[c], row))
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            basis.append((pivot, primitive(v)))
+        extend_echelon(basis, v)
     return basis
 
 

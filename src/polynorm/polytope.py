@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
 from .exactmath import (
     Vector,
-    det_exact,
     dot,
     echelon,
+    extend_echelon,
     neg,
     primitive,
     rank,
@@ -71,20 +73,33 @@ class Polytope:
     # -- construction invariants -------------------------------------------
 
     def _validate(self):
+        """Check the construction invariants, in this order: the polytope
+        has vertices and facets; then, facet by facet, its normal is
+        primitive, no vertex violates it, and it is tight at d affinely
+        independent vertices; then every listed vertex is extreme, the
+        normals of the facets tight at it having rank d.
+
+        The slack of each vertex in each facet is computed once, into a
+        facet × vertex table that the facet checks fill row by row and the
+        extremality check reads by column.
+        """
         d = self.dim
         if not self.vertices or not self.facets:
             raise GeometryError("polytope needs vertices and facets")
+        table = []
         for f in self.facets:
             if primitive(f.normal) != f.normal:
                 raise GeometryError(f"facet normal {f.normal} is not primitive")
-            for v in self.vertices:
-                if f.slack(v) < 0:
+            slacks = [f.offset - dot(f.normal, v) for v in self.vertices]
+            for v, s in zip(self.vertices, slacks):
+                if s < 0:
                     raise GeometryError(f"vertex {v} violates facet {f}")
-            tight = [v for v in self.vertices if f.slack(v) == 0]
+            tight = [v for v, s in zip(self.vertices, slacks) if s == 0]
             if len(tight) < d or rank(tuple(sub(p, tight[0]) for p in tight[1:])) != d - 1:
                 raise GeometryError(f"facet {f} is not tight at d affinely independent vertices")
-        for v in self.vertices:
-            active = tuple(f.normal for f in self.facets if f.slack(v) == 0)
+            table.append(slacks)
+        for j, v in enumerate(self.vertices):
+            active = tuple(f.normal for f, slacks in zip(self.facets, table) if slacks[j] == 0)
             if rank(active) != d:
                 raise GeometryError(f"listed point {v} is not extreme")
 
@@ -191,19 +206,37 @@ class Polytope:
 
 def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
     """The inequality of the hyperplane through point spanned by the d-1
-    rows of basis, oriented to hold inside/(d+1) strictly.
+    rows of the echelon basis, oriented to hold inside/(d+1) strictly.
 
-    The normal is the vector of signed (d-1)-minors of the rows (the
-    cofactor cross product), made primitive.
+    The normal is solved by back-substitution.  The rows have distinct
+    pivots, so one column is free: start from its unit vector.  Walk the
+    rows from last to first.  Every row after the current one is zero in
+    its pivot column c and orthogonal to the normal so far; let s be the
+    current row's dot product with the normal (whose entry at c is still
+    0), a the row's pivot entry and g = gcd(a, s).  Scaling the normal by
+    a/g and setting entry c to -s/g makes it orthogonal to this row too,
+    and keeps it orthogonal to the later rows and nonzero at the free
+    column; when s is 0 the normal is already orthogonal to the row and is
+    left as it is.  Each step keeps the normal primitive, since
+    gcd(a/g, s/g) = 1, so `primitive` only makes it a tuple.  The rows are
+    independent, so their orthogonal complement is a line: the normal is
+    the primitive cofactor normal (the signed (d-1)-minors of the rows) up
+    to sign, and the orientation test fixes the sign.
     """
-    rows = [row for _, row in basis]
-    normal = []
-    for i in range(len(point)):
-        minor = tuple(row[:i] + row[i + 1:] for row in rows)
-        normal.append((-1) ** i * det_exact(minor))
-    normal = primitive(tuple(normal))
+    d = len(point)
+    pivots = {c for c, _ in basis}
+    normal = [0] * d
+    normal[next(c for c in range(d) if c not in pivots)] = 1
+    for c, row in reversed(basis):
+        s = sum(map(mul, row, normal))
+        if s:
+            a = row[c]
+            g = gcd(a, s)
+            normal = [x * (a // g) for x in normal]
+            normal[c] = -s // g
+    normal = primitive(normal)
     offset = dot(normal, point)
-    if dot(normal, inside) > (len(point) + 1) * offset:
+    if dot(normal, inside) > (d + 1) * offset:
         normal, offset = neg(normal), -offset
     return HalfSpace(normal, offset)
 
@@ -214,14 +247,17 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     without repeats and not empty.
 
     Exact-integer beneath-beyond.  The first affinely independent points in
-    sorted order span a d-simplex; its centroid is interior to every later
-    hull, so each new facet is oriented to hold it strictly.  Each facet
-    keeps its tight set, the points inserted so far that lie on it.  The
-    other points are inserted one at a time; a facet is visible from p when
-    p has negative slack in it.
+    sorted order span a d-simplex: each point's difference from pts[0] is
+    reduced once against the echelon basis of the differences kept so far,
+    and kept when it grows the basis.  The centroid of the simplex is
+    interior to every later hull, so each new facet is oriented to hold it
+    strictly.  Each facet keeps its tight set, the points inserted so far
+    that lie on it.  The other points are inserted one at a time, each in
+    one pass over the facets that computes its slack in each; a facet is
+    visible from p when p has negative slack in it.
 
     - With no facet visible, p lies in the hull and joins the tight sets of
-      the facets where its slack is 0.
+      the facets where its slack is 0; the ridge loop is skipped.
     - Otherwise the facets of the new hull conv(Q ∪ {p}) are the facets of
       conv(Q) that p is not beyond, and the cones over p of the horizon
       ridges, the ridges between a visible facet f and a facet g that is
@@ -246,9 +282,10 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise GeometryError("points of mixed dimension")
-    simplex = [pts[0]]
+    origin = pts[0]
+    simplex, basis = [origin], []
     for p in pts[1:]:
-        if len(echelon(sub(q, pts[0]) for q in simplex[1:] + [p])) == len(simplex):
+        if extend_echelon(basis, sub(p, origin)):
             simplex.append(p)
             if len(simplex) == d + 1:
                 break
@@ -262,11 +299,16 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
         rows = echelon(sub(q, face[0]) for q in face[1:])
         tight[_halfspace(face[0], rows, inside)] = set(face)
     for p in pts:
-        slack = {f: f.slack(p) for f in tight}
-        for f, s in slack.items():
-            if s == 0:
-                tight[f].add(p)
-        visible = [tight.pop(f) for f, s in slack.items() if s < 0]
+        visible = []
+        for f, on_f in tight.items():
+            s = f.offset - sum(map(mul, f.normal, p))
+            if s < 0:
+                visible.append(f)
+            elif s == 0:
+                on_f.add(p)
+        if not visible:
+            continue
+        visible = [tight.pop(f) for f in visible]
         kept = list(tight.values())
         for on_f in visible:
             for on_g in kept:

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from polynorm.exactmath import add, det_exact, dot, primitive, rank, sub, vec
+from polynorm.exactmath import add, det_exact, dot, echelon, primitive, rank, sub, vec
 
 from exact_solve import NO_SOLUTION, UNDERDETERMINED, rank_by_elimination, solve_rational
 
@@ -41,6 +41,11 @@ class TestPrimitive:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             primitive((0, 0, 0))
+
+    def test_list_gives_tuple(self):
+        for v, want in (([2, -4, 6], (1, -2, 3)), ([3, -1], (3, -1)), ([-1], (-1,))):
+            got = primitive(v)
+            assert type(got) is tuple and got == want
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5),
            st.integers(1, 20))
@@ -83,6 +88,16 @@ class TestRank:
 
     def test_empty(self):
         assert rank(()) == 0
+
+    def test_ragged_rows_rejected(self):
+        # a longer or shorter later row, after a pivot row or a zero row
+        for m in (((1, 0), (0, 1, 5)), ((0, 1), (1,)), ((0, 0), (1, 2, 3)),
+                  ((1, 2, 3), (4, 5, 6), (7, 8))):
+            for routine in (rank, echelon):
+                with pytest.raises(ValueError, match="vectors of different lengths"):
+                    routine(m)
+                with pytest.raises(ValueError, match="vectors of different lengths"):
+                    routine(iter(m))
 
     def test_rank_of_random_products(self):
         # outer products u^T v always have rank <= 1

@@ -56,6 +56,58 @@ class TestFromPoints:
             Polytope(((),), 0, ())
 
 
+SQUARE_FACETS = (HalfSpace((-1, 0), 0), HalfSpace((0, -1), 0),
+                 HalfSpace((0, 1), 1), HalfSpace((1, 0), 1))
+
+
+class TestValidate:
+    """One hand-built Polytope per construction check that from_points
+    never fails, with the message each raises."""
+
+    def test_valid_square_accepted(self):
+        assert Polytope(tuple(sorted(SQUARE)), 2, SQUARE_FACETS).facets == SQUARE_FACETS
+
+    def test_non_primitive_normal(self):
+        facets = SQUARE_FACETS[:3] + (HalfSpace((2, 0), 2),)
+        with pytest.raises(GeometryError, match=r"^facet normal \(2, 0\) is not primitive$"):
+            Polytope(tuple(sorted(SQUARE)), 2, facets)
+
+    def test_vertex_violates_facet(self):
+        facets = SQUARE_FACETS[:3] + (HalfSpace((1, 0), 0),)
+        with pytest.raises(GeometryError) as err:
+            Polytope(tuple(sorted(SQUARE)), 2, facets)
+        assert str(err.value) == (
+            "vertex (1, 0) violates facet HalfSpace(normal=(1, 0), offset=0)")
+
+    @pytest.mark.parametrize("vertices, facet", [
+        # tight at one vertex of the square, fewer than d
+        (tuple(sorted(SQUARE)), HalfSpace((1, 1), 2)),
+        # tight at three collinear points of a 3-d simplex's edge: d points
+        # of affine rank 1
+        (((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 0)), HalfSpace((0, -1, -1), 0)),
+    ])
+    def test_facet_not_tight_at_d_independent_vertices(self, vertices, facet):
+        others = from_points(vertices).facets
+        with pytest.raises(GeometryError) as err:
+            Polytope(vertices, len(vertices[0]), others + (facet,))
+        assert str(err.value) == (
+            f"facet {facet} is not tight at d affinely independent vertices")
+
+    def test_listed_point_not_extreme(self):
+        # (1, 0) sits on the edge y = 0 of the doubled square
+        square = from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
+        vertices = tuple(sorted(square.vertices + ((1, 0),)))
+        with pytest.raises(GeometryError, match=r"^listed point \(1, 0\) is not extreme$"):
+            Polytope(vertices, 2, square.facets)
+
+    def test_checks_run_facet_by_facet(self):
+        # the first facet's violation is reported before the second facet's
+        # non-primitive normal, and both before a point that is not extreme
+        facets = (HalfSpace((1, 0), 0), HalfSpace((0, 2), 2)) + SQUARE_FACETS[:2]
+        with pytest.raises(GeometryError, match=r"^vertex \(1, 0\) violates facet"):
+            Polytope(tuple(sorted(SQUARE)) + ((0, 0),), 2, facets)
+
+
 class TestHRep:
     def test_unit_square(self):
         facets = set(from_points(SQUARE).facets)

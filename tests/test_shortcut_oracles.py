@@ -47,10 +47,15 @@
 - volume_triangulation recurses on faces given as vertex tuples cut out by
   the facets of P; the oracle projects each facet avoiding the pulled vertex
   and rebuilds its hull with from_points.
+- _halfspace solves a facet normal by back-substitution in the echelon
+  basis; the oracle takes the vector of signed (d-1)-minors of the rows
+  (the cofactor cross product), made primitive and oriented the same way,
+  on seeded bases in dims 1-5.
 - from_points inserts points one at a time into an exact beneath-beyond
-  hull; the oracle, hull_by_d_subsets, keeps every hyperplane through d of
-  the points that has all of them on one side, and the sorted HalfSpace
-  tuples must be equal.
+  hull, each point tested against every facet in one pass; the oracle,
+  hull_by_d_subsets, keeps every hyperplane through d of the points that
+  has all of them on one side, and the sorted HalfSpace tuples must be
+  equal.  Each tight set must hold every point on its facet.
 - from_points reads each point's facets off the hull's tight sets; the
   oracle ranks the normals of the facets tight at every input point.
 - compute_m_P builds generator sets only at searched vertices and the
@@ -65,7 +70,7 @@ from math import factorial, gcd
 
 import pytest
 
-from polynorm import invariants, semigroup
+from polynorm import invariants, polytope, semigroup
 from polynorm.bounds import PipelineError, full_report
 from polynorm.catalog import (
     SplitMix64,
@@ -80,6 +85,8 @@ from polynorm.exactmath import (
     add,
     det_exact,
     dot,
+    echelon,
+    neg,
     primitive,
     rank,
     scale,
@@ -99,6 +106,8 @@ from polynorm.invariants import (
 from polynorm.polytope import (
     GeometryError,
     HalfSpace,
+    _halfspace,
+    _hull_tight_sets,
     from_points,
 )
 from polynorm.semigroup import (
@@ -962,6 +971,106 @@ class TestEdgeFan:
             edge_fan(SQUARE, (2, 2))
 
 
+# -- facet normals: back-substitution against signed minors ------------------
+
+
+def signed_minors(rows, d):
+    """The cofactor cross product of d-1 rows of length d: their signed
+    (d-1)-minors, a vector orthogonal to every row, nonzero when the rows
+    are independent."""
+    return tuple((-1) ** i * det_exact(tuple(r[:i] + r[i + 1:] for r in rows))
+                 for i in range(d))
+
+
+def halfspace_by_minors(point, basis, inside):
+    """The hyperplane through point spanned by the basis rows, with the
+    primitive signed-minor normal, oriented to hold inside/(d+1) strictly."""
+    d = len(point)
+    normal = primitive(signed_minors([row for _, row in basis], d))
+    offset = dot(normal, point)
+    if dot(normal, inside) > (d + 1) * offset:
+        normal, offset = neg(normal), -offset
+    return HalfSpace(normal, offset)
+
+
+def back_substitution_steps(basis):
+    """Two counts over the back-substitution steps of _halfspace: the rows
+    already orthogonal to the normal built so far (s = 0), and the rows
+    that scale that normal by |a/g| > 1, leaving it non-primitive until
+    the pivot entry is set.  Before the step of row i the normal is
+    primitive, supported on the free column and the pivots of the later
+    rows, and spans the kernel of the later rows there, so their signed
+    minors on those columns give it up to sign."""
+    d = len(basis) + 1
+    pivots = [c for c, _ in basis]
+    free = next(c for c in range(d) if c not in pivots)
+    orthogonal = scaled = 0
+    for i, (c, row) in enumerate(basis):
+        cols = sorted([free] + pivots[i + 1:])
+        later = [tuple(r[j] for j in cols) for _, r in basis[i + 1:]]
+        s = dot(tuple(row[j] for j in cols), primitive(signed_minors(later, len(cols))))
+        orthogonal += s == 0
+        scaled += s != 0 and abs(row[c]) > gcd(row[c], s)
+    return orthogonal, scaled
+
+
+def echelon_bases():
+    """Seeded echelon bases of d-1 independent rows in dims 1-5, each with a
+    point and a reference that may lie on the hyperplane: sparse rows (zero
+    entries make orthogonal steps), dense small rows and 19-digit rows."""
+    rng = SplitMix64(21)
+    for d in range(1, 6):
+        for trial in range(150):
+            bound = 10 ** 18 if trial % 5 == 4 else 3
+
+            def entry():
+                if trial % 2 and rng.below(2):
+                    return 0
+                return rng.below(2 * bound + 1) - bound
+
+            basis = echelon([tuple(entry() for _ in range(d)) for _ in range(d - 1)])
+            if len(basis) == d - 1:
+                yield (tuple(rng.below(7) - 3 for _ in range(d)), basis,
+                       tuple(rng.below(9) - 4 for _ in range(d)))
+
+
+def test_halfspace_matches_signed_minors(monkeypatch):
+    handed = []  # what _halfspace hands to primitive: its back-substituted normal
+
+    def recording(v):
+        handed.append(tuple(v))
+        return primitive(v)
+
+    monkeypatch.setattr(polytope, "primitive", recording)
+    oriented = on_plane = negative_pivots = orthogonal = scaled = 0
+    dims = set()
+    for point, basis, inside in echelon_bases():
+        d = len(point)
+        dims.add(d)
+        want = halfspace_by_minors(point, basis, inside)
+        handed.clear()
+        got = _halfspace(point, basis, inside)
+        assert type(got.normal) is tuple, (point, basis)
+        if dot(want.normal, inside) == (d + 1) * want.offset:
+            # the reference does not fix the orientation
+            on_plane += 1
+            assert got in (want, HalfSpace(neg(want.normal), -want.offset)), (point, basis)
+        else:
+            oriented += 1
+            assert got == want, (point, basis, inside)
+        # every step leaves the normal primitive, so primitive only makes it
+        # a tuple
+        assert len(handed) == 1 and primitive(handed[0]) == handed[0], (point, basis)
+        negative_pivots += any(row[c] < 0 for c, row in basis)
+        steps = back_substitution_steps(basis)
+        orthogonal += steps[0]
+        scaled += steps[1]
+    assert dims == {1, 2, 3, 4, 5}
+    assert oriented >= 600 and on_plane >= 10
+    assert negative_pivots >= 300
+    assert orthogonal >= 250 and scaled >= 250
+
+
 # -- hull: beneath-beyond against every d-subset hyperplane -------------------
 
 
@@ -982,9 +1091,7 @@ def hull_by_d_subsets(points):
             f"point set is not full-dimensional (affine rank {arank} < {d})")
     found = set()
     for subset in itertools.combinations(pts, d):
-        diffs = [sub(p, subset[0]) for p in subset[1:]]
-        normal = tuple((-1) ** i * det_exact(tuple(r[:i] + r[i + 1:] for r in diffs))
-                       for i in range(d))
+        normal = signed_minors([sub(p, subset[0]) for p in subset[1:]], d)
         if not any(normal):
             continue
         c = dot(normal, subset[0])
@@ -1118,3 +1225,19 @@ def test_vertices_match_ranking_every_point(poly):
     assert full >= 80
     assert boundary >= 60
     assert crowded >= 10
+
+
+def test_hull_tight_sets_are_complete():
+    # every point on a facet is in its tight set, boundary points that are
+    # not vertices too: from_points reads each point's facets off them
+    complete = 0
+    for cloud in itertools.chain(point_clouds(), degenerate_clouds()):
+        pts = sorted(set(cloud))
+        try:
+            tight = _hull_tight_sets(pts)
+        except GeometryError:
+            continue
+        complete += 1
+        for f, on_f in tight.items():
+            assert on_f == {x for x in pts if f.slack(x) == 0}, (cloud, f)
+    assert complete >= 220

@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .catalog import (
     bruns_gubeladze,
-    build_family,
     cube,
     higashitani,
     parse_family,
@@ -57,7 +56,7 @@ __all__ = [
     "InvariantReport", "classical_bounds", "eg_check",
     "full_report", "refined_bound", "regularity",
     "report_to_dict", "smooth_bounds", "theorem_bound",
-    "bruns_gubeladze", "build_family", "cube", "higashitani", "parse_family",
+    "bruns_gubeladze", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
     "SmoothData", "compute_d_P", "compute_k_P", "compute_nu_P",
     "degree", "volume_ehrhart", "volume_triangulation",

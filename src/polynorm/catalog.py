@@ -172,9 +172,3 @@ def parse_family(spec: str):
     if len(params) != arity:
         raise ValueError(f"family {head!r} takes {arity} parameter(s)")
     return builder, params
-
-
-def build_family(spec: str) -> Polytope:
-    """Instantiate a textual family spec."""
-    builder, params = parse_family(spec)
-    return builder(*params)

@@ -376,9 +376,12 @@ def dilate_is_normal(p: Polytope, m: int) -> bool:
 
     mP is normal exactly when its own decomposition threshold is 1, that is
     when mP∩M + kmP∩M = (k+1)mP∩M for k = 1..dim-2, which is decided on P's
-    own lattice points.
+    own lattice points.  Any order of k gives that answer, so the scan runs
+    upward, from the cheapest level, and stops at the first failing k;
+    _last_failing scans down because d_P and nu_P need the largest one.
     """
-    return not _last_failing(p, p.lattice_points(m), m, p.dim - 2)
+    summand = p.lattice_points(m)
+    return all(_fills_next_dilate(p, summand, k, m) for k in range(1, p.dim - 1))
 
 
 def degree(p: Polytope) -> int:

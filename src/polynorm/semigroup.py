@@ -8,9 +8,13 @@ generators needed.  Exhausting that set without arrival certifies
 infeasibility, because every partial sum of any representation stays inside
 it.  The search stops as soon as every target has been reached, so it
 exhausts that set only when some target is infeasible.  A node is in that
-set iff its image under the cone normals dominates a target's, which sorting
-decides as in Kung, Luccio and Preparata (1975): one bisection and one AND
-of prefix bitsets per normal, not a scan of every target.
+set iff its image under the cone normals dominates a target's.  Each node
+is keyed by that image, packed into one int with one lane per normal and a
+guard bit above each lane.  The lanes are wide enough for every node the
+search examines, so an edge costs one int add and one dict lookup, and
+against one target the test is one guard-bit compare.  Against several,
+sorting decides as in Kung, Luccio and Preparata (1975): one bisection and
+one AND of prefix bitsets per lane, not a scan of every target.
 
 m_P reads minimal lengths off the k-normality sumset tower of `invariants`
 instead: x - d_P·v is a sum of at most j generators exactly when
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_
 
 from . import invariants as inv
@@ -106,8 +110,16 @@ def shortest_representations(gs: GeneratorSet, targets):
     sets, so one search over that union serves every target, and the first
     BFS layer reaching a target gives its minimal length.
 
-    y lies in that union iff its image under the cone normals dominates some
-    target's image componentwise, which _dominance_test decides.
+    y lies in that union iff its image (n·y for each cone normal n)
+    dominates some target's image componentwise.  The search keys each node
+    by that image, packed by _lanes into one int with one lane per normal
+    and a guard bit above each lane; a node's key is its parent's key plus
+    the generator's packed image.  With one target of key it and the guard
+    bits G, no lane of (iz | G) - it borrows from the next, and the guard
+    bit of a lane stays set exactly when the node's entry there is at least
+    the target's: so y is in the lower set iff ((iz | G) - it) & G == G.
+    With several targets _dominance_test decides on the node's lanes, and
+    a node reached again from another parent is not tested again.
 
     The search stops once every target has a parent entry, and it does not
     run at all when the only target in the cone is 0.  That leaves every
@@ -118,46 +130,113 @@ def shortest_representations(gs: GeneratorSet, targets):
     the search still exhausts the lower set, which certifies infeasibility.
     """
     results = dict.fromkeys(targets)
-    live = [t for t in results if gs.in_cone(t)]
-    if not live:
-        return results
-    zero = (0,) * len(gs.vertex)
-
     normals = gs.cone_normals
-    dominates = _dominance_test([tuple(dot(n, t) for n in normals) for t in live])
+    images = {}
+    for t in results:
+        image = [dot(n, t) for n in normals]
+        if max(image) <= 0:  # t lies in the cone
+            images[t] = image
+    if not images:
+        return results
+    floors = [min(entries) for entries in zip(*images.values())]
+    weights, root, guards, lanes = _lanes(normals, gs.generators, floors)
+    keys = {root + dot(weights, t): t for t in images}
+    if len(keys) == 1:
+        (it,) = keys
 
-    def in_lower_set(y):
-        # lazy, so a miss skips the remaining normals
-        return dominates(dot(n, y) for n in normals)
+        def in_lower_set(iz):
+            return ((iz | guards) - it) & guards == guards
+    else:
+        dominates = _dominance_test([[(k >> s) & m for s, m in lanes] for k in keys])
+        rejected = set()
 
-    parent = _search(gs.generators, in_lower_set, set(live) - {zero}, zero)
-    for t in live:
-        if t in parent:
+        def in_lower_set(iz):
+            # the lanes are read lazily, so a miss skips the rest
+            if iz in rejected:
+                return False
+            if dominates((iz >> s) & m for s, m in lanes):
+                return True
+            rejected.add(iz)
+            return False
+
+    parent = _search(gs.generators, weights, root, in_lower_set, set(keys) - {root})
+    for key, t in keys.items():
+        if key in parent:
             parts = []
-            node = t
-            while parent[node] is not None:
-                node, g = parent[node]
+            while parent[key] is not None:
+                key, g = parent[key]
                 parts.append(g)
             results[t] = ReprCertificate(t, tuple(sorted(parts)))
     return results
 
 
-def _search(generators, in_lower_set, pending, zero):
-    """BFS parents from zero inside the lower set: each reached node maps to
-    (previous node, generator), zero to None.  Returns as soon as no target
-    is pending, even in the middle of a layer.
+def _lanes(normals, generators, floors):
+    """The packing of node images: (weights, root, guards, lanes).
+
+    A node y has the key root + weights·y = Σ_i (n_i·y - lo_i) << s_i: lane
+    i starts at bit s_i, is w_i bits wide, and has a guard bit above it.
+    lo_i is floors[i], the least n_i·t over the targets t, minus
+    |n_i|_1·max|g_j|, at most every n_i·g over the generators g; so
+    lo_i <= 0.  guards has the guard bits set, and lanes lists
+    (s_i, 2**w_i - 1).
+
+    The key is injective: the normals tight at a vertex have rank d, which
+    Polytope._validate asserts, so the image determines y.  Lanes never
+    carry: the search examines only nodes z = y + g with y the root or a
+    node of the lower set and g a generator, so
+    min_t n·t + min_g n·g <= n·y + n·g = n·z <= 0, as the cone holds y and
+    g.  Every lane value n_i·z - lo_i thus lies in [0, -lo_i], below
+    2**w_i, and the key is the sum of its lanes' digits.
     """
-    parent: dict[Vector, tuple[Vector, Vector] | None] = {zero: None}
-    frontier = [zero]
+    bound = max(map(abs, chain.from_iterable(generators)), default=0)
+    weights = [0] * len(normals[0])
+    root = guards = shift = 0
+    lanes = []
+    for n, least in zip(normals, floors):
+        span = bound * sum(map(abs, n))
+        width = (span - least).bit_length()
+        root += (span - least) << shift
+        guards += 1 << (shift + width)
+        weights = [w + (a << shift) for w, a in zip(weights, n)]
+        lanes.append((shift, (1 << width) - 1))
+        shift += width + 1
+    return weights, root, guards, lanes
+
+
+def _search(generators, weights, root, in_lower_set, pending):
+    """BFS parents from the root key inside the lower set: each reached key
+    maps to (previous key, generator), the root to None.  Returns as soon as
+    no target key is pending, even in the middle of a layer.
+
+    Layer 1 reaches the generators themselves, and packs each one's image
+    weights·g as it goes, so a search that stops there packs only the
+    generators it examined.  The frontier is visited in sorted node order,
+    with each accepted node's coordinates carried next to its key.
+    """
+    parent: dict[int, tuple[int, Vector] | None] = {root: None}
+    if not pending:
+        return parent
+    edges = []
+    frontier = []
+    for g in generators:
+        ig = dot(weights, g)
+        edges.append((ig, g))
+        iz = root + ig
+        if in_lower_set(iz):  # distinct nonzero generators: no key repeats here
+            parent[iz] = (root, g)
+            frontier.append((g, iz))
+            pending.discard(iz)
+            if not pending:
+                return parent
     while pending and frontier:
         next_frontier = []
-        for y in sorted(frontier):
-            for g in generators:
-                z = add(y, g)
-                if z not in parent and in_lower_set(z):
-                    parent[z] = (y, g)
-                    next_frontier.append(z)
-                    pending.discard(z)
+        for y, iy in sorted(frontier):
+            for ig, g in edges:
+                iz = iy + ig
+                if iz not in parent and in_lower_set(iz):
+                    parent[iz] = (iy, g)
+                    next_frontier.append((add(y, g), iz))
+                    pending.discard(iz)
                     if not pending:
                         return parent
         frontier = next_frontier

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from polynorm.bounds import full_report
-from polynorm.catalog import build_family
+from constructions import build_family
 
 # The fixed regression set.  reeve is the deliberate non-very-ample member.
 CATALOG_SPECS = (

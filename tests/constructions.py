@@ -6,11 +6,13 @@ interior points are counted by reciprocity.  The oracles and fixtures that
 check those shortcuts build and list them here.  The pipeline counts holes
 and lists them lazily; k_normality gathers a level's flag and hole set.
 Membership in a dilate (contains) and the greedy split of a point of kP
-into a point of d_P·P plus units (decompose_point) serve the tests only.
+into a point of d_P·P plus units (decompose_point) serve the tests only, as
+does build_family: the command line takes specs through parse_family.
 """
 
 from types import SimpleNamespace
 
+from polynorm.catalog import parse_family
 from polynorm.exactmath import scale, sub
 from polynorm.invariants import InvariantError, hole_count, iter_holes
 from polynorm.polytope import HalfSpace, Polytope, from_points
@@ -19,6 +21,12 @@ from polynorm.polytope import HalfSpace, Polytope, from_points
 # product and join read only dim and vertices of a factor, so they take this
 # stand-in.
 POINT = SimpleNamespace(dim=0, vertices=((),))
+
+
+def build_family(spec: str) -> Polytope:
+    """Instantiate a textual family spec."""
+    builder, params = parse_family(spec)
+    return builder(*params)
 
 
 def dilate(p: Polytope, m: int) -> Polytope:

@@ -3,7 +3,6 @@ import pytest
 from polynorm.catalog import (
     SplitMix64,
     bruns_gubeladze,
-    build_family,
     cube,
     default_catalog,
     higashitani,
@@ -12,6 +11,8 @@ from polynorm.catalog import (
     reeve_like,
     standard_simplex,
 )
+
+from constructions import build_family
 
 
 class TestCube:

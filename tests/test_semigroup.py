@@ -69,7 +69,16 @@ class TestSigma:
             sums.append(a)
             return add(a, b)
 
+        def examined(generators):
+            # layer 1 packs each generator it examines, once
+            for g in generators:
+                sums.append(g)
+                yield g
+
+        search = semigroup._search
         monkeypatch.setattr(semigroup, "add", counting_add)
+        monkeypatch.setattr(semigroup, "_search",
+                            lambda generators, *rest: search(examined(generators), *rest))
         gs = generator_set(poly("bruns:4"), (0, 0, 0))
         assert sigma(gs, (0, 0, 0)).length == 0
         assert sums == []  # the zero target needs no search

@@ -8,9 +8,9 @@
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
   threshold from every m = 1..d_P.
-- The lower-set test ANDs per-normal prefix bitsets of the images sorted by
-  entry (semigroup._dominance_test); the oracle scans every image, with the
-  node's image given lazily and eagerly.
+- The lower-set test for several targets ANDs per-normal prefix bitsets of
+  the images sorted by entry (semigroup._dominance_test); the oracle scans
+  every image, with the node's image given lazily and eagerly.
 - Polytope.lattice_rows recurses over the coordinates, carrying each
   facet's residual and cutting each coordinate's range by the least value
   of the rest over the box; the oracle tests every point of the bounding
@@ -28,6 +28,16 @@
   enumerate the points, interpolate from the listed levels 0..dim
   (ehrhart_by_listing), and for the volume solve the Vandermonde system of
   the counts.
+- The BFS of shortest_representations keys each node by its image under
+  the cone normals, packed into one int with a guard bit above each lane:
+  one int add per edge and, with one target, one guard-bit compare per
+  lower-set test.  The oracle, search_by_tuples, runs the BFS on
+  coordinate tuples with each image computed lazily by dot products; the
+  certificates must agree part for part, single-target and all-target, at
+  every vertex.  The lane edge cases (the 35-step chain of bruns:36, a
+  translate with negative coordinates, vertices with more tight normals
+  than dim) also check that every node y + g the search can reach has each
+  lane value in range and its key equal to the sum of its lanes.
 - The BFS of shortest_representations stops once every target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
@@ -65,6 +75,7 @@
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -74,7 +85,6 @@ from polynorm import invariants, polytope, semigroup
 from polynorm.bounds import PipelineError, full_report
 from polynorm.catalog import (
     SplitMix64,
-    build_family,
     cube,
     random_polytope,
     standard_simplex,
@@ -113,6 +123,7 @@ from polynorm.polytope import (
 from polynorm.semigroup import (
     MPResult,
     MPWitness,
+    ReprCertificate,
     compute_m_P,
     generator_set,
     shortest_representations,
@@ -120,7 +131,14 @@ from polynorm.semigroup import (
 )
 
 from conftest import CATALOG_SPECS
-from constructions import contains, dilate, interior_lattice_points, k_normality, product
+from constructions import (
+    build_family,
+    contains,
+    dilate,
+    interior_lattice_points,
+    k_normality,
+    product,
+)
 from exact_solve import solve_rational
 
 # cube:4 is left out: its n-2 = 14 scan enumerates 15P and takes seconds.
@@ -377,11 +395,29 @@ def test_point_outside_P_fails_the_cone_check():
     assert failed >= 15
 
 
-def search_to_exhaustion(generators, in_lower_set, pending, zero):
+def search_to_exhaustion(generators, weights, root, in_lower_set, pending):
     """semigroup._search without the early stop: every node of the lower set."""
+    edges = [(dot(weights, g), g) for g in generators]
+    parent = {root: None}
+    frontier = [((0,) * len(weights), root)]
+    while frontier:
+        next_frontier = []
+        for y, iy in sorted(frontier):
+            for ig, g in edges:
+                iz = iy + ig
+                if iz not in parent and in_lower_set(iz):
+                    parent[iz] = (iy, g)
+                    next_frontier.append((add(y, g), iz))
+        frontier = next_frontier
+    return parent
+
+
+def search_by_tuples(generators, in_lower_set, pending, zero):
+    """The BFS on coordinate tuples that semigroup._search replaces: each
+    reached node maps to (previous node, generator), zero to None."""
     parent = {zero: None}
     frontier = [zero]
-    while frontier:
+    while pending and frontier:
         next_frontier = []
         for y in sorted(frontier):
             for g in generators:
@@ -389,8 +425,136 @@ def search_to_exhaustion(generators, in_lower_set, pending, zero):
                 if z not in parent and in_lower_set(z):
                     parent[z] = (y, g)
                     next_frontier.append(z)
+                    pending.discard(z)
+                    if not pending:
+                        return parent
         frontier = next_frontier
     return parent
+
+
+def representations_by_tuples(gs, targets):
+    """shortest_representations over search_by_tuples, each node's image
+    computed lazily by dot products."""
+    results = dict.fromkeys(targets)
+    live = [t for t in results if gs.in_cone(t)]
+    if not live:
+        return results
+    zero = (0,) * len(gs.vertex)
+    normals = gs.cone_normals
+    dominates = semigroup._dominance_test([tuple(dot(n, t) for n in normals) for t in live])
+
+    def in_lower_set(y):
+        return dominates(dot(n, y) for n in normals)
+
+    parent = search_by_tuples(gs.generators, in_lower_set, set(live) - {zero}, zero)
+    for t in live:
+        if t in parent:
+            parts = []
+            node = t
+            while parent[node] is not None:
+                node, g = parent[node]
+                parts.append(g)
+            results[t] = ReprCertificate(t, tuple(sorted(parts)))
+    return results
+
+
+def dilate_targets(p, k, v):
+    """The points of kP less k·v, in sorted order: the m_P targets at k = d_P."""
+    shift = scale(k, v)
+    return tuple(sub(x, shift) for x in sorted(p.lattice_points(k)))
+
+
+def assert_matches_tuple_search(gs, targets):
+    """All-target and single-target certificates equal part for part."""
+    assert shortest_representations(gs, targets) == representations_by_tuples(gs, targets)
+    for t in targets:
+        assert sigma(gs, t) == representations_by_tuples(gs, (t,))[t], t
+
+
+def test_packed_search_matches_tuple_search(poly):
+    searched = infeasible = 0
+    for p in oracle_cases(poly):
+        d_P = compute_d_P(p)
+        for v in p.vertices:
+            gs = generator_set(p, v)
+            targets = dilate_targets(p, d_P, v)
+            assert_matches_tuple_search(gs, targets)
+            searched += len(targets)
+            infeasible += sum(sigma(gs, t) is None for t in targets)
+    assert searched > 5000 and infeasible > 0
+
+
+def check_lanes(monkeypatch):
+    """Make every search assert that its lanes never carry: each node y + g,
+    for y the root or a reached node and g a generator, has every lane value
+    n_i·(y + g) - lo_i in [0, 2**w_i), and its key is the sum of those lanes.
+    Returns the list of searches checked, (normals, lanes) each."""
+    checked = []
+    real_lanes, real_search = semigroup._lanes, semigroup._search
+    packings = []
+
+    def lanes(normals, generators, floors):
+        packing = real_lanes(normals, generators, floors)
+        packings.append((normals, generators, packing))
+        return packing
+
+    def search(generators, weights, root, in_lower_set, pending):
+        parent = real_search(generators, weights, root, in_lower_set, pending)
+        normals, gens, (_, _, _, lanes) = packings.pop()
+        shifts = [s for s, _ in lanes]
+        lows = [-((root >> s) & m) for s, m in lanes]
+        steps = [(dot(weights, g), [dot(n, g) for n in normals]) for g in gens]
+        nodes = {}
+        for key, entry in parent.items():  # a parent is entered before its children
+            y = nodes[key] = (0,) * len(weights) if entry is None else add(nodes[entry[0]], entry[1])
+            base = [dot(n, y) - low for n, low in zip(normals, lows)]
+            for ig, step in steps:
+                values = list(map(operator.add, base, step))
+                assert all(0 <= a <= m for a, (_, m) in zip(values, lanes)), (y, step)
+                assert key + ig == sum(map(operator.lshift, values, shifts)), (y, step)
+        checked.append((normals, lanes))
+        return parent
+
+    monkeypatch.setattr(semigroup, "_lanes", lanes)
+    monkeypatch.setattr(semigroup, "_search", search)
+    return checked
+
+
+def test_lanes_at_the_longest_chain_and_a_translate(poly, monkeypatch):
+    # bruns:36 has m_P = 35 at x = (1, 1, 35), v = 0; CI pins the parts
+    checked = check_lanes(monkeypatch)
+    p = poly("bruns:36")
+    gs = generator_set(p, (0, 0, 0))
+    cert = sigma(gs, (1, 1, 35))
+    assert cert.parts == ((0, 0, 1),) * 33 + ((0, 1, 1), (1, 0, 1))
+    assert cert == representations_by_tuples(gs, ((1, 1, 35),))[(1, 1, 35)]
+    # the same pair in a copy with every coordinate negative
+    shift = (40, 40, 400)
+    moved = translated(p, shift)
+    assert all(c < 0 for u in moved.lattice_points(1) for c in u)
+    d_P = compute_d_P(p)
+    got = compute_m_P(moved, d_P)
+    assert (got.m_P, got.witness.x, got.witness.vertex) == (
+        35, sub((1, 1, 35), scale(d_P, shift)), sub((0, 0, 0), shift))
+    assert got.witness.certificate.parts == cert.parts
+    for v in moved.vertices:
+        assert_matches_tuple_search(generator_set(moved, v), dilate_targets(moved, d_P, v))
+    assert len(checked) > 2 * moved.num_vertices
+
+
+def test_lanes_at_vertices_with_more_normals_than_dim(monkeypatch):
+    checked = check_lanes(monkeypatch)
+    pyramid = from_points([(0, 0, 0), (3, 0, 0), (0, 3, 0), (3, 3, 0), (1, 1, 3)])
+    sample = build_family("random:4,3,9,11")
+    cases = [(pyramid, (1, 1, 3), k) for k in (1, 2, 3)]
+    # the first of the sample's vertices with 12 tight normals
+    v = next(v for v in sample.vertices if len(generator_set(sample, v).cone_normals) == 12)
+    cases.append((sample, v, compute_d_P(sample)))
+    for p, v, k in cases:
+        gs = generator_set(p, v)
+        assert len(gs.cone_normals) > p.dim
+        assert_matches_tuple_search(gs, dilate_targets(p, k, v))
+    assert all(len(lanes) > 3 for _, lanes in checked)
 
 
 def single_target_certificates(p, d_P):

@@ -5,9 +5,11 @@ bound unchanged, and every witness keeps its level and length."""
 from hypothesis import given, settings, strategies as st
 
 from polynorm.bounds import full_report, report_to_dict
-from polynorm.catalog import build_family, random_polytope
+from polynorm.catalog import random_polytope
 from polynorm.exactmath import add, dot
 from polynorm.polytope import from_points
+
+from constructions import build_family
 
 
 @st.composite

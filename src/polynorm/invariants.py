@@ -11,10 +11,15 @@ comes from the levels up to ceil(dim/2), listed, and by Ehrhart-Macdonald
 reciprocity from the interior points of the levels up to floor(dim/2),
 counted by rows, so no level above ceil(dim/2) is listed for a count.  Hole
 points are decoded only when asked for.  The same shifted union decides the
-decomposition thresholds d_P and nu_P, which come out of the finite
-failure ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
-P∩M + kP∩M -> (k+1)P∩M is onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M
-is onto for every k >= d, so larger k never fail).  The vertex bound is
+decomposition thresholds d_P and nu_P, each test at a level j under a
+packing of its own.  The mask of jP∩M there is packed from listed points
+only for j <= ceil(dim/2); above that it is the mask of level j-1 shifted
+by the packed points of P∩M, which lies in jP∩M and is accepted when its
+count is |jP∩M|, and jP is listed only when it falls short, for j-1 < d_P.
+The thresholds come out of the finite failure ranges k <= dim-2 and
+k <= dim-1 (for a d-dimensional polytope the map P∩M + kP∩M -> (k+1)P∩M is
+onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M is onto for every k >= d,
+so larger k never fail).  The vertex bound is
 Carathéodory's theorem: a lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at
 most d+1 nonzero λ_i, so some λ_i >= 1/(d+1), and for k >= d the point x - v_i
 has the nonnegative coefficients (k+1)λ_j - [j = i] summing to k, hence lies in
@@ -297,6 +302,29 @@ def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
         yield j, decided
 
 
+def _dilate_mask(p: Polytope, packing: _Packing, j: int) -> int:
+    """The bitmask of jP∩M under packing, injective up to level j or more.
+
+    Levels j <= ceil(dim/2) are packed from the listed points, which
+    `_ehrhart` lists anyway.  A level above that is the mask of level j-1,
+    built the same way, shifted by the packed points of P∩M, and it is kept
+    when it has |jP∩M| bits set; only otherwise is jP listed.  The union is
+    (j-1)P∩M + P∩M, which lies in jP∩M, where the packing is injective, so
+    equal counts mean equal sets.  For j-1 >= d_P the sum is onto, so the
+    counts agree on every level above max(d_P, ceil(dim/2)).
+    """
+    level = min(j, (p.dim + 1) // 2)
+    mask = _bitmask(packing.pack(x, level) for x in p.lattice_points(level))
+    if level < j:
+        shifts = [packing.pack(b, 1) for b in p.lattice_points(1)]
+    while level < j:
+        level += 1
+        mask = _shifted_union(mask, shifts)
+        if mask.bit_count() != _point_count(p, level):
+            mask = _bitmask(packing.pack(x, level) for x in p.lattice_points(level))
+    return mask
+
+
 def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:
     """Whether summand + kmP∩M = (k+1)mP∩M, summand a set of lattice points
     of mP.
@@ -305,10 +333,13 @@ def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:
     pack(x, km) + pack(b, m) = pack(x + b, (k+1)m), so under a packing
     injective up to level (k+1)m the packed sum is the shifted union of the
     mask of kmP∩M by the packed summand, and the two sets are equal exactly
-    when it has |(k+1)mP∩M| bits set.
+    when it has |(k+1)mP∩M| bits set.  The mask of kmP∩M comes from
+    `_dilate_mask` under that packing: above ceil(dim/2) it is the level
+    below shifted by P∩M, accepted when its count is |kmP∩M|, so the
+    levels above max(d_P, ceil(dim/2)) are never listed.
     """
     packing = _packing(p, (k + 1) * m)
-    mask = _bitmask(packing.pack(x, k * m) for x in p.lattice_points(k * m))
+    mask = _dilate_mask(p, packing, k * m)
     image = _shifted_union(mask, [packing.pack(b, m) for b in summand])
     return image.bit_count() == _point_count(p, (k + 1) * m)
 
@@ -437,16 +468,17 @@ def _triangulate(p: Polytope, face: tuple[Vector, ...], dim: int):
     is not in G.  Conversely each f with f.slack(v0) > 0 meets the face in
     the face {v : f.slack(v) == 0}, which is a facet of it when its vertices
     have affine rank dim - 1.  Several f can cut the same G, so the vertex
-    tuples are deduplicated.
+    tuples are deduplicated.  Slacks are read off `Polytope.slack_table`.
     """
     if len(face) == dim + 1:
         return [face]
+    slacks = p.slack_table()
     v0 = face[0]
     facets = {}
-    for f in p.facets:
-        if f.slack(v0) == 0:
+    for i, s in enumerate(slacks[v0]):
+        if s == 0:
             continue
-        sub_face = tuple(v for v in face if f.slack(v) == 0)
+        sub_face = tuple(v for v in face if slacks[v][i] == 0)
         if len(sub_face) >= dim and rank(
                 tuple(sub(v, sub_face[0]) for v in sub_face[1:])) == dim - 1:
             facets[sub_face] = None
@@ -469,17 +501,18 @@ def smooth_data(p: Polytope) -> SmoothData:
     every vertex corner simplex that contains P), and m_prime the largest
     single coefficient over vertices v and lattice points u != v.  Each of
     the dim coefficients is at most m_prime, so gamma <= dim * m_prime.
+    Every slack is read off `Polytope.slack_table`.
     """
+    slacks = p.slack_table()
     corners = []
     for v in p.vertices:
-        tight = [f for f in p.facets if f.slack(v) == 0]
-        if len(tight) != p.dim or abs(det_exact(tuple(f.normal for f in tight))) != 1:
+        tight = [i for i, s in enumerate(slacks[v]) if s == 0]
+        if len(tight) != p.dim or abs(det_exact(tuple(p.facets[i].normal for i in tight))) != 1:
             return SmoothData(False, None, None)
         corners.append((v, tight))
-    points = p.lattice_points(1)
-    g = max(sum(f.slack(u) for f in tight)
+    g = max(sum(slacks[u][i] for i in tight)
             for v, tight in corners for u in p.vertices if u != v)
-    mp = max(f.slack(u) for v, tight in corners for u in points if u != v for f in tight)
+    mp = max(slacks[u][i] for v, tight in corners for u in slacks if u != v for i in tight)
     if g > p.dim * mp:
         raise AssertionError(f"gamma={g} exceeds dim*m_prime={p.dim * mp} (bug)")
     return SmoothData(True, g, mp)

@@ -46,17 +46,18 @@ class HalfSpace:
 class Polytope:
     """Full-dimensional lattice polytope.
 
-    Immutable after construction except for three internal memos, all safe
+    Immutable after construction except for four internal memos, all safe
     for concurrent readers: the lattice points per dilation factor, filled
-    idempotently; the Ehrhart polynomial of `invariants`, a tuple computed
-    the same way by every caller and set by one assignment; and the
-    k-normality tower of `invariants`, an immutable state that is replaced
-    whole by one assignment, so a reader sees the old tower or the extended
-    or rebuilt one and never a half-built one.
+    idempotently; the facet-slack table of `slack_table` and the Ehrhart
+    polynomial of `invariants`, each computed the same way by every caller
+    and set by one assignment; and the k-normality tower of `invariants`,
+    an immutable state that is replaced whole by one assignment, so a
+    reader sees the old tower or the extended or rebuilt one and never a
+    half-built one.
     """
 
     __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache",
-                 "_ehrhart", "_tower")
+                 "_slacks", "_ehrhart", "_tower")
 
     def __init__(self, vertices: tuple[Vector, ...], dim: int,
                  facets: tuple[HalfSpace, ...], name: str | None = None):
@@ -66,6 +67,7 @@ class Polytope:
         self.name = name
         self._vertex_set = frozenset(vertices)
         self._point_cache: dict[int, frozenset[Vector]] = {}
+        self._slacks = None
         self._ehrhart = None
         self._tower = None
         self._validate()
@@ -136,6 +138,17 @@ class Polytope:
                            for z in range(lo, hi + 1))
         # setdefault keeps the fill idempotent under concurrent callers
         return self._point_cache.setdefault(k, points)
+
+    def slack_table(self) -> dict[Vector, tuple[int, ...]]:
+        """{u: (f.slack(u) for each facet f, in facet order)} over the lattice
+        points u of P, memoized."""
+        table = self._slacks
+        if table is None:
+            facets = [(f.normal, f.offset) for f in self.facets]
+            table = self._slacks = {
+                u: tuple(c - sum(map(mul, a, u)) for a, c in facets)
+                for u in self.lattice_points(1)}
+        return table
 
     def lattice_rows(self, k: int = 1):
         """The lattice points of kP as rows (prefix, lo, hi): the points
@@ -252,13 +265,23 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     and kept when it grows the basis.  The centroid of the simplex is
     interior to every later hull, so each new facet is oriented to hold it
     strictly.  Each facet keeps its tight set, the points inserted so far
-    that lie on it.  The other points are inserted one at a time, each in
-    one pass over the facets that computes its slack in each; a facet is
-    visible from p when p has negative slack in it.
+    that lie on it.  The points not in the simplex are inserted one at a
+    time in sorted order, each in one pass over the facets that computes
+    its slack in each; a facet is visible from p when p has negative slack
+    in it.
 
-    - With no facet visible, p lies in the hull and joins the tight sets of
-      the facets where its slack is 0; the ridge loop is skipped.
-    - Otherwise the facets of the new hull conv(Q ∪ {p}) are the facets of
+    - Every inserted p sees a facet, as it lies outside conv(Q), Q the
+      points inserted before it.  Let A be the affine span of the simplex
+      points that precede p in sorted order.  A point that precedes p and
+      is not in the simplex lies in A: either it precedes the last simplex
+      point, and was skipped as lying in the span of the simplex points
+      before it, or A is the whole space.  p lies in A too.  The simplex
+      points after p are affinely independent over A, so a hyperplane
+      through A has them strictly on one side, and conv(Q) ∩ A is the hull
+      of the points of Q that precede p.  p is the lexicographic maximum
+      of those points and itself, so it is a vertex of their hull and lies
+      outside conv(Q).
+    - The facets of the new hull conv(Q ∪ {p}) are the facets of
       conv(Q) that p is not beyond, and the cones over p of the horizon
       ridges, the ridges between a visible facet f and a facet g that is
       not visible.  Two facets meet in a ridge exactly when their tight
@@ -268,10 +291,12 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
       intersection, have rank d-1, and their span is the new facet's.  A
       seen point on the new facet lies in conv(Q) ∩ H = f ∩ g, so its tight
       set is the ridge plus p.
-    - When p lies on the hyperplane of g (slack 0), the cone over the ridge
-      spans g's hyperplane: facets are keyed by their HalfSpace, so it
-      merges into g, which p has joined, as a cube's last vertex extends
-      three square facets.
+    - When p lies on the hyperplane H of a facet g that is not visible
+      (slack 0), p is in H but not in g, so within H it violates the
+      inequality of some facet f that meets g in a ridge; f is visible,
+      and the cone over p of the ridge f ∩ g spans H.  Facets are keyed by
+      their HalfSpace, so that cone merges into g and p joins g's tight
+      set, as a cube's last vertex extends three square facets.
 
     Every intermediate hull is exactly conv of the points inserted so far,
     so the result is the set of facets of conv(points): the same primitive
@@ -299,16 +324,10 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
         rows = echelon(sub(q, face[0]) for q in face[1:])
         tight[_halfspace(face[0], rows, inside)] = set(face)
     for p in pts:
-        visible = []
-        for f, on_f in tight.items():
-            s = f.offset - sum(map(mul, f.normal, p))
-            if s < 0:
-                visible.append(f)
-            elif s == 0:
-                on_f.add(p)
-        if not visible:
+        if p in simplex:
             continue
-        visible = [tight.pop(f) for f in visible]
+        beyond = [f for f in tight if f.offset < sum(map(mul, f.normal, p))]
+        visible = [tight.pop(f) for f in beyond]
         kept = list(tight.values())
         for on_f in visible:
             for on_g in kept:

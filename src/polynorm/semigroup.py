@@ -91,15 +91,22 @@ class MPResult:
 
 
 def generator_set(p: Polytope, v: Vector) -> GeneratorSet:
+    """The generators u - v, u in P∩M, and the tangent-cone normals at v.
+
+    For a facet f tight at v, n·(u - v) = -f.slack(u), so u - v lies in the
+    cone exactly when u has slack >= 0 in every facet tight at v; that is
+    asserted for every generator, read off `Polytope.slack_table`.
+    """
     if not p.is_vertex(v):
         raise ValueError(f"{v} is not a vertex")
-    gens = tuple(sorted(sub(u, v) for u in p.lattice_points(1) if u != v))
-    normals = tuple(sorted(f.normal for f in p.facets if f.slack(v) == 0))
-    gs = GeneratorSet(v, gens, normals)
-    for g in gens:
-        if not gs.in_cone(g):
-            raise AssertionError(f"generator {g} escapes the tangent cone (bug)")
-    return gs
+    slacks = p.slack_table()
+    tight = [i for i, s in enumerate(slacks[v]) if s == 0]
+    for u, row in slacks.items():
+        if any(row[i] < 0 for i in tight):
+            raise AssertionError(f"generator {sub(u, v)} escapes the tangent cone (bug)")
+    gens = tuple(sorted(sub(u, v) for u in slacks if u != v))
+    normals = tuple(sorted(p.facets[i].normal for i in tight))
+    return GeneratorSet(v, gens, normals)
 
 
 def shortest_representations(gs: GeneratorSet, targets):
@@ -335,19 +342,20 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     Generator sets are built only for the searches.  Their assertion that
     every generator u - v lies in the tangent cone at v is checked for all
     vertices at once, as f.slack(u) >= 0 for every facet f and every u in
-    P∩M: for a facet f tight at v, n·(u - v) = -f.slack(u), so u - v is in
-    the cone {y : n·y <= 0 for the facets tight at v} exactly when u has
-    nonnegative slack in those facets, and every facet is tight at some
-    vertex (Polytope validates it), so over all vertices these are all the
-    facets.
+    P∩M, read off `Polytope.slack_table`: for a facet f tight at v,
+    n·(u - v) = -f.slack(u), so u - v is in the cone {y : n·y <= 0 for the
+    facets tight at v} exactly when u has nonnegative slack in those
+    facets, and every facet is tight at some vertex (Polytope validates
+    it), so over all vertices these are all the facets.
     """
     vertices = p.vertices
-    for f in p.facets:
-        for u in p.lattice_points(1):
-            if f.slack(u) < 0:
-                raise AssertionError(
-                    f"lattice point {u} violates facet {f}: a generator escapes "
-                    "the tangent cone (bug)")
+    for u, slacks in p.slack_table().items():
+        least = min(slacks)
+        if least < 0:
+            f = p.facets[slacks.index(least)]
+            raise AssertionError(
+                f"lattice point {u} violates facet {f}: a generator escapes "
+                "the tangent cone (bug)")
     xs = sorted(p.lattice_points(d_P))
     apexes = {v: scale(d_P, v) for v in vertices}
     open_xs = {v: [x for x in xs if x != apexes[v]] for v in vertices}

@@ -28,6 +28,12 @@
   enumerate the points, interpolate from the listed levels 0..dim
   (ehrhart_by_listing), and for the volume solve the Vandermonde system of
   the counts.
+- Above ceil(dim/2), the dilate tests take the mask of jP∩M from the
+  mask of level j-1 shifted by P∩M, accepted on its count; the oracle
+  packs the listed points of jP, and a level is listed exactly when tuple
+  sums of (j-1)P∩M and P∩M miss a point of jP∩M.
+- Polytope.slack_table computes every facet slack of P∩M once; the oracle
+  calls HalfSpace.slack for each entry.
 - The BFS of shortest_representations keys each node by its image under
   the cone normals, packed into one int with a guard bit above each lane:
   one int add per edge and, with one target, one guard-bit compare per
@@ -887,6 +893,59 @@ def test_ehrhart_counts_match_enumeration(poly):
         fresh = from_points(p.vertices)
         invariants._point_count(fresh, fresh.dim + 4)
         assert max(fresh._point_cache) == (fresh.dim + 1) // 2
+
+
+# -- dilate masks: the level below shifted by P∩M against the listed points -------
+
+
+def union_falls_short(p, j):
+    """Whether (j-1)P∩M + P∩M misses a point of jP∩M, by tuple sums."""
+    below = p.lattice_points(j - 1)
+    return {add(x, b) for x in below for b in p.lattice_points(1)} != p.lattice_points(j)
+
+
+def test_dilate_mask_matches_listed_points(poly):
+    rng = SplitMix64(1)
+    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(4)]
+    held = short = 0
+    for p in oracle_cases(poly) + deep:
+        top = p.dim + 1
+        half = (p.dim + 1) // 2
+        # a fresh polytope: only _ehrhart's levels are listed before the call
+        fresh = from_points(p.vertices, name=p.name)
+        invariants._ehrhart(fresh)
+        invariants._dilate_mask(fresh, invariants._packing(fresh, top), top)
+        falls_short = [j for j in range(half + 1, top + 1) if union_falls_short(p, j)]
+        # a level above ceil(dim/2) is listed exactly when the union falls short
+        assert sorted(fresh._point_cache) == list(range(1, half + 1)) + falls_short, p.name
+        held += top - half - len(falls_short)
+        short += len(falls_short)
+        for j in range(1, top + 1):
+            for capacity in (j, j + 1):
+                packing = invariants._packing(p, capacity)
+                listed = invariants._bitmask(packing.pack(x, j) for x in p.lattice_points(j))
+                assert invariants._dilate_mask(fresh, packing, j) == listed, (p.name, j)
+    # both routes: levels the union fills, and levels of the dim-4 cases with
+    # d_P = 3 where it falls short and jP is listed
+    assert held >= 100
+    assert short >= 3
+
+
+def test_full_report_lists_no_level_above_half():
+    # random:4,3,9,11 has d_P = 2 and nu_P = 3: the nu_P test at k = 3 takes
+    # the mask of 3P from the union of 2P and P∩M instead of listing 3P
+    p = build_family("random:4,3,9,11")
+    full_report(p)
+    assert sorted(p._point_cache) == [1, 2]
+
+
+def test_slack_table_matches_facet_slacks(poly):
+    for p in oracle_cases(poly) + [poly("cube:4")]:
+        table = p.slack_table()
+        assert set(table) == p.lattice_points(1), p.name
+        for u, slacks in table.items():
+            assert slacks == tuple(f.slack(u) for f in p.facets), (p.name, u)
+        assert p.slack_table() is table
 
 
 # -- hole decoding: row scan of the mask against filtering the points -----------

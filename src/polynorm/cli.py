@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 input or usage error or a closed output pipe, 2
 property violation or an unmet requirement (--require-kp on a
 non-very-ample polytope, safety cap reached, or a failed check).
+
+`main(argv)` can be called repeatedly in one process: it returns the exit
+code, and its argparse parser is built once, at import.
 """
 
 from __future__ import annotations
@@ -498,16 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report cache directory (default: $POLYNORM_CACHE)")
     ap.add_argument("--require-kp", action="store_true",
                     help="exit 2 when the polytope is not very ample")
-    ap.set_defaults(func=cmd_analyze)
 
     hp = sub.add_parser("holes", help="list unreachable lattice points per dilation")
     add_input(hp, "list k = 1 .. max(k_P, N) and exit 2 if k_P > N (default: "
                   f"list through k_P, capped by $POLYNORM_MAX_K or {DEFAULT_MAX_K})")
-    hp.set_defaults(func=cmd_holes)
 
     cp = sub.add_parser("check", help="run the structural property suite")
     add_input(cp)
-    cp.set_defaults(func=cmd_check)
 
     ep = sub.add_parser("explore", help="sample random polytopes and record flagged ones")
     ep.add_argument("--dim", type=integer, required=True)
@@ -517,24 +517,28 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--store", default="explore_records.jsonl",
                     help="append-only JSONL store for flagged records")
     ep.add_argument("--max-k", type=integer, default=None, help=MAX_K_HELP)
-    ep.set_defaults(func=cmd_explore)
 
     gp = sub.add_parser("gen", help="print a family's vertex file (plain text)")
     gp.add_argument("family")
-    gp.set_defaults(func=cmd_gen)
     return parser
 
 
+# Built once, at import: its help text is formatted when printed, and it
+# holds no command function, so main dispatches through the current bindings.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
         if e.code != 2:
             raise
         return EXIT_INPUT
+    command = {"analyze": cmd_analyze, "holes": cmd_holes, "check": cmd_check,
+               "explore": cmd_explore, "gen": cmd_gen}[args.command]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except BrokenPipeError:  # Python's SIGPIPE recipe: the rest to devnull

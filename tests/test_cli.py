@@ -692,6 +692,55 @@ class TestRepeatedMain:
         assert code == EXIT_OK and err == ""
         assert "k_P                 5" in out
 
+    @pytest.mark.parametrize("base, option", [
+        (("analyze", "bruns:4"), ("--format", "csv")),
+        (("analyze", "bruns:4"), ("--cache-dir", "somewhere")),
+        (("analyze", "bruns:4"), ("--require-kp",)),
+        (("analyze", "bruns:4"), ("--max-k", "3")),
+        (("holes", "bruns:4"), ("--max-k", "5")),
+        (("check", "bruns:4"), ("--max-k", "2")),
+        (("explore", "--dim", "2"), ("--count", "7")),
+        (("explore", "--dim", "2"), ("--seed", "9")),
+        (("explore", "--dim", "2"), ("--bound", "2")),
+        (("explore", "--dim", "2"), ("--store", "elsewhere.jsonl")),
+        (("explore", "--dim", "2"), ("--max-k", "4")),
+    ], ids="_".join)
+    def test_every_option_is_back_at_its_default(self, monkeypatch, base, option):
+        # the command sees a namespace equal to a fresh parser's, with the
+        # option set on one call and back at its default on the next
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{base[0]}", lambda args: seen.append(vars(args)) or 0)
+        for argv in (base + option, base, base + option, base):
+            assert main(list(argv)) == EXIT_OK
+            assert seen.pop() == vars(cli.build_parser().parse_args(list(argv)))
+        default = vars(cli.build_parser().parse_args(list(base)))
+        assert vars(cli.build_parser().parse_args(list(base + option))) != default
+
+    @pytest.mark.parametrize("argv", [("--help",), ("analyze", "--help"), ("explore", "--help")])
+    def test_help_follows_columns_on_every_call(self, capsys, monkeypatch, argv):
+        texts = {}
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for parse in (main, cli.build_parser().parse_args):
+                with pytest.raises(SystemExit) as info:
+                    parse(list(argv))
+                assert info.value.code == 0
+                out, err = capsys.readouterr()
+                assert err == ""
+                texts.setdefault(columns, set()).add(out)
+        assert len(texts["40"]) == len(texts["200"]) == 1
+        assert texts["40"] != texts["200"]
+
+    @pytest.mark.parametrize("argv", [("analyze",), ("explore", "--dim", "x"), ("bogus",)])
+    def test_usage_errors_are_the_same_on_every_call(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(list(argv))
+        assert info.value.code == 2
+        expected = capsys.readouterr()
+        assert expected.out == "" and expected.err.startswith("usage: polynorm")
+        for _ in range(3):
+            assert run(capsys, *argv) == (EXIT_INPUT, "", expected.err)
+
     @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("check", "--help")])
     def test_next_call_after_system_exit(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -699,6 +748,22 @@ class TestRepeatedMain:
         assert info.value.code == 0
         assert capsys.readouterr().out
         assert run(capsys, "analyze", "bruns:4") == (EXIT_OK, BRUNS4_TABLE, "")
+
+
+class TestDispatch:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, "gen", "cube:2") == (EXIT_OK, "# cube:2\n0 0\n0 1\n1 0\n1 1\n", "")
+
+    def test_command_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, "gen", "cube:2")[0] == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: calls.append(args.family) or EXIT_VIOLATION)
+        assert run(capsys, "gen", "cube:3") == (EXIT_VIOLATION, "", "")
+        assert calls == ["cube:3"]
 
 
 class TestGen:

@@ -132,3 +132,20 @@ def echelon(vectors) -> list[tuple[int, Vector]]:
 def rank(m) -> int:
     """Rank over the rationals: the size of an echelon basis of the rows."""
     return len(echelon(m))
+
+
+def reaches_rank(vectors, r: int) -> bool:
+    """True when vectors of one length span a space of dimension at least r.
+
+    The vectors are reduced in order by `extend_echelon`, and no vector is
+    read once the basis has r rows; a caller that knows the rank cannot
+    exceed r gets the same answer as comparing `rank` with r.
+    """
+    basis = []
+    vectors = iter(vectors)
+    while len(basis) < r:
+        v = next(vectors, None)
+        if v is None:
+            return False
+        extend_echelon(basis, v)
+    return True

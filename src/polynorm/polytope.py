@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -21,7 +23,7 @@ from .exactmath import (
     extend_echelon,
     neg,
     primitive,
-    rank,
+    reaches_rank,
     sub,
     vec,
 )
@@ -76,18 +78,33 @@ class Polytope:
 
     def _validate(self):
         """Check the construction invariants, in this order: the polytope
-        has vertices and facets; then, facet by facet, its normal is
-        primitive, no vertex violates it, and it is tight at d affinely
-        independent vertices; then every listed vertex is extreme, the
-        normals of the facets tight at it having rank d.
+        has vertices and facets; every vertex has d coordinates; every
+        facet normal has d coordinates and is not zero; then, facet by
+        facet, its normal is primitive, no vertex violates it, and it is
+        tight at d affinely independent vertices; then every listed vertex
+        is extreme, the normals of the facets tight at it having rank d.
 
         The slack of each vertex in each facet is computed once, into a
         facet × vertex table that the facet checks fill row by row and the
-        extremality check reads by column.
+        extremality check reads by column.  Each rank check stops its
+        elimination at the rank it needs (`reaches_rank`), which it cannot
+        exceed: the differences of a facet's tight vertices lie in the
+        hyperplane of its nonzero normal, rank at most d - 1, and normals
+        lie in Z^d, rank at most d.  So stopping early accepts and rejects
+        exactly what the full rank does; the shape checks come first
+        because that argument needs them.
         """
         d = self.dim
         if not self.vertices or not self.facets:
             raise GeometryError("polytope needs vertices and facets")
+        for v in self.vertices:
+            if len(v) != d:
+                raise GeometryError(f"vertex {v} does not have {d} coordinates")
+        for f in self.facets:
+            if len(f.normal) != d:
+                raise GeometryError(f"facet {f} does not have a normal of {d} coordinates")
+            if not any(f.normal):
+                raise GeometryError(f"facet {f} has the zero normal")
         table = []
         for f in self.facets:
             if primitive(f.normal) != f.normal:
@@ -97,12 +114,12 @@ class Polytope:
                 if s < 0:
                     raise GeometryError(f"vertex {v} violates facet {f}")
             tight = [v for v, s in zip(self.vertices, slacks) if s == 0]
-            if len(tight) < d or rank(tuple(sub(p, tight[0]) for p in tight[1:])) != d - 1:
+            if len(tight) < d or not reaches_rank((sub(p, tight[0]) for p in tight[1:]), d - 1):
                 raise GeometryError(f"facet {f} is not tight at d affinely independent vertices")
             table.append(slacks)
         for j, v in enumerate(self.vertices):
-            active = tuple(f.normal for f, slacks in zip(self.facets, table) if slacks[j] == 0)
-            if rank(active) != d:
+            active = (f.normal for f, slacks in zip(self.facets, table) if slacks[j] == 0)
+            if not reaches_rank(active, d):
                 raise GeometryError(f"listed point {v} is not extreme")
 
     # -- basic queries -------------------------------------------------------
@@ -259,16 +276,17 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     to its tight set, the points of pts that lie on it.  pts is sorted,
     without repeats and not empty.
 
-    Exact-integer beneath-beyond.  The first affinely independent points in
-    sorted order span a d-simplex: each point's difference from pts[0] is
-    reduced once against the echelon basis of the differences kept so far,
-    and kept when it grows the basis.  The centroid of the simplex is
-    interior to every later hull, so each new facet is oriented to hold it
-    strictly.  Each facet keeps its tight set, the points inserted so far
-    that lie on it.  The points not in the simplex are inserted one at a
-    time in sorted order, each in one pass over the facets that computes
-    its slack in each; a facet is visible from p when p has negative slack
-    in it.
+    Exact-integer beneath-beyond with the update step of the double
+    description method.  The first affinely independent points in sorted
+    order span a d-simplex: each point's difference from pts[0] is reduced
+    once against the echelon basis of the differences kept so far, and
+    kept when it grows the basis.  The simplex's d + 1 facets are solved by
+    `_halfspace` and oriented to hold its centroid strictly.  Each facet
+    keeps its tight set, the indices into pts of the points inserted so
+    far that lie on it, and an index maps each point to the facets through
+    it.  The points not in the simplex are inserted one at a time in sorted
+    order, each in one pass over the facets that computes its slack in
+    each; a facet is visible from p when p has negative slack in it.
 
     - Every inserted p sees a facet, as it lies outside conv(Q), Q the
       points inserted before it.  Let A be the affine span of the simplex
@@ -284,19 +302,43 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     - The facets of the new hull conv(Q ∪ {p}) are the facets of
       conv(Q) that p is not beyond, and the cones over p of the horizon
       ridges, the ridges between a visible facet f and a facet g that is
-      not visible.  Two facets meet in a ridge exactly when their tight
-      sets meet in affine rank d-2 (every vertex of conv(Q) is in the tight
-      sets, so the intersection spans the face f ∩ g); since p is off the
-      hyperplane of f, that is when the vectors r - p, r in the
-      intersection, have rank d-1, and their span is the new facet's.  A
-      seen point on the new facet lies in conv(Q) ∩ H = f ∩ g, so its tight
-      set is the ridge plus p.
-    - When p lies on the hyperplane H of a facet g that is not visible
-      (slack 0), p is in H but not in g, so within H it violates the
-      inequality of some facet f that meets g in a ridge; f is visible,
-      and the cone over p of the ridge f ∩ g spans H.  Facets are keyed by
-      their HalfSpace, so that cone merges into g and p joins g's tight
-      set, as a cube's last vertex extends three square facets.
+      not visible.  A seen point on a new facet H lies in
+      conv(Q) ∩ H = f ∩ g, so its tight set is the ridge plus p.
+    - Ridges from tight sets.  Every vertex of conv(Q) is in Q and the
+      tight sets are complete, so the points that the tight sets of f and
+      g share are the points of Q on the face f ∩ g, its vertices among
+      them.  So f and g meet in a ridge exactly when they share at least
+      d-1 points and no third facet's tight set holds all of them: a ridge
+      has d-1 affinely independent vertices and lies in exactly two
+      facets, and a face of dimension < d-2 lies in at least three.  A
+      third facet through the shared points passes through any one of
+      them, so the index lists it.
+    - Candidates from the index.  The facets that share at least d-1
+      points with a visible f are counted over the index entries of f's
+      points, so no pair of facets without a shared point is visited.  In
+      d = 1 the ridges are empty and the count finds no neighbour; there
+      the hull is a segment and its other facet is the candidate.
+    - Normals by combination.  Let s_f < 0 <= s_g be the slacks of p in f
+      and g.  The inequality N·x <= C with N = s_g·n_f - s_f·n_g and
+      C = s_g·c_f - s_f·c_g is a nonnegative combination of the two, so it
+      holds on conv(Q) and is tight on the ridge; expanding N·p with
+      n·p = c - s gives N·p = C, so it is tight at p too.  N is not zero:
+      the outward normals n_f and n_g are distinct and primitive, and only
+      in d = 1 opposite, where N = (c_f + c_g)·n_f and c_f + c_g is the
+      length of the segment.  So N·x <= C is the new facet's inequality,
+      oriented without a test, and dividing by gcd(N) makes it primitive;
+      that gcd divides C = N·p.  When s_g = 0 the combination is
+      -s_f·(n_g, c_g), that is g itself: the cone merges into g and p
+      joins g's tight set, as a cube's last vertex extends three square
+      facets.  That covers every p on the hyperplane H of a kept g: p is
+      in H but not in g, so within H it violates the inequality of some
+      facet f that meets g in a ridge, and f is visible.
+    - Keys.  A facet of a full-dimensional polytope is determined by its
+      primitive outward normal, so facets are keyed by it during the
+      insertion, and cones over several ridges that span one hyperplane
+      merge into one facet.  The visible facets are dropped before the
+      new ones are keyed: in d = 1 the new facet has the visible one's
+      normal.  Each HalfSpace is built once, at the end.
 
     Every intermediate hull is exactly conv of the points inserted so far,
     so the result is the set of facets of conv(points): the same primitive
@@ -308,46 +350,81 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     if any(len(p) != d for p in pts):
         raise GeometryError("points of mixed dimension")
     origin = pts[0]
-    simplex, basis = [origin], []
-    for p in pts[1:]:
-        if extend_echelon(basis, sub(p, origin)):
-            simplex.append(p)
+    simplex, basis = [0], []
+    for i in range(1, len(pts)):
+        if extend_echelon(basis, sub(pts[i], origin)):
+            simplex.append(i)
             if len(simplex) == d + 1:
                 break
     if len(simplex) <= d:
         raise GeometryError("point set is not full-dimensional "
                             f"(affine rank {len(simplex) - 1} < {d})")
-    inside = tuple(map(sum, zip(*simplex)))  # (d+1) times the centroid
-    tight: dict[HalfSpace, set[Vector]] = {}
+    corners = [pts[i] for i in simplex]
+    inside = tuple(map(sum, zip(*corners)))  # (d+1) times the centroid
+    # facets keyed by primitive normal: offset, tight set of point indices
+    offset: dict[Vector, int] = {}
+    tight: dict[Vector, set[int]] = {}
+    through: list[set[Vector]] = [set() for _ in pts]
     for i in range(d + 1):
-        face = simplex[:i] + simplex[i + 1:]
-        rows = echelon(sub(q, face[0]) for q in face[1:])
-        tight[_halfspace(face[0], rows, inside)] = set(face)
-    for p in pts:
-        if p in simplex:
+        face = corners[:i] + corners[i + 1:]
+        h = _halfspace(face[0], echelon(sub(q, face[0]) for q in face[1:]), inside)
+        offset[h.normal] = h.offset
+        tight[h.normal] = set(simplex[:i] + simplex[i + 1:])
+        for x in tight[h.normal]:
+            through[x].add(h.normal)
+    skip = set(simplex)
+    for i, p in enumerate(pts):
+        if i in skip:
             continue
-        beyond = [f for f in tight if f.offset < sum(map(mul, f.normal, p))]
-        visible = [tight.pop(f) for f in beyond]
-        kept = list(tight.values())
-        for on_f in visible:
-            for on_g in kept:
-                ridge = on_f & on_g
-                if len(ridge) < d - 1:
+        visible = {}
+        for n, c in offset.items():
+            s = c - sum(map(mul, n, p))
+            if s < 0:
+                visible[n] = s
+        new: dict[Vector, tuple[int, set[int]]] = {}
+        for f, s_f in visible.items():
+            on_f = tight[f]
+            # each facet sharing points with f, and how many; in d = 1 the
+            # ridges are empty, so every facet is a candidate
+            shared = (Counter(h for x in on_f for h in through[x]) if d > 1
+                      else dict.fromkeys(offset, 0))
+            for g, k in shared.items():
+                if k < d - 1 or g in visible:
                     continue
-                rows = echelon(sub(r, p) for r in ridge)
-                if len(rows) == d - 1:
-                    h = _halfspace(p, rows, inside)
-                    tight.setdefault(h, set()).update(ridge, (p,))
-    return tight
+                ridge = on_f & tight[g]
+                if any(ridge <= tight[h] for x in islice(ridge, 1)
+                       for h in through[x] if h != f and h != g):
+                    continue
+                s_g = offset[g] - sum(map(mul, g, p))
+                normal = [s_g * a - s_f * b for a, b in zip(f, g)]
+                q = gcd(*normal)
+                c = (s_g * offset[f] - s_f * offset[g]) // q
+                new.setdefault(tuple(a // q for a in normal), (c, {i}))[1].update(ridge)
+        for f in visible:
+            del offset[f]
+            for x in tight.pop(f):
+                through[x].discard(f)
+        for n, (c, on_n) in new.items():
+            if n in tight:
+                tight[n] |= on_n
+            else:
+                offset[n], tight[n] = c, on_n
+            for x in on_n:
+                through[x].add(n)
+    return {HalfSpace(n, c): {pts[x] for x in tight[n]} for n, c in offset.items()}
 
 
 def from_points(points, name: str | None = None) -> Polytope:
     """Validated polytope from any full-dimensional set of lattice points,
     each with at least one coordinate.
 
-    A point is a vertex when the normals of the facets through it have rank
-    dim.  The hull's tight sets are complete, so they list those facets for
-    every point; only a point on at least dim facets can reach that rank.
+    A point is a vertex exactly when the tight sets of the facets through
+    it intersect in that point alone.  A vertex is the intersection of the
+    facets through it.  A point in the relative interior of a face G of
+    positive dimension lies only on facets that contain G, so every facet
+    through it also holds the vertices of G, which are points of pts.  The
+    hull's tight sets are complete, so they list every point's facets; a
+    point on none is interior.
     """
     pts = sorted({vec(p) for p in points})
     if not pts:
@@ -357,12 +434,12 @@ def from_points(points, name: str | None = None) -> Polytope:
         raise GeometryError("points must have at least one coordinate")
     tight = _hull_tight_sets(pts)
     facets = tuple(sorted(tight))
-    active: dict[Vector, list[Vector]] = {}
-    for f in facets:
-        for p in tight[f]:
-            active.setdefault(p, []).append(f.normal)
+    through: dict[Vector, list[set[Vector]]] = {}
+    for on_f in tight.values():
+        for x in on_f:
+            through.setdefault(x, []).append(on_f)
     verts = tuple(p for p in pts
-                  if len(active.get(p, ())) >= d and rank(active[p]) == d)
+                  if p in through and len(set.intersection(*through[p])) == 1)
     return Polytope(verts, d, facets, name)
 
 

@@ -5,7 +5,17 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from polynorm.exactmath import add, det_exact, dot, echelon, primitive, rank, sub, vec
+from polynorm.exactmath import (
+    add,
+    det_exact,
+    dot,
+    echelon,
+    primitive,
+    rank,
+    reaches_rank,
+    sub,
+    vec,
+)
 
 from exact_solve import NO_SOLUTION, UNDERDETERMINED, rank_by_elimination, solve_rational
 
@@ -99,6 +109,16 @@ class TestRank:
                 with pytest.raises(ValueError, match="vectors of different lengths"):
                     routine(iter(m))
 
+    def test_reaches_rank_stops_at_the_rank_it_needs(self):
+        def rows():
+            yield (1, 0, 0)
+            yield (2, 0, 0)
+            yield (0, 1, 0)
+            raise AssertionError("read past the row that reached rank 2")
+
+        assert reaches_rank(rows(), 2)
+        assert reaches_rank((), 0) and not reaches_rank((), 1)
+
     def test_rank_of_random_products(self):
         # outer products u^T v always have rank <= 1
         rng = random.Random(7)
@@ -132,6 +152,8 @@ class TestRank:
                     m = tuple(map(tuple, rows))
                     r = rank(m)
                     assert r == rank_by_elimination(m), m
+                    assert [reaches_rank(m, k) for k in range(nrows + 2)] == [
+                        k <= r for k in range(nrows + 2)], m
                     if nrows == ncols:
                         assert (r == nrows) == (det_exact(m) != 0), m
                     if r < min(nrows, ncols):

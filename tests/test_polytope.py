@@ -100,6 +100,33 @@ class TestValidate:
         with pytest.raises(GeometryError, match=r"^listed point \(1, 0\) is not extreme$"):
             Polytope(vertices, 2, square.facets)
 
+    @pytest.mark.parametrize("vertices, facets, message", [
+        # the zero normal names no direction, so no facet
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace((0, 0), 1),),
+         "facet HalfSpace(normal=(0, 0), offset=1) has the zero normal"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace((1, 0, 0), 1),),
+         "facet HalfSpace(normal=(1, 0, 0), offset=1) does not have a normal of 2 coordinates"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace((1,), 1),),
+         "facet HalfSpace(normal=(1,), offset=1) does not have a normal of 2 coordinates"),
+        (tuple(sorted(SQUARE)) + ((1, 1, 0),), SQUARE_FACETS,
+         "vertex (1, 1, 0) does not have 2 coordinates"),
+        (((0,),) + tuple(sorted(SQUARE)), SQUARE_FACETS,
+         "vertex (0,) does not have 2 coordinates"),
+    ])
+    def test_malformed_normal_or_vertex(self, vertices, facets, message):
+        with pytest.raises(GeometryError) as err:
+            Polytope(vertices, 2, facets)
+        assert str(err.value) == message
+
+    def test_shapes_checked_before_facets(self):
+        # every vertex first, then every normal, before the first facet's
+        # violation that the facet-by-facet checks would report
+        facets = (HalfSpace((1, 0), 0), HalfSpace((0, 0), 1)) + SQUARE_FACETS
+        with pytest.raises(GeometryError, match=r"^vertex \(2, 2, 2\) does not have"):
+            Polytope(tuple(sorted(SQUARE)) + ((2, 2, 2),), 2, facets)
+        with pytest.raises(GeometryError, match=r"^facet HalfSpace\(normal=\(0, 0\), offset=1\) has"):
+            Polytope(tuple(sorted(SQUARE)), 2, facets)
+
     def test_checks_run_facet_by_facet(self):
         # the first facet's violation is reported before the second facet's
         # non-primitive normal, and both before a point that is not extreme

@@ -71,9 +71,16 @@
   hull, each point tested against every facet in one pass; the oracle,
   hull_by_d_subsets, keeps every hyperplane through d of the points that
   has all of them on one side, and the sorted HalfSpace tuples must be
-  equal.  Each tight set must hold every point on its facet.
-- from_points reads each point's facets off the hull's tight sets; the
-  oracle ranks the normals of the facets tight at every input point.
+  equal, in dims 1-5.  Each tight set must hold every point on its facet.
+- _hull_tight_sets finds each horizon ridge through a point-to-facets
+  index, by shared points and no third facet through them, and combines
+  the two facets' inequalities into the new one; the oracle,
+  hull_tight_sets_by_ridge_rank, pairs every visible facet with every
+  kept one, takes the rank of r - p over the shared points and solves the
+  new facet by _halfspace, and the tight sets must be equal.
+- from_points reads the vertices off the hull's tight sets, a point being
+  a vertex when the tight sets through it meet in it alone; the oracle
+  ranks the normals of the facets tight at every input point.
 - compute_m_P builds generator sets only at searched vertices and the
   extremal one, and checks the tangent cones by one pass over facets and
   lattice points; a counter shows where generator_set runs, and a point
@@ -102,6 +109,7 @@ from polynorm.exactmath import (
     det_exact,
     dot,
     echelon,
+    extend_echelon,
     neg,
     primitive,
     rank,
@@ -1404,26 +1412,31 @@ def vertices_by_ranking(points):
                  if rank(tuple(f.normal for f in facets if f.slack(x) == 0)) == d)
 
 
-def degenerate_clouds():
-    """Seeded clouds in dims 2-4: points 6a, the midpoints 3a + 3b of pairs
+def degenerate_cloud(rng, d, spread=5):
+    """One seeded cloud in dim d: points 6a, the midpoints 3a + 3b of pairs
     (collinear with 6a and 6b), the centroids 2a + 2b + 2c of triples
-    (coplanar with 6a, 6b and 6c) and repeats."""
+    (coplanar with 6a, 6b and 6c) and repeats; spread bounds the number of
+    extra points a and of midpoints and centroids."""
+    bound = 1 + rng.below(3)
+    base = [tuple(rng.below(2 * bound + 1) - bound for _ in range(d))
+            for _ in range(d + 1 + rng.below(spread))]
+
+    def pick():
+        return base[rng.below(len(base))]
+
+    cloud = [scale(6, a) for a in base]
+    cloud += [add(scale(3, pick()), scale(3, pick())) for _ in range(1 + rng.below(spread))]
+    cloud += [scale(2, add(add(pick(), pick()), pick())) for _ in range(1 + rng.below(spread))]
+    cloud += [cloud[rng.below(len(cloud))] for _ in range(2)]
+    return cloud
+
+
+def degenerate_clouds():
+    """Seeded degenerate clouds in dims 2-4, 30 per dim."""
     rng = SplitMix64(10)
     for d in range(2, 5):
         for _ in range(30):
-            bound = 1 + rng.below(3)
-            base = [tuple(rng.below(2 * bound + 1) - bound for _ in range(d))
-                    for _ in range(d + 1 + rng.below(5))]
-
-            def pick():
-                return base[rng.below(len(base))]
-
-            cloud = [scale(6, a) for a in base]
-            cloud += [add(scale(3, pick()), scale(3, pick())) for _ in range(1 + rng.below(5))]
-            cloud += [scale(2, add(add(pick(), pick()), pick()))
-                      for _ in range(1 + rng.below(5))]
-            cloud += [cloud[rng.below(len(cloud))] for _ in range(2)]
-            yield cloud
+            yield degenerate_cloud(rng, d)
 
 
 def test_vertices_match_ranking_every_point(poly):
@@ -1450,17 +1463,107 @@ def test_vertices_match_ranking_every_point(poly):
     assert crowded >= 10
 
 
+# -- hull in dims 1 and 5: explicit segments and seeded degenerate 5-d clouds ------
+
+
+ONE_DIM_CLOUDS = (
+    [(0,), (1,)],
+    [(3,), (-2,), (0,), (3,), (1,)],
+    [(-7,), (5,), (5,), (-7,), (2,), (-1,)],
+    [(2 ** 70,), (-(3 ** 40),), (0,), (1,)],
+    [(4,)],
+    [(6,), (6,), (6,)],
+)
+
+
+def five_dim_clouds():
+    """Seeded degenerate clouds in dim 5, with collinear midpoints and
+    coplanar centroids, at most 14 distinct points each so that the d-subset
+    oracle stays cheap."""
+    rng = SplitMix64(25)
+    for _ in range(16):
+        yield degenerate_cloud(rng, 5, spread=3)
+
+
+def test_hull_and_vertices_in_dims_1_and_5():
+    full = dict.fromkeys((1, 5), 0)
+    edge_points = crowded_facets = 0
+    for cloud in itertools.chain(ONE_DIM_CLOUDS, five_dim_clouds()):
+        want = hull_or_error(hull_by_d_subsets, cloud)
+        assert hull_or_error(hull_facets, cloud) == want, cloud
+        if isinstance(want, str):
+            continue
+        d = len(cloud[0])
+        full[d] += 1
+        vertices = from_points(cloud).vertices
+        assert vertices == vertices_by_ranking(cloud), cloud
+        on_facets = [{x for x in cloud if f.slack(x) == 0} for f in want]
+        edge_points += d == 5 and any(on - set(vertices) for on in on_facets)
+        crowded_facets += d == 5 and any(len(on) > d for on in on_facets)
+    # boundary points that are not vertices and facets tight at more than d
+    # points must occur in dim 5 too
+    assert full == {1: 4, 5: 14}
+    assert edge_points >= 12 and crowded_facets >= 12
+
+
+# -- hull: combined normals on indexed ridges against the rank of r - p ----------
+
+
+def hull_tight_sets_by_ridge_rank(pts):
+    """The insertion that _hull_tight_sets replaced, point for point the same
+    up to its ridge step: every visible facet f is paired with every kept
+    facet g, and the points r they share, at least d-1 of them, make a
+    horizon ridge when the vectors r - p have rank d-1.  The new facet is
+    solved from those vectors by _halfspace and oriented to hold the first
+    simplex's centroid; facets are keyed by their HalfSpace, so a facet
+    through p that is already kept takes p into its tight set."""
+    d = len(pts[0])
+    origin = pts[0]
+    simplex, basis = [origin], []
+    for p in pts[1:]:
+        if extend_echelon(basis, sub(p, origin)):
+            simplex.append(p)
+            if len(simplex) == d + 1:
+                break
+    if len(simplex) <= d:
+        raise GeometryError("point set is not full-dimensional "
+                            f"(affine rank {len(simplex) - 1} < {d})")
+    inside = tuple(map(sum, zip(*simplex)))  # (d+1) times the centroid
+    tight = {}
+    for i in range(d + 1):
+        face = simplex[:i] + simplex[i + 1:]
+        rows = echelon(sub(q, face[0]) for q in face[1:])
+        tight[_halfspace(face[0], rows, inside)] = set(face)
+    for p in pts:
+        if p in simplex:
+            continue
+        visible = [tight.pop(f) for f in [f for f in tight if f.slack(p) < 0]]
+        kept = list(tight.values())
+        for on_f in visible:
+            for on_g in kept:
+                ridge = on_f & on_g
+                if len(ridge) < d - 1:
+                    continue
+                rows = echelon(sub(r, p) for r in ridge)
+                if len(rows) == d - 1:
+                    h = _halfspace(p, rows, inside)
+                    tight.setdefault(h, set()).update(ridge, (p,))
+    return tight
+
+
 def test_hull_tight_sets_are_complete():
     # every point on a facet is in its tight set, boundary points that are
-    # not vertices too: from_points reads each point's facets off them
-    complete = 0
-    for cloud in itertools.chain(point_clouds(), degenerate_clouds()):
+    # not vertices too: from_points reads each point's facets off them; and
+    # the tight sets are those of the replaced ridge step
+    complete = dict.fromkeys(range(1, 6), 0)
+    for cloud in itertools.chain(point_clouds(), degenerate_clouds(), five_dim_clouds(),
+                                 ONE_DIM_CLOUDS):
         pts = sorted(set(cloud))
-        try:
-            tight = _hull_tight_sets(pts)
-        except GeometryError:
+        tight = hull_or_error(_hull_tight_sets, pts)
+        assert tight == hull_or_error(hull_tight_sets_by_ridge_rank, pts), cloud
+        if isinstance(tight, str):
             continue
-        complete += 1
+        complete[len(pts[0])] += 1
         for f, on_f in tight.items():
             assert on_f == {x for x in pts if f.slack(x) == 0}, (cloud, f)
-    assert complete >= 220
+    assert min(complete.values()) >= 14 and sum(complete.values()) >= 250, complete

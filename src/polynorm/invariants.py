@@ -246,7 +246,7 @@ def hole_count(p: Polytope, k: int) -> int:
     all, so counting k = 1..K costs under 3K shifted unions, not K²/2.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError("dilation factor must be >= 1")
     _, mask = _level(p, k)
     return _point_count(p, k) - mask.bit_count()
 
@@ -464,9 +464,9 @@ def _triangulate(p: Polytope, face: tuple[Vector, ...], dim: int):
     The facets of the face that avoid v0 are read off the facets of P: a
     facet G of the face is a face of P, hence the intersection of the facets
     of P that contain it, and not all of those contain the face, so some
-    facet f of P meets the face exactly in G, and f.slack(v0) > 0 because v0
-    is not in G.  Conversely each f with f.slack(v0) > 0 meets the face in
-    the face {v : f.slack(v) == 0}, which is a facet of it when its vertices
+    facet f of P meets the face exactly in G, and s_f(v0) > 0 because v0
+    is not in G.  Conversely each f with s_f(v0) > 0 meets the face in
+    the face {v : s_f(v) == 0}, which is a facet of it when its vertices
     have affine rank dim - 1.  Several f can cut the same G, so the vertex
     tuples are deduplicated.  Slacks are read off `Polytope.slack_table`.
     """
@@ -496,7 +496,7 @@ def smooth_data(p: Polytope) -> SmoothData:
     |det| = 1 span a unimodular simplicial cone, whose dual, the tangent
     cone at v, is unimodular too, so the count and the determinant decide
     smoothness.  In the dual basis the edge coefficients of u - v are
-    -normal·(u - v) = f.slack(u) over the facets f tight at v.  gamma is the
+    -normal·(u - v) = s_f(u) over the facets f tight at v.  gamma is the
     largest coefficient sum over pairs of vertices (the least scaling of
     every vertex corner simplex that contains P), and m_prime the largest
     single coefficient over vertices v and lattice points u != v.  Each of

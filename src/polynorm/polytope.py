@@ -35,14 +35,12 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class HalfSpace:
-    """One facet inequality normal·x <= offset, with primitive normal."""
+    """One facet inequality normal·x <= offset, with primitive normal.  The
+    slack s_f(x) = offset - normal·x of a point x is >= 0 inside, 0 if
+    tight."""
 
     normal: Vector
     offset: int
-
-    def slack(self, point: Vector, k: int = 1) -> int:
-        """k*offset - normal·point; >= 0 inside the k-th dilate, 0 if tight."""
-        return k * self.offset - dot(self.normal, point)
 
 
 class Polytope:
@@ -157,7 +155,7 @@ class Polytope:
         return self._point_cache.setdefault(k, points)
 
     def slack_table(self) -> dict[Vector, tuple[int, ...]]:
-        """{u: (f.slack(u) for each facet f, in facet order)} over the lattice
+        """{u: (s_f(u) for each facet f, in facet order)} over the lattice
         points u of P, memoized."""
         table = self._slacks
         if table is None:

@@ -6,15 +6,13 @@ the finite set {y : y and target - y both lie in the tangent cone at v},
 reaches it; the BFS layer index of first arrival is the minimal number of
 generators needed.  Exhausting that set without arrival certifies
 infeasibility, because every partial sum of any representation stays inside
-it.  The search stops as soon as every target has been reached, so it
-exhausts that set only when some target is infeasible.  A node is in that
-set iff its image under the cone normals dominates a target's.  Each node
+it.  The search stops as soon as the target has been reached, so it
+exhausts that set only when the target is infeasible.  A node is in that
+set iff its image under the cone normals dominates the target's.  Each node
 is keyed by that image, packed into one int with one lane per normal and a
 guard bit above each lane.  The lanes are wide enough for every node the
-search examines, so an edge costs one int add and one dict lookup, and
-against one target the test is one guard-bit compare.  Against several,
-sorting decides as in Kung, Luccio and Preparata (1975): one bisection and
-one AND of prefix bitsets per lane, not a scan of every target.
+search examines, so an edge costs one int add and one dict lookup, and the
+test is one guard-bit compare.
 
 m_P reads minimal lengths off the k-normality sumset tower of `invariants`
 instead: x - d_P·v is a sum of at most j generators exactly when
@@ -22,16 +20,14 @@ x + (j - d_P)·v is a sum of j lattice points of P, and one tower answers
 that for every vertex at once, one bit per pair and level at the position
 pack(x, d_P) + (j - d_P)·pack(v, 1).  For a very ample P the tower that
 compute_k_P builds up to k_P decides every pair, since m_P <= k_P.  The BFS
-certifies the extremal pair, and searches only the pairs the tower leaves
-open when the scan stops early.
+certifies the extremal pair, and searches the pairs the tower leaves open
+when the scan stops early, one at a time, until one is infeasible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import or_
+from itertools import chain
 
 from . import invariants as inv
 from .exactmath import Vector, add, dot, scale, sub
@@ -46,9 +42,6 @@ class GeneratorSet:
     vertex: Vector
     generators: tuple[Vector, ...]
     cone_normals: tuple[Vector, ...]
-
-    def in_cone(self, y: Vector) -> bool:
-        return all(dot(n, y) <= 0 for n in self.cone_normals)
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ class MPResult:
 def generator_set(p: Polytope, v: Vector) -> GeneratorSet:
     """The generators u - v, u in P∩M, and the tangent-cone normals at v.
 
-    For a facet f tight at v, n·(u - v) = -f.slack(u), so u - v lies in the
+    For a facet f tight at v, n·(u - v) = -s_f(u), so u - v lies in the
     cone exactly when u has slack >= 0 in every facet tight at v; that is
     asserted for every generator, read off `Polytope.slack_table`.
     """
@@ -110,64 +103,44 @@ def generator_set(p: Polytope, v: Vector) -> GeneratorSet:
 
 
 def shortest_representations(gs: GeneratorSet, targets):
-    """Minimal-length certificates for several targets in one BFS.
+    """Minimal-length certificates for the targets, one search each.
 
-    Returns {target: ReprCertificate | None}.  Partial sums of any
-    representation of any target stay inside the union of the targets' lower
-    sets, so one search over that union serves every target, and the first
-    BFS layer reaching a target gives its minimal length.
+    Returns {target: ReprCertificate | None}.  A target outside the tangent
+    cone is infeasible, and gets None without a search.  Otherwise the
+    search runs over L(t), the nodes y with t - y still in the cone.
 
-    y lies in that union iff its image (n·y for each cone normal n)
-    dominates some target's image componentwise.  The search keys each node
-    by that image, packed by _lanes into one int with one lane per normal
-    and a guard bit above each lane; a node's key is its parent's key plus
-    the generator's packed image.  With one target of key it and the guard
-    bits G, no lane of (iz | G) - it borrows from the next, and the guard
-    bit of a lane stays set exactly when the node's entry there is at least
-    the target's: so y is in the lower set iff ((iz | G) - it) & G == G.
-    With several targets _dominance_test decides on the node's lanes, and
-    a node reached again from another parent is not tested again.
+    y lies in L(t) iff its image (n·y for each cone normal n) dominates
+    t's componentwise.  The search keys each node by that image, packed by
+    _lanes into one int with one lane per normal and a guard bit above each
+    lane; a node's key is its parent's key plus the generator's packed
+    image.  With it the target's key and G the guard bits, no lane of
+    (iz | G) - it borrows from the next, and the guard bit of a lane stays
+    set exactly when the node's entry there is at least the target's: so y
+    is in L(t) iff ((iz | G) - it) & G == G.
 
-    The search stops once every target has a parent entry, and it does not
-    run at all when the only target in the cone is 0.  That leaves every
-    certificate as a search run to exhaustion would give it: entries are
-    never overwritten, and a target's certificate reads only the entries on
-    its own path, each set no later than the target's own entry.  An
-    infeasible target never gets an entry, so with one among the targets
-    the search still exhausts the lower set, which certifies infeasibility.
+    The certificate is the one a search over the union of several targets'
+    lower sets gives.  A predecessor y = z - g of a node z of L(t) lies in
+    L(t) as well, since t - y = (t - z) + g and the cone holds g.  So every
+    node of L(t) reaches the same BFS layer with the same candidate parents
+    in both searches, and as the frontier is visited in sorted order, it
+    gets the same parent entry and the certificate the same parts.
+
+    The search stops once the target has a parent entry, and it does not
+    run at all for the target 0.  That leaves the certificate as a search
+    run to exhaustion would give it: entries are never overwritten, and the
+    certificate reads only the entries on its own path, each set no later
+    than the target's own entry.  An infeasible target never gets an entry,
+    so its search exhausts L(t), which certifies infeasibility.
     """
     results = dict.fromkeys(targets)
     normals = gs.cone_normals
-    images = {}
     for t in results:
         image = [dot(n, t) for n in normals]
-        if max(image) <= 0:  # t lies in the cone
-            images[t] = image
-    if not images:
-        return results
-    floors = [min(entries) for entries in zip(*images.values())]
-    weights, root, guards, lanes = _lanes(normals, gs.generators, floors)
-    keys = {root + dot(weights, t): t for t in images}
-    if len(keys) == 1:
-        (it,) = keys
-
-        def in_lower_set(iz):
-            return ((iz | guards) - it) & guards == guards
-    else:
-        dominates = _dominance_test([[(k >> s) & m for s, m in lanes] for k in keys])
-        rejected = set()
-
-        def in_lower_set(iz):
-            # the lanes are read lazily, so a miss skips the rest
-            if iz in rejected:
-                return False
-            if dominates((iz >> s) & m for s, m in lanes):
-                return True
-            rejected.add(iz)
-            return False
-
-    parent = _search(gs.generators, weights, root, in_lower_set, set(keys) - {root})
-    for key, t in keys.items():
+        if max(image) > 0:  # t lies outside the cone
+            continue
+        weights, root, guards = _lanes(normals, gs.generators, image)
+        key = root + dot(weights, t)
+        parent = _search(gs.generators, weights, root, key, guards)
         if key in parent:
             parts = []
             while parent[key] is not None:
@@ -178,101 +151,61 @@ def shortest_representations(gs: GeneratorSet, targets):
 
 
 def _lanes(normals, generators, floors):
-    """The packing of node images: (weights, root, guards, lanes).
+    """The packing of node images: (weights, root, guards).
 
     A node y has the key root + weights·y = Σ_i (n_i·y - lo_i) << s_i: lane
     i starts at bit s_i, is w_i bits wide, and has a guard bit above it.
-    lo_i is floors[i], the least n_i·t over the targets t, minus
-    |n_i|_1·max|g_j|, at most every n_i·g over the generators g; so
-    lo_i <= 0.  guards has the guard bits set, and lanes lists
-    (s_i, 2**w_i - 1).
+    lo_i is floors[i], the target's own n_i·t, minus |n_i|_1·max|g_j|, at
+    most every n_i·g over the generators g; so lo_i <= 0.  guards has the
+    guard bits set.
 
     The key is injective: the normals tight at a vertex have rank d, which
     Polytope._validate asserts, so the image determines y.  Lanes never
     carry: the search examines only nodes z = y + g with y the root or a
     node of the lower set and g a generator, so
-    min_t n·t + min_g n·g <= n·y + n·g = n·z <= 0, as the cone holds y and
-    g.  Every lane value n_i·z - lo_i thus lies in [0, -lo_i], below
-    2**w_i, and the key is the sum of its lanes' digits.
+    n·t + min_g n·g <= n·y + n·g = n·z <= 0, as the cone holds y and g.
+    Every lane value n_i·z - lo_i thus lies in [0, -lo_i], below 2**w_i,
+    and the key is the sum of its lanes' digits.
     """
     bound = max(map(abs, chain.from_iterable(generators)), default=0)
     weights = [0] * len(normals[0])
     root = guards = shift = 0
-    lanes = []
     for n, least in zip(normals, floors):
         span = bound * sum(map(abs, n))
         width = (span - least).bit_length()
         root += (span - least) << shift
         guards += 1 << (shift + width)
         weights = [w + (a << shift) for w, a in zip(weights, n)]
-        lanes.append((shift, (1 << width) - 1))
         shift += width + 1
-    return weights, root, guards, lanes
+    return weights, root, guards
 
 
-def _search(generators, weights, root, in_lower_set, pending):
-    """BFS parents from the root key inside the lower set: each reached key
-    maps to (previous key, generator), the root to None.  Returns as soon as
-    no target key is pending, even in the middle of a layer.
+def _search(generators, weights, root, it, guards):
+    """BFS parents from the root key inside the lower set of the target key
+    it: each reached key maps to (previous key, generator), the root to
+    None.  Returns as soon as it is reached, even in the middle of a layer.
 
-    Layer 1 reaches the generators themselves, and packs each one's image
-    weights·g as it goes, so a search that stops there packs only the
-    generators it examined.  The frontier is visited in sorted node order,
-    with each accepted node's coordinates carried next to its key.
+    Every generator's image weights·g is packed up front.  The frontier
+    starts at the root and is visited in sorted node order, with each
+    accepted node's coordinates carried next to its key.
     """
     parent: dict[int, tuple[int, Vector] | None] = {root: None}
-    if not pending:
+    if it == root:
         return parent
-    edges = []
-    frontier = []
-    for g in generators:
-        ig = dot(weights, g)
-        edges.append((ig, g))
-        iz = root + ig
-        if in_lower_set(iz):  # distinct nonzero generators: no key repeats here
-            parent[iz] = (root, g)
-            frontier.append((g, iz))
-            pending.discard(iz)
-            if not pending:
-                return parent
-    while pending and frontier:
+    edges = [(dot(weights, g), g) for g in generators]
+    frontier = [((0,) * len(weights), root)]
+    while frontier:
         next_frontier = []
         for y, iy in sorted(frontier):
             for ig, g in edges:
                 iz = iy + ig
-                if iz not in parent and in_lower_set(iz):
+                if iz not in parent and ((iz | guards) - it) & guards == guards:
                     parent[iz] = (iy, g)
-                    next_frontier.append((add(y, g), iz))
-                    pending.discard(iz)
-                    if not pending:
+                    if iz == it:
                         return parent
+                    next_frontier.append((add(y, g), iz))
         frontier = next_frontier
     return parent
-
-
-def _dominance_test(images):
-    """The test "dy >= td componentwise for some td in the list images".
-
-    Per coordinate i the images are sorted by entry; masks[j] holds the first
-    j, and bisect_right passes every entry <= dy[i], ties included.  So the
-    AND over i holds the images dy dominates: nonzero iff any(all(a >= b)).
-    """
-    columns = []
-    for entries in zip(*images):
-        order = sorted(range(len(images)), key=entries.__getitem__)
-        columns.append(([entries[k] for k in order],
-                        list(accumulate((1 << k for k in order), or_, initial=0))))
-    everything = (1 << len(images)) - 1
-
-    def dominates(dy):
-        hit = everything
-        for a, (values, masks) in zip(dy, columns):
-            hit &= masks[bisect_right(values, a)]
-            if not hit:
-                return False
-        return hit != 0
-
-    return dominates
 
 
 def sigma(gs: GeneratorSet, target: Vector):
@@ -318,17 +251,11 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
       it does for good once only infeasible pairs are open there, and the
       BFS decides what is left.
 
-    BFS.  At each vertex, in order, one search covers the pairs the scan
-    left open; their lengths exceed the last level read.  Then one
-    single-target search gives the certificate of the extremal pair: the
-    first pair, in vertex order and then sorted x, of the largest sigma.
-    That certificate is the one a search over every target at the vertex
-    would give.  Let L(t) be the nodes y with t - y still in the tangent
-    cone.  A predecessor y = z - g of a node z of L(t) lies in L(t) as well,
-    since t - y = (t - z) + g and the cone holds g.  So every node of L(t)
-    reaches the same BFS layer with the same candidate parents in both
-    searches, and as the frontier is visited in sorted order, it gets the
-    same parent entry and the certificate the same parts.
+    BFS.  The pairs the scan left open are searched one at a time, through
+    sigma, in vertex order and then sorted x; their lengths exceed the last
+    level read.  The first infeasible one is the witness.  Then one more
+    search gives the certificate of the extremal pair: the first pair, in
+    vertex order and then sorted x, of the largest sigma.
 
     The scan keeps (sigma, v, x) of the first pair seen at the largest
     sigma, replaced only by a strictly larger one.  That is the first such
@@ -341,9 +268,9 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
 
     Generator sets are built only for the searches.  Their assertion that
     every generator u - v lies in the tangent cone at v is checked for all
-    vertices at once, as f.slack(u) >= 0 for every facet f and every u in
+    vertices at once, as s_f(u) >= 0 for every facet f and every u in
     P∩M, read off `Polytope.slack_table`: for a facet f tight at v,
-    n·(u - v) = -f.slack(u), so u - v is in the cone {y : n·y <= 0 for the
+    n·(u - v) = -s_f(u), so u - v is in the cone {y : n·y <= 0 for the
     facets tight at v} exactly when u has nonnegative slack in those
     facets, and every facet is tight at some vertex (Polytope validates
     it), so over all vertices these are all the facets.
@@ -371,14 +298,11 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
 
     searches = {}
     for v in vertices:
-        pending = open_xs[v]
-        if not pending:
+        if not open_xs[v]:
             continue
         gs = searches[v] = generator_set(p, v)
-        shift = apexes[v]
-        certs = shortest_representations(gs, tuple(sub(x, shift) for x in pending))
-        for x in pending:
-            cert = certs[sub(x, shift)]
+        for x in open_xs[v]:
+            cert = sigma(gs, sub(x, apexes[v]))
             if cert is None:
                 return MPResult(False, None, None, (x, v))
             if cert.length <= depth:

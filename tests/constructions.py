@@ -5,15 +5,16 @@ interior points: dilate normality is decided on P's own lattice points, and
 interior points are counted by reciprocity.  The oracles and fixtures that
 check those shortcuts build and list them here.  The pipeline counts holes
 and lists them lazily; k_normality gathers a level's flag and hole set.
-Membership in a dilate (contains) and the greedy split of a point of kP
-into a point of d_P·P plus units (decompose_point) serve the tests only, as
-does build_family: the command line takes specs through parse_family.
+The facet slack of a point (slack), membership in a dilate (contains) and
+the greedy split of a point of kP into a point of d_P·P plus units
+(decompose_point) serve the tests only, as does build_family: the command
+line takes specs through parse_family.
 """
 
 from types import SimpleNamespace
 
 from polynorm.catalog import parse_family
-from polynorm.exactmath import scale, sub
+from polynorm.exactmath import dot, scale, sub
 from polynorm.invariants import InvariantError, hole_count, iter_holes
 from polynorm.polytope import HalfSpace, Polytope, from_points
 
@@ -62,15 +63,20 @@ def join(p: Polytope, q: Polytope, name: str | None = None) -> Polytope:
     return from_points(points, name)
 
 
+def slack(f: HalfSpace, point, k: int = 1) -> int:
+    """k*offset - normal·point: >= 0 inside the k-th dilate, 0 if tight."""
+    return k * f.offset - dot(f.normal, point)
+
+
 def interior_lattice_points(p: Polytope, k: int = 1) -> frozenset:
     """Lattice points strictly inside the k-th dilate."""
     return frozenset(x for x in p.lattice_points(k)
-                     if all(f.slack(x, k) > 0 for f in p.facets))
+                     if all(slack(f, x, k) > 0 for f in p.facets))
 
 
 def contains(p: Polytope, point, k: int = 1) -> bool:
     """Membership of an integer point in the k-th dilate."""
-    return all(f.slack(point, k) >= 0 for f in p.facets)
+    return all(slack(f, point, k) >= 0 for f in p.facets)
 
 
 def decompose_point(p: Polytope, u, k: int, d_P: int):

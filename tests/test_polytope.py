@@ -12,7 +12,7 @@ from polynorm.polytope import (
     parse_points_text,
 )
 
-from constructions import POINT, interior_lattice_points, join, product
+from constructions import POINT, interior_lattice_points, join, product, slack
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -152,7 +152,7 @@ class TestHRep:
         # construction runs the invariant checker: every facet tight at >= 3
         # affinely independent vertices, every vertex feasible
         p = bruns_gubeladze(4)
-        assert all(f.slack(v) >= 0 for f in p.facets for v in p.vertices)
+        assert all(slack(f, v) >= 0 for f in p.facets for v in p.vertices)
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):

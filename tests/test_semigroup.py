@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from polynorm import semigroup
-from polynorm.exactmath import add, scale, sub
+from polynorm.catalog import SplitMix64
+from polynorm.exactmath import add, dot, scale, sub
+from polynorm.invariants import compute_d_P
 from polynorm.semigroup import (
     ReprCertificate,
     compute_m_P,
@@ -63,16 +65,15 @@ class TestSigma:
         assert sigma(gs, (-1, 0)) is None
 
     def test_search_stops_once_every_target_is_reached(self, poly, monkeypatch):
-        sums = []
+        packed, sums = [], []
 
         def counting_add(a, b):
-            sums.append(a)
+            sums.append((a, b))
             return add(a, b)
 
         def examined(generators):
-            # layer 1 packs each generator it examines, once
             for g in generators:
-                sums.append(g)
+                packed.append(g)
                 yield g
 
         search = semigroup._search
@@ -80,13 +81,26 @@ class TestSigma:
         monkeypatch.setattr(semigroup, "_search",
                             lambda generators, *rest: search(examined(generators), *rest))
         gs = generator_set(poly("bruns:4"), (0, 0, 0))
-        assert sigma(gs, (0, 0, 0)).length == 0
-        assert sums == []  # the zero target needs no search
+        zero = (0, 0, 0)
+        assert sigma(gs, zero).length == 0
+        assert packed == sums == []  # the zero target needs no search
+        longest = 0
         for g in gs.generators:
+            packed.clear()
             sums.clear()
             assert sigma(gs, g).length == 1
-            # layer 1 up to g, then the certificate's own re-sum
-            assert len(sums) == gs.generators.index(g) + 2
+            assert packed == list(gs.generators)  # each generator packed once
+            # the search stops in layer 1, at g: it built the generators
+            # before g that lie in g's lower set (the cone at 0 is the
+            # orthant, so that set is the box below g), then the
+            # certificate's own re-sum follows
+            *built, resum = sums
+            assert resum == (zero, g)
+            below = [h for h in gs.generators[:gs.generators.index(g)]
+                     if all(a <= b for a, b in zip(h, g))]
+            assert built == [(zero, h) for h in below]
+            longest = max(longest, len(built))
+        assert longest >= 3  # (0,0,1), (0,1,0) and (1,0,0) below (1,1,4)
 
 
 class TestCertificates:
@@ -183,13 +197,30 @@ class TestVeryAmple:
         assert not res.very_ample
         assert res.failure == ((1, 1, 1), (0, 0, 0))
 
+    @pytest.mark.parametrize("seed, d_P, failure", [
+        (10905525725756348110, 3, ((1, 1, 2, 2, 1), (0, 0, 0, 0, 0))),
+        (5747796768693156649, 3, ((1, 4, 8, 4, 3), (0, 1, 3, 2, 0))),
+        (13819372491320860226, 4, ((1, 5, 9, 5, 8), (0, 1, 3, 1, 2))),
+    ])
+    def test_dim_5_witnesses(self, seed, d_P, failure):
+        # 10 points of [0,3]^5; the witnesses were recorded when one search
+        # covered every open pair of a vertex
+        rng = SplitMix64(seed)
+        p = from_points([tuple(rng.below(4) for _ in range(5)) for _ in range(10)])
+        assert compute_d_P(p) == d_P
+        res = compute_m_P(p, d_P)
+        assert not res.very_ample
+        assert res.failure == failure
+
     def test_generator_cone_membership(self, poly):
         for spec in ("bruns:4", "reeve", "cube:3"):
             p = poly(spec)
             for v in p.vertices:
                 gs = generator_set(p, v)
                 assert (0,) * p.dim not in gs.generators
-                assert all(gs.in_cone(g) for g in gs.generators)
+                # the search's own cone test
+                assert all(max(dot(n, g) for n in gs.cone_normals) <= 0
+                           for g in gs.generators)
 
 
 def test_exhaustive_multisets_agree_on_small_gen_sets():

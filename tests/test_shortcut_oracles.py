@@ -8,9 +8,6 @@
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
   threshold from every m = 1..d_P.
-- The lower-set test for several targets ANDs per-normal prefix bitsets of
-  the images sorted by entry (semigroup._dominance_test); the oracle scans
-  every image, with the node's image given lazily and eagerly.
 - Polytope.lattice_rows recurses over the coordinates, carrying each
   facet's residual and cutting each coordinate's range by the least value
   of the rest over the box; the oracle tests every point of the bounding
@@ -33,18 +30,21 @@
   packs the listed points of jP, and a level is listed exactly when tuple
   sums of (j-1)P∩M and P∩M miss a point of jP∩M.
 - Polytope.slack_table computes every facet slack of P∩M once; the oracle
-  calls HalfSpace.slack for each entry.
-- The BFS of shortest_representations keys each node by its image under
-  the cone normals, packed into one int with a guard bit above each lane:
-  one int add per edge and, with one target, one guard-bit compare per
-  lower-set test.  The oracle, search_by_tuples, runs the BFS on
-  coordinate tuples with each image computed lazily by dot products; the
-  certificates must agree part for part, single-target and all-target, at
-  every vertex.  The lane edge cases (the 35-step chain of bruns:36, a
-  translate with negative coordinates, vertices with more tight normals
-  than dim) also check that every node y + g the search can reach has each
-  lane value in range and its key equal to the sum of its lanes.
-- The BFS of shortest_representations stops once every target is reached;
+  computes each entry on its own (constructions.slack).
+- shortest_representations runs one BFS per target over that target's
+  lower set.  It keys each node by its image under the cone normals,
+  packed into one int with a guard bit above each lane: one int add per
+  edge and one guard-bit compare per lower-set test.  The oracle,
+  representations_by_tuples, runs one BFS on coordinate tuples over the
+  union of every target's lower set, with each node's image computed by
+  dot products and scanned against the minimal target images; the
+  certificates must agree part for part, for all targets of a vertex at
+  once and for each target alone.  The lane edge cases (the 35-step chain
+  of bruns:36, a translate with negative coordinates, vertices with more
+  tight normals than dim) also check that every node y + g the search can
+  reach has each lane value in range and its key equal to the sum of its
+  lanes.
+- The BFS of shortest_representations stops once its target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
 - translate_scan decides each pair (x, v) of the m_P scan by one bit of
@@ -52,11 +52,14 @@
   level d_P too; the oracle is the BFS length of every pair, which must be
   the level that decides it, and an infeasible pair must stay open.
 - compute_m_P reads sigma off that tower until no pair is open, searches
-  only the pairs left open when the scan stops early (at max_k, or where a
-  vertex stops gaining), and certifies the extremal pair alone, which it
-  keeps during the scan; the oracle runs one search over every target at
-  every vertex and takes the first pair of the largest sigma, and the
-  results must agree part for part.
+  the pairs left open when the scan stops early (at max_k, or where a
+  vertex stops gaining) one at a time up to the first infeasible one, and
+  certifies the extremal pair alone, which it keeps during the scan; the
+  oracle searches every target at every vertex and takes the first pair
+  of the largest sigma, and the results must agree part for part.  A
+  counter shows that every search has one target, that the searches of a
+  not very ample input stop at its witness, and that an uncapped very
+  ample input searches its extremal pair alone.
 - smooth_data reads smoothness, gamma and m_prime off the facets tight at
   each vertex; the oracle builds each vertex's edge fan and solves for the
   edge coefficients of every difference u - v.
@@ -152,6 +155,7 @@ from constructions import (
     interior_lattice_points,
     k_normality,
     product,
+    slack,
 )
 from exact_solve import solve_rational
 
@@ -248,8 +252,8 @@ def test_dilate_test_and_gap_flag_match_fresh_dilates(poly, report):
 
 
 def m_P_per_vertex(p, d_P):
-    """compute_m_P without the tower: one search over every target at each
-    vertex, failing at the first infeasible pair in vertex and sorted-x order.
+    """compute_m_P without the tower: every target searched at each vertex,
+    failing at the first infeasible pair in vertex and sorted-x order.
     Also returns the largest sigma at each vertex searched."""
     best = None
     largest = {}
@@ -302,6 +306,36 @@ def test_m_P_matches_per_vertex_search(poly, monkeypatch):
     assert any(tied)
 
 
+def test_m_P_searches_one_pair_at_a_time(poly, monkeypatch):
+    """Every search compute_m_P runs has one target.  A not very ample input
+    searches its open pairs in vertex order and then sorted x, and stops at
+    the failure pair; an uncapped very ample one searches its extremal pair
+    alone."""
+    calls = []
+
+    def counting(gs, targets):
+        calls.append((gs.vertex, tuple(targets)))
+        return shortest_representations(gs, targets)
+
+    monkeypatch.setattr(semigroup, "shortest_representations", counting)
+    cases = oracle_cases(poly) + [build_family("random:4,3,9,11")]
+    failing = 0
+    for p in cases:
+        d_P = compute_d_P(p)
+        calls.clear()
+        got = compute_m_P(p, d_P)
+        assert calls and all(len(targets) == 1 for _, targets in calls), p.name
+        pairs = [(add(t, scale(d_P, v)), v) for v, (t,) in calls]
+        if got.very_ample:
+            assert pairs == [(got.witness.x, got.witness.vertex)], p.name
+        else:
+            order = sorted(pairs, key=lambda pair: (p.vertices.index(pair[1]), pair[0]))
+            assert pairs == order and len(set(pairs)) == len(pairs), p.name
+            assert pairs[-1] == got.failure, p.name
+            failing += 1
+    assert 0 < failing < len(cases)
+
+
 def test_m_P_scan_capped_at_max_k_hands_pairs_to_the_search(monkeypatch):
     """No catalog input leaves very ample pairs to the BFS; a cap below m_P
     does."""
@@ -319,35 +353,46 @@ def test_m_P_scan_capped_at_max_k_hands_pairs_to_the_search(monkeypatch):
     # no level above the cap is built, and the very ample pairs of
     # sigma 4..9 go to the BFS
     assert len(p._tower.masks) - 1 <= 3
-    assert sum(targets) > 1
+    assert len(targets) > 1 and set(targets) == {1}  # one search per pair
     assert got == uncapped == m_P_per_vertex(p, d_P)[0]
     assert got.m_P == 9
 
 
+@pytest.fixture(scope="module")
+def pair_sigmas():
+    """Polytopes with the BFS length of every m_P pair (x, v), None when
+    infeasible, searched once for both runs of the translate_scan test."""
+    rng = SplitMix64(1)
+    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
+    cases = [build_family(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
+    cases += [p for p in deep if compute_d_P(p) == 3][1:3]
+    cases += [translated(p, (-2, 1, 3, -1)[:p.dim]) for p in cases]
+    out = []
+    for p in cases:
+        d_P = compute_d_P(p)
+        sigmas = {}
+        for v, certs in all_certificates(p, d_P).items():
+            for t, cert in certs.items():
+                if t != (0,) * p.dim:
+                    sigmas[add(t, scale(d_P, v)), v] = None if cert is None else cert.length
+        out.append((p, sigmas))
+    return out
+
+
 @pytest.mark.parametrize("min_levels", [None, 2])
-def test_translate_scan_decides_each_pair_at_sigma(poly, monkeypatch, min_levels):
+def test_translate_scan_decides_each_pair_at_sigma(pair_sigmas, monkeypatch, min_levels):
     """Every pair (x, v) is decided at level sigma(x, d_P·v), and an
     infeasible one never; levels j < d_P are read under a packing injective
     on d_P·P even when a fresh packing would serve fewer levels."""
     if min_levels is not None:
         monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
-    rng = SplitMix64(1)
-    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
-    cases = [poly(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
-    cases += [p for p in deep if compute_d_P(p) == 3][1:3]
-    cases += [translated(p, (-2, 1, 3, -1)[:p.dim]) for p in cases]
     checked = below = 0
-    for p in cases:
+    for p, sigmas in pair_sigmas:
         p = from_points(p.vertices, name=p.name)  # a fresh tower
         d_P = compute_d_P(p)
-        certs = all_certificates(p, d_P)
         groups = {v: [x for x in sorted(p.lattice_points(d_P)) if x != scale(d_P, v)]
                   for v in p.vertices}
-        sigmas = {}
-        for v, xs in groups.items():
-            for x in xs:
-                cert = certs[v][sub(x, scale(d_P, v))]
-                sigmas[x, v] = None if cert is None else cert.length
+        assert sigmas.keys() == {(x, v) for v, xs in groups.items() for x in xs}, p.name
         last = max(s for s in sigmas.values() if s is not None) + 1
         levels = {}
         for j, decided in invariants.translate_scan(p, d_P, groups, last):
@@ -409,7 +454,7 @@ def test_point_outside_P_fails_the_cone_check():
     assert failed >= 15
 
 
-def search_to_exhaustion(generators, weights, root, in_lower_set, pending):
+def search_to_exhaustion(generators, weights, root, it, guards):
     """semigroup._search without the early stop: every node of the lower set."""
     edges = [(dot(weights, g), g) for g in generators]
     parent = {root: None}
@@ -419,11 +464,16 @@ def search_to_exhaustion(generators, weights, root, in_lower_set, pending):
         for y, iy in sorted(frontier):
             for ig, g in edges:
                 iz = iy + ig
-                if iz not in parent and in_lower_set(iz):
+                if iz not in parent and ((iz | guards) - it) & guards == guards:
                     parent[iz] = (iy, g)
                     next_frontier.append((add(y, g), iz))
         frontier = next_frontier
     return parent
+
+
+def dominates_some_image(dy, images):
+    """Whether dy dominates some image of the list componentwise."""
+    return any(all(a >= b for a, b in zip(dy, td)) for td in images)
 
 
 def search_by_tuples(generators, in_lower_set, pending, zero):
@@ -447,18 +497,25 @@ def search_by_tuples(generators, in_lower_set, pending, zero):
 
 
 def representations_by_tuples(gs, targets):
-    """shortest_representations over search_by_tuples, each node's image
-    computed lazily by dot products."""
+    """The certificates of one search_by_tuples over the union of the
+    targets' lower sets, each node's image computed by dot products."""
     results = dict.fromkeys(targets)
-    live = [t for t in results if gs.in_cone(t)]
+    normals = gs.cone_normals
+    images = {t: tuple(dot(n, t) for n in normals) for t in results}
+    live = [t for t, image in images.items() if max(image) <= 0]  # in the cone
     if not live:
         return results
     zero = (0,) * len(gs.vertex)
-    normals = gs.cone_normals
-    dominates = semigroup._dominance_test([tuple(dot(n, t) for n in normals) for t in live])
+    # A node dominates some image iff it dominates a minimal one.  An image
+    # sorts after every image it dominates, so each is kept unless it
+    # dominates one kept before it.
+    minimal = []
+    for image in sorted({images[t] for t in live}):
+        if not dominates_some_image(image, minimal):
+            minimal.append(image)
 
     def in_lower_set(y):
-        return dominates(dot(n, y) for n in normals)
+        return dominates_some_image(tuple(dot(n, y) for n in normals), minimal)
 
     parent = search_by_tuples(gs.generators, in_lower_set, set(live) - {zero}, zero)
     for t in live:
@@ -479,10 +536,14 @@ def dilate_targets(p, k, v):
 
 
 def assert_matches_tuple_search(gs, targets):
-    """All-target and single-target certificates equal part for part."""
-    assert shortest_representations(gs, targets) == representations_by_tuples(gs, targets)
+    """The certificates of shortest_representations equal part for part
+    those of one tuple search over every target and of one per target.
+    Returns them."""
+    certs = shortest_representations(gs, targets)
+    assert certs == representations_by_tuples(gs, targets)
     for t in targets:
-        assert sigma(gs, t) == representations_by_tuples(gs, (t,))[t], t
+        assert certs[t] == representations_by_tuples(gs, (t,))[t], t
+    return certs
 
 
 def test_packed_search_matches_tuple_search(poly):
@@ -492,10 +553,21 @@ def test_packed_search_matches_tuple_search(poly):
         for v in p.vertices:
             gs = generator_set(p, v)
             targets = dilate_targets(p, d_P, v)
-            assert_matches_tuple_search(gs, targets)
+            certs = assert_matches_tuple_search(gs, targets)
             searched += len(targets)
-            infeasible += sum(sigma(gs, t) is None for t in targets)
+            infeasible += sum(cert is None for cert in certs.values())
     assert searched > 5000 and infeasible > 0
+
+
+def lanes_below(guards):
+    """(s_i, 2**w_i - 1) for each lane: the bits between one guard bit and
+    the next."""
+    lanes, shift = [], 0
+    for bit in range(guards.bit_length()):
+        if guards >> bit & 1:
+            lanes.append((shift, (1 << (bit - shift)) - 1))
+            shift = bit + 1
+    return lanes
 
 
 def check_lanes(monkeypatch):
@@ -505,19 +577,20 @@ def check_lanes(monkeypatch):
     Returns the list of searches checked, (normals, lanes) each."""
     checked = []
     real_lanes, real_search = semigroup._lanes, semigroup._search
-    packings = []
+    packed_normals = []
 
     def lanes(normals, generators, floors):
-        packing = real_lanes(normals, generators, floors)
-        packings.append((normals, generators, packing))
-        return packing
+        packed_normals.append(normals)
+        return real_lanes(normals, generators, floors)
 
-    def search(generators, weights, root, in_lower_set, pending):
-        parent = real_search(generators, weights, root, in_lower_set, pending)
-        normals, gens, (_, _, _, lanes) = packings.pop()
+    def search(generators, weights, root, it, guards):
+        parent = real_search(generators, weights, root, it, guards)
+        normals = packed_normals.pop()
+        lanes = lanes_below(guards)
+        assert len(lanes) == len(normals)
         shifts = [s for s, _ in lanes]
         lows = [-((root >> s) & m) for s, m in lanes]
-        steps = [(dot(weights, g), [dot(n, g) for n in normals]) for g in gens]
+        steps = [(dot(weights, g), [dot(n, g) for n in normals]) for g in generators]
         nodes = {}
         for key, entry in parent.items():  # a parent is entered before its children
             y = nodes[key] = (0,) * len(weights) if entry is None else add(nodes[entry[0]], entry[1])
@@ -571,66 +644,20 @@ def test_lanes_at_vertices_with_more_normals_than_dim(monkeypatch):
     assert all(len(lanes) > 3 for _, lanes in checked)
 
 
-def single_target_certificates(p, d_P):
-    """sigma on each m_P target of the first vertex, one target per search."""
-    v = p.vertices[0]
-    gs = generator_set(p, v)
-    shift = scale(d_P, v)
-    return {x: sigma(gs, sub(x, shift)) for x in sorted(p.lattice_points(d_P))}
-
-
 def test_early_stop_gives_identical_certificates(poly, monkeypatch):
     # reeve and random:4,3,9,11 are not very ample, so some targets are
     # infeasible and their searches must still run to exhaustion
-    many = [(p, compute_d_P(p))
-            for p in oracle_cases(poly) + [build_family("random:4,3,9,11")]]
-    cases = many[:-1]  # one search per target costs too much on the last one
-    stopped = [all_certificates(p, d_P) for p, d_P in many]
-    single = [single_target_certificates(p, d_P) for p, d_P in cases]
+    cases = [(p, compute_d_P(p))
+             for p in oracle_cases(poly) + [build_family("random:4,3,9,11")]]
+    stopped = [all_certificates(p, d_P) for p, d_P in cases]
     monkeypatch.setattr(semigroup, "_search", search_to_exhaustion)
-    for (p, d_P), got in zip(many, stopped):
+    for (p, d_P), got in zip(cases, stopped):
         assert got == all_certificates(p, d_P), p.name
-    for (p, d_P), got in zip(cases, single):
-        assert got == single_target_certificates(p, d_P), p.name
-    infeasible = sum(cert is None for certs in stopped
-                     for by_target in certs.values() for cert in by_target.values())
-    assert infeasible > 0
-    assert any(cert is None for got in single for cert in got.values())
-    assert any(cert is not None and cert.length == 0
-               for got in single for cert in got.values())
-
-
-def dominates_some_image(dy, images):
-    """The per-image dominance scan that semigroup._dominance_test replaces."""
-    return any(all(a >= b for a, b in zip(dy, td)) for td in images)
-
-
-def test_dominance_test_against_per_image_scan():
-    rng = SplitMix64(16)
-    answers = set()
-    for case in range(120):
-        width = 1 + rng.below(10)
-        spread = 1 + rng.below(6)
-        count = rng.below(601) if case % 8 == 0 else rng.below(40)
-        images = [tuple(rng.below(2 * spread + 1) - spread for _ in range(width))
-                  for _ in range(count)]
-        images += [images[rng.below(count)] for _ in range(count // 3)]  # repeats
-        queries = [tuple(rng.below(2 * spread + 5) - spread - 2 for _ in range(width))
-                   for _ in range(30)]
-        # ties at the bisect boundaries: images, and each one moved one step
-        # down or up in a single coordinate
-        picked = images[:10] + [images[rng.below(count)] for _ in range(10 if count else 0)]
-        for td in picked:
-            i = rng.below(width)
-            queries += [td, td[:i] + (td[i] - 1,) + td[i + 1:], td[:i] + (td[i] + 1,) + td[i + 1:]]
-        dominates = semigroup._dominance_test(images)
-        for dy in queries:
-            expected = dominates_some_image(dy, images)
-            # the search hands the test its images lazily
-            assert dominates(iter(dy)) == expected, (images, dy)
-            assert dominates(dy) == expected, (images, dy)
-            answers.add((bool(images), expected))
-    assert answers == {(False, False), (True, False), (True, True)}
+    certs = [cert for got in stopped
+             for by_target in got.values() for cert in by_target.values()]
+    assert any(cert is None for cert in certs)
+    # each vertex's own apex is the target 0, which needs no search
+    assert any(cert is not None and cert.length == 0 for cert in certs)
 
 
 # -- lattice points: row scan against the bounding-box scan --------------------
@@ -691,7 +718,8 @@ def test_interior_row_scan_matches_filtered_points(poly):
 def test_dilation_factor_below_one_is_rejected(poly):
     p = poly("bruns:4")
     for k in (0, -1, -2):
-        for call in (p.lattice_points, p.lattice_rows, lambda k: list(iter_holes(p, k))):
+        for call in (p.lattice_points, p.lattice_rows, lambda k: list(iter_holes(p, k)),
+                     lambda k: hole_count(p, k)):
             with pytest.raises(ValueError, match="dilation factor must be >= 1"):
                 call(k)
 
@@ -952,7 +980,7 @@ def test_slack_table_matches_facet_slacks(poly):
         table = p.slack_table()
         assert set(table) == p.lattice_points(1), p.name
         for u, slacks in table.items():
-            assert slacks == tuple(f.slack(u) for f in p.facets), (p.name, u)
+            assert slacks == tuple(slack(f, u) for f in p.facets), (p.name, u)
         assert p.slack_table() is table
 
 
@@ -1082,12 +1110,12 @@ def edge_fan(p, v):
     """
     if not p.is_vertex(v):
         raise GeometryError(f"{v} is not a vertex")
-    active_v = [f for f in p.facets if f.slack(v) == 0]
+    active_v = [f for f in p.facets if slack(f, v) == 0]
     pairs = []
     for u in p.vertices:
         if u == v:
             continue
-        common = tuple(f.normal for f in active_v if f.slack(u) == 0)
+        common = tuple(f.normal for f in active_v if slack(f, u) == 0)
         if rank(common) == p.dim - 1:
             pairs.append((primitive(sub(u, v)), u))
     pairs.sort()
@@ -1130,9 +1158,9 @@ def triangulate_by_projected_hulls(p):
     v0 = verts[0]
     simplices = []
     for f in p.facets:
-        if f.slack(v0) == 0:
+        if slack(f, v0) == 0:
             continue
-        fverts = [v for v in verts if f.slack(v) == 0]
+        fverts = [v for v in verts if slack(f, v) == 0]
         j = next(i for i, c in enumerate(f.normal) if c != 0)
         lift = {v[:j] + v[j + 1:]: v for v in fverts}
         for cell in triangulate_by_projected_hulls(from_points(lift.keys())):
@@ -1389,7 +1417,7 @@ def test_hull_matches_d_subsets(poly):
         full += 1
         d = len(cloud[0])
         vertices = set(from_points(cloud).vertices)
-        on_facets = [{x for x in cloud if f.slack(x) == 0} for f in want]
+        on_facets = [{x for x in cloud if slack(f, x) == 0} for f in want]
         edge_points += any(on - vertices for on in on_facets)
         crowded_facets += any(len(on) > d for on in on_facets)
     # the degenerate cases must occur: boundary points that are not vertices
@@ -1409,7 +1437,7 @@ def vertices_by_ranking(points):
     pts = sorted(set(points))
     d = len(pts[0])
     return tuple(x for x in pts
-                 if rank(tuple(f.normal for f in facets if f.slack(x) == 0)) == d)
+                 if rank(tuple(f.normal for f in facets if slack(f, x) == 0)) == d)
 
 
 def degenerate_cloud(rng, d, spread=5):
@@ -1453,7 +1481,7 @@ def test_vertices_match_ranking_every_point(poly):
         assert got == vertices_by_ranking(cloud), cloud
         d = len(cloud[0])
         facets = hull_facets(cloud)
-        tight = [sum(f.slack(x) == 0 for f in facets) for x in set(cloud) - set(got)]
+        tight = [sum(slack(f, x) == 0 for f in facets) for x in set(cloud) - set(got)]
         boundary += any(tight)
         crowded += any(n >= d for n in tight)
     # the comparison must meet boundary points that are not vertices, some of
@@ -1497,7 +1525,7 @@ def test_hull_and_vertices_in_dims_1_and_5():
         full[d] += 1
         vertices = from_points(cloud).vertices
         assert vertices == vertices_by_ranking(cloud), cloud
-        on_facets = [{x for x in cloud if f.slack(x) == 0} for f in want]
+        on_facets = [{x for x in cloud if slack(f, x) == 0} for f in want]
         edge_points += d == 5 and any(on - set(vertices) for on in on_facets)
         crowded_facets += d == 5 and any(len(on) > d for on in on_facets)
     # boundary points that are not vertices and facets tight at more than d
@@ -1537,7 +1565,7 @@ def hull_tight_sets_by_ridge_rank(pts):
     for p in pts:
         if p in simplex:
             continue
-        visible = [tight.pop(f) for f in [f for f in tight if f.slack(p) < 0]]
+        visible = [tight.pop(f) for f in [f for f in tight if slack(f, p) < 0]]
         kept = list(tight.values())
         for on_f in visible:
             for on_g in kept:
@@ -1565,5 +1593,5 @@ def test_hull_tight_sets_are_complete():
             continue
         complete[len(pts[0])] += 1
         for f, on_f in tight.items():
-            assert on_f == {x for x in pts if f.slack(x) == 0}, (cloud, f)
+            assert on_f == {x for x in pts if slack(f, x) == 0}, (cloud, f)
     assert min(complete.values()) >= 14 and sum(complete.values()) >= 250, complete

@@ -90,16 +90,17 @@ def det_exact(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def extend_echelon(basis: list[tuple[int, Vector]], v) -> bool:
-    """Reduce v, of the rows' length, against an echelon basis and append
-    what is left, if anything, as a new (pivot column, primitive row);
-    True when the basis grew.
+def _reduce(basis: list[tuple[int, Vector]], v):
+    """v reduced against an echelon basis: (pivot column, what is left),
+    or None when nothing is left.
 
     Each step v <- row[c]·v - v[c]·row, one per basis row whose pivot
     column c is nonzero in v, clears that column and keeps the columns the
-    earlier rows cleared, since row is zero there.  So what is left is zero
-    in every pivot column, and it is the zero vector exactly when v lies in
-    the span of the rows.  Its first nonzero column becomes the new pivot.
+    earlier rows cleared, since row is zero there.  It scales v by
+    row[c] != 0 and subtracts a multiple of the row, so what is left is
+    zero in every pivot column, and it is the zero vector exactly when v
+    lies in the span of the rows.  Its first nonzero column is the pivot.
+    No step divides.
     """
     for c, row in basis:
         x = v[c]
@@ -108,9 +109,19 @@ def extend_echelon(basis: list[tuple[int, Vector]], v) -> bool:
             v = [a * y - x * z for y, z in zip(v, row)]
     for pivot, x in enumerate(v):
         if x:
-            basis.append((pivot, primitive(v)))
-            return True
-    return False
+            return pivot, v
+    return None
+
+
+def extend_echelon(basis: list[tuple[int, Vector]], v) -> bool:
+    """Reduce v, of the rows' length, against an echelon basis by `_reduce`
+    and append what is left, if anything, as a new (pivot column,
+    primitive row); True when the basis grew."""
+    left = _reduce(basis, v)
+    if left is None:
+        return False
+    basis.append((left[0], primitive(left[1])))
+    return True
 
 
 def echelon(vectors) -> list[tuple[int, Vector]]:
@@ -137,15 +148,21 @@ def rank(m) -> int:
 def reaches_rank(vectors, r: int) -> bool:
     """True when vectors of one length span a space of dimension at least r.
 
-    The vectors are reduced in order by `extend_echelon`, and no vector is
-    read once the basis has r rows; a caller that knows the rank cannot
-    exceed r gets the same answer as comparing `rank` with r.
+    One fraction-free elimination: each vector is reduced in order by
+    `_reduce` against the rows kept so far, and what is left is kept as it
+    is.  The rows are not made primitive, since only their number is read;
+    a step adds at most the bit length of the row's entries, plus one, to
+    v's, so over the few rows of a rank check the entries stay small.  No
+    vector is read once r rows are kept; a caller that knows the rank
+    cannot exceed r gets the same answer as comparing `rank` with r.
     """
+    if r <= 0:
+        return True
     basis = []
-    vectors = iter(vectors)
-    while len(basis) < r:
-        v = next(vectors, None)
-        if v is None:
-            return False
-        extend_echelon(basis, v)
-    return True
+    for v in vectors:
+        left = _reduce(basis, v)
+        if left is not None:
+            basis.append(left)
+            if len(basis) == r:
+                return True
+    return False

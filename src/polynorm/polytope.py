@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from math import gcd
 from operator import mul
 
 from .exactmath import (
     Vector,
-    dot,
     echelon,
     extend_echelon,
     neg,
@@ -65,60 +63,100 @@ class Polytope:
         self.dim = dim
         self.facets = facets
         self.name = name
+        self._validate()
         self._vertex_set = frozenset(vertices)
         self._point_cache: dict[int, frozenset[Vector]] = {}
         self._slacks = None
         self._ehrhart = None
         self._tower = None
-        self._validate()
 
     # -- construction invariants -------------------------------------------
 
     def _validate(self):
-        """Check the construction invariants, in this order: the polytope
-        has vertices and facets; every vertex has d coordinates; every
-        facet normal has d coordinates and is not zero; then, facet by
-        facet, its normal is primitive, no vertex violates it, and it is
-        tight at d affinely independent vertices; then every listed vertex
-        is extreme, the normals of the facets tight at it having rank d.
+        """Check the construction invariants, in this order.
 
-        The slack of each vertex in each facet is computed once, into a
-        facet × vertex table that the facet checks fill row by row and the
-        extremality check reads by column.  Each rank check stops its
-        elimination at the rank it needs (`reaches_rank`), which it cannot
-        exceed: the differences of a facet's tight vertices lie in the
-        hyperplane of its nonzero normal, rank at most d - 1, and normals
-        lie in Z^d, rank at most d.  So stopping early accepts and rejects
-        exactly what the full rank does; the shape checks come first
-        because that argument needs them.
+        1. Shapes: the polytope has vertices and facets; every vertex is a
+           tuple of d integers; every facet normal is a nonzero tuple of d
+           integers and its offset an integer.  Integers follow the rule of
+           `vec`, so bool is not one.
+        2. Facet by facet: its normal is primitive, no vertex violates it,
+           and it is tight at d affinely independent vertices.
+        3. Vertex by vertex: it is extreme, the normals of the facets tight
+           at it having rank d.
+        4. No vertex and no facet is listed twice.
+
+        Each check raises a GeometryError that names the vertex or facet.
+        The types and lengths are read in one pass over all of them, and
+        item by item only when one is off, to name the first offender.  A
+        normal is primitive when the gcd of its entries is 1.  The slack of
+        each vertex in each facet is computed once, by `sum(map(mul, ...))`:
+        the shapes are checked, so no length is checked again.  The facet
+        pass lists, for each vertex, the normals of the facets tight at it,
+        which the vertex pass reads.
+
+        Each rank check is one `reaches_rank` elimination over a list, and
+        it stops at the rank it needs, which it cannot exceed.  A facet is
+        tight at d affinely independent vertices exactly when the lifts
+        (v, 1) of its tight vertices v reach rank d, since the rank of the
+        lifts is one more than the affine rank of the points; every lift is
+        orthogonal to (n, -c), for the facet's nonzero normal n and offset
+        c, so d is the largest rank they can have.  Normals lie in Z^d, so
+        d is theirs.  So stopping early accepts and rejects exactly what
+        the full rank does; the shape checks come first because that
+        argument needs them.  The repeat checks come last, so an input with
+        a repeat and another fault is named by that fault.  Two facets that
+        pass the facet checks with one normal have one offset too, as each
+        is tight at a vertex that the other holds, so a repeated facet is
+        found by its normal.
         """
         d = self.dim
-        if not self.vertices or not self.facets:
+        vertices, facets = self.vertices, self.facets
+        if not vertices or not facets:
             raise GeometryError("polytope needs vertices and facets")
-        for v in self.vertices:
-            if len(v) != d:
-                raise GeometryError(f"vertex {v} does not have {d} coordinates")
-        for f in self.facets:
-            if len(f.normal) != d:
-                raise GeometryError(f"facet {f} does not have a normal of {d} coordinates")
-            if not any(f.normal):
-                raise GeometryError(f"facet {f} has the zero normal")
-        table = []
-        for f in self.facets:
-            if primitive(f.normal) != f.normal:
-                raise GeometryError(f"facet normal {f.normal} is not primitive")
-            slacks = [f.offset - dot(f.normal, v) for v in self.vertices]
-            for v, s in zip(self.vertices, slacks):
-                if s < 0:
-                    raise GeometryError(f"vertex {v} violates facet {f}")
-            tight = [v for v, s in zip(self.vertices, slacks) if s == 0]
-            if len(tight) < d or not reaches_rank((sub(p, tight[0]) for p in tight[1:]), d - 1):
+        normals = [f.normal for f in facets]
+        odd = ({*map(type, vertices), *map(type, normals)} != {tuple}
+               or {*map(type, chain(chain.from_iterable(vertices), chain.from_iterable(normals),
+                                    [f.offset for f in facets]))} != {int})
+        if odd or {*map(len, vertices), *map(len, normals)} != {d} or not all(map(any, normals)):
+            for v in vertices:
+                if odd and not _integer_tuple(v):
+                    raise GeometryError(f"vertex {v} is not a tuple of integers")
+                if len(v) != d:
+                    raise GeometryError(f"vertex {v} does not have {d} coordinates")
+            for f in facets:
+                if odd and not _integer_tuple(f.normal):
+                    raise GeometryError(f"facet {f} has a normal that is not a tuple of integers")
+                if len(f.normal) != d:
+                    raise GeometryError(f"facet {f} does not have a normal of {d} coordinates")
+                if not any(f.normal):
+                    raise GeometryError(f"facet {f} has the zero normal")
+                if odd and not _integer_tuple((f.offset,)):
+                    raise GeometryError(f"facet {f} has an offset that is not an integer")
+        lifted = [v + (1,) for v in vertices]
+        tight_at = [[] for _ in vertices]  # the normals of the facets tight at each vertex
+        for f, n in zip(facets, normals):
+            if gcd(*n) != 1:
+                raise GeometryError(f"facet normal {n} is not primitive")
+            c = f.offset
+            slacks = [c - sum(map(mul, n, v)) for v in vertices]
+            if min(slacks) < 0:
+                v = next(v for v, s in zip(vertices, slacks) if s < 0)
+                raise GeometryError(f"vertex {v} violates facet {f}")
+            tight = [j for j, s in enumerate(slacks) if not s]
+            if len(tight) < d or not reaches_rank([lifted[j] for j in tight], d):
                 raise GeometryError(f"facet {f} is not tight at d affinely independent vertices")
-            table.append(slacks)
-        for j, v in enumerate(self.vertices):
-            active = (f.normal for f, slacks in zip(self.facets, table) if slacks[j] == 0)
+            for j in tight:
+                tight_at[j].append(n)
+        for v, active in zip(vertices, tight_at):
             if not reaches_rank(active, d):
                 raise GeometryError(f"listed point {v} is not extreme")
+        for kind, items, keys in (("vertex", vertices, vertices), ("facet", facets, normals)):
+            if len(set(keys)) < len(keys):
+                seen = set()
+                for x in items:
+                    if x in seen:
+                        raise GeometryError(f"{kind} {x} is listed twice")
+                    seen.add(x)
 
     # -- basic queries -------------------------------------------------------
 
@@ -229,6 +267,15 @@ class Polytope:
         return scan(0, (), list(rhs))
 
 
+def _integer_tuple(v) -> bool:
+    """True when v is a tuple that `vec` takes as it is: of ints, not bools."""
+    try:
+        vec(v)
+    except TypeError:
+        return False
+    return isinstance(v, tuple)
+
+
 # -- hull construction ---------------------------------------------------------
 
 
@@ -263,8 +310,8 @@ def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
             normal = [x * (a // g) for x in normal]
             normal[c] = -s // g
     normal = primitive(normal)
-    offset = dot(normal, point)
-    if dot(normal, inside) > (d + 1) * offset:
+    offset = sum(map(mul, normal, point))
+    if sum(map(mul, normal, inside)) > (d + 1) * offset:
         normal, offset = neg(normal), -offset
     return HalfSpace(normal, offset)
 
@@ -279,12 +326,16 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     order span a d-simplex: each point's difference from pts[0] is reduced
     once against the echelon basis of the differences kept so far, and
     kept when it grows the basis.  The simplex's d + 1 facets are solved by
-    `_halfspace` and oriented to hold its centroid strictly.  Each facet
-    keeps its tight set, the indices into pts of the points inserted so
-    far that lie on it, and an index maps each point to the facets through
-    it.  The points not in the simplex are inserted one at a time in sorted
-    order, each in one pass over the facets that computes its slack in
-    each; a facet is visible from p when p has negative slack in it.
+    `_halfspace` and oriented to hold its centroid strictly; the basis of
+    the facet through pts[0] without the i-th kept point starts from the
+    search's first i - 1 rows, which span the first i - 1 differences, as
+    the rows are reduced in order.  Each facet keeps its tight set, the
+    indices into pts of the points inserted so far that lie on it, and an
+    index maps each point to the facets through it.  The points not in
+    the simplex are inserted one at a time in sorted order, each in one
+    pass over the facets that computes its slack in each, once, into a
+    table that every later use reads; a facet is visible from p when p
+    has negative slack in it.
 
     - Every inserted p sees a facet, as it lies outside conv(Q), Q the
       points inserted before it.  Let A be the affine span of the simplex
@@ -308,14 +359,24 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
       them.  So f and g meet in a ridge exactly when they share at least
       d-1 points and no third facet's tight set holds all of them: a ridge
       has d-1 affinely independent vertices and lies in exactly two
-      facets, and a face of dimension < d-2 lies in at least three.  A
-      third facet through the shared points passes through any one of
-      them, so the index lists it.
-    - Candidates from the index.  The facets that share at least d-1
-      points with a visible f are counted over the index entries of f's
-      points, so no pair of facets without a shared point is visited.  In
-      d = 1 the ridges are empty and the count finds no neighbour; there
-      the hull is a segment and its other facet is the candidate.
+      facets, and a face of dimension < d-2 lies in at least three.  The
+      facets whose tight sets hold all the shared points are the
+      intersection of the points' index entries, so the ridge test is that
+      this intersection is {f, g}.
+    - Simplex facets.  A visible f tight at exactly d points is a
+      (d-1)-simplex on them: its vertices are among its points, and it
+      has at least d.  So each d-1 of them span a face of f, a ridge,
+      which lies in f and in exactly one other facet g.  The tight sets
+      are complete, so f and g are the only facets whose index entries
+      hold all d-1 points: g is the intersection of those entries less f,
+      with no count and no third-facet test.  In d = 1 every facet is a
+      point, the ridge is empty and lies in both facets of the segment,
+      and g is the other one.
+    - Other facets.  The candidates g of a visible f tight at more than d
+      points are the facets in the index entries of f's points that are
+      not visible, so no pair of facets without a shared point is
+      visited, and each is kept when its shared points, at least d-1 of
+      them, pass the ridge test above.
     - Normals by combination.  Let s_f < 0 <= s_g be the slacks of p in f
       and g.  The inequality N·x <= C with N = s_g·n_f - s_f·n_g and
       C = s_g·c_f - s_f·c_g is a nonnegative combination of the two, so it
@@ -326,17 +387,21 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
       length of the segment.  So N·x <= C is the new facet's inequality,
       oriented without a test, and dividing by gcd(N) makes it primitive;
       that gcd divides C = N·p.  When s_g = 0 the combination is
-      -s_f·(n_g, c_g), that is g itself: the cone merges into g and p
-      joins g's tight set, as a cube's last vertex extends three square
-      facets.  That covers every p on the hyperplane H of a kept g: p is
-      in H but not in g, so within H it violates the inequality of some
-      facet f that meets g in a ridge, and f is visible.
+      -s_f·(n_g, c_g), that is g itself, taken as it is: the cone merges
+      into g and p joins g's tight set, as a cube's last vertex extends
+      three square facets.  That covers every p on the hyperplane H of a
+      kept g: p is in H but not in g, so within H it violates the
+      inequality of some facet f that meets g in a ridge, and f is
+      visible.
     - Keys.  A facet of a full-dimensional polytope is determined by its
       primitive outward normal, so facets are keyed by it during the
       insertion, and cones over several ridges that span one hyperplane
       merge into one facet.  The visible facets are dropped before the
       new ones are keyed: in d = 1 the new facet has the visible one's
-      normal.  Each HalfSpace is built once, at the end.
+      normal.  A kept facet that a cone merges into gains p alone: the
+      cone's ridge lies in the facet, so its points are already in the
+      facet's complete tight set.  Each HalfSpace is built once, at the
+      end.
 
     Every intermediate hull is exactly conv of the points inserted so far,
     so the result is the set of facets of conv(points): the same primitive
@@ -345,7 +410,7 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     complete: it holds every point of pts on the facet.
     """
     d = len(pts[0])
-    if any(len(p) != d for p in pts):
+    if len(set(map(len, pts))) > 1:
         raise GeometryError("points of mixed dimension")
     origin = pts[0]
     simplex, basis = [0], []
@@ -364,8 +429,14 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     tight: dict[Vector, set[int]] = {}
     through: list[set[Vector]] = [set() for _ in pts]
     for i in range(d + 1):
-        face = corners[:i] + corners[i + 1:]
-        h = _halfspace(face[0], echelon(sub(q, face[0]) for q in face[1:]), inside)
+        if i:
+            # the search's first i - 1 rows span the first i - 1 differences
+            face = basis[:i - 1]
+            for q in corners[i + 1:]:
+                extend_echelon(face, sub(q, origin))
+            h = _halfspace(origin, face, inside)
+        else:
+            h = _halfspace(corners[1], echelon(sub(q, corners[1]) for q in corners[2:]), inside)
         offset[h.normal] = h.offset
         tight[h.normal] = set(simplex[:i] + simplex[i + 1:])
         for x in tight[h.normal]:
@@ -374,42 +445,48 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     for i, p in enumerate(pts):
         if i in skip:
             continue
-        visible = {}
-        for n, c in offset.items():
-            s = c - sum(map(mul, n, p))
-            if s < 0:
-                visible[n] = s
+        slack = {n: c - sum(map(mul, n, p)) for n, c in offset.items()}
+        visible = {n: s for n, s in slack.items() if s < 0}
         new: dict[Vector, tuple[int, set[int]]] = {}
         for f, s_f in visible.items():
             on_f = tight[f]
-            # each facet sharing points with f, and how many; in d = 1 the
-            # ridges are empty, so every facet is a candidate
-            shared = (Counter(h for x in on_f for h in through[x]) if d > 1
-                      else dict.fromkeys(offset, 0))
-            for g, k in shared.items():
-                if k < d - 1 or g in visible:
-                    continue
-                ridge = on_f & tight[g]
-                if any(ridge <= tight[h] for x in islice(ridge, 1)
-                       for h in through[x] if h != f and h != g):
-                    continue
-                s_g = offset[g] - sum(map(mul, g, p))
-                normal = [s_g * a - s_f * b for a, b in zip(f, g)]
-                q = gcd(*normal)
-                c = (s_g * offset[f] - s_f * offset[g]) // q
-                new.setdefault(tuple(a // q for a in normal), (c, {i}))[1].update(ridge)
+            horizon = []  # (g, ridge) for each horizon ridge of f
+            if len(on_f) == d:
+                for x in on_f:
+                    ridge = on_f - {x}
+                    g, = (set.intersection(*map(through.__getitem__, ridge)) if d > 1
+                          else set(offset)) - {f}
+                    if g not in visible:
+                        horizon.append((g, ridge))
+            else:
+                for g in set().union(*map(through.__getitem__, on_f)).difference(visible):
+                    ridge = on_f & tight[g]
+                    if len(ridge) >= d - 1 and len(
+                            set.intersection(*map(through.__getitem__, ridge))) == 2:
+                        horizon.append((g, ridge))
+            for g, ridge in horizon:
+                s_g = slack[g]
+                if s_g:
+                    normal = [s_g * a - s_f * b for a, b in zip(f, g)]
+                    q = gcd(*normal)
+                    n = tuple(normal) if q == 1 else tuple([a // q for a in normal])
+                    c = (s_g * offset[f] - s_f * offset[g]) // q
+                else:
+                    n, c = g, offset[g]
+                new.setdefault(n, (c, {i}))[1].update(ridge)
         for f in visible:
             del offset[f]
             for x in tight.pop(f):
                 through[x].discard(f)
         for n, (c, on_n) in new.items():
-            if n in tight:
-                tight[n] |= on_n
+            if n in tight:  # a kept facet through p, which gains p alone
+                tight[n].add(i)
+                through[i].add(n)
             else:
                 offset[n], tight[n] = c, on_n
-            for x in on_n:
-                through[x].add(n)
-    return {HalfSpace(n, c): {pts[x] for x in tight[n]} for n, c in offset.items()}
+                for x in on_n:
+                    through[x].add(n)
+    return {HalfSpace(n, c): set(map(pts.__getitem__, tight[n])) for n, c in offset.items()}
 
 
 def from_points(points, name: str | None = None) -> Polytope:

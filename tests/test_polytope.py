@@ -134,6 +134,43 @@ class TestValidate:
         with pytest.raises(GeometryError, match=r"^vertex \(1, 0\) violates facet"):
             Polytope(tuple(sorted(SQUARE)) + ((0, 0),), 2, facets)
 
+    @pytest.mark.parametrize("vertices, facets, message", [
+        # a non-integer entry is named in the shape checks, before any slack
+        (((0, 0), (0, 1), (1.0, 0), (1, 1)), SQUARE_FACETS,
+         "vertex (1.0, 0) is not a tuple of integers"),
+        (((0, 0), (0, 1), (True, 0), (1, 1)), SQUARE_FACETS,
+         "vertex (True, 0) is not a tuple of integers"),
+        (((0, 0), (0, 1), [1, 0], (1, 1)), SQUARE_FACETS,
+         "vertex [1, 0] is not a tuple of integers"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace([1, 0], 1),),
+         "facet HalfSpace(normal=[1, 0], offset=1) has a normal that is not a tuple of integers"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace((1, 0), 1.0),),
+         "facet HalfSpace(normal=(1, 0), offset=1.0) has an offset that is not an integer"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS[:3] + (HalfSpace((1, 0), True),),
+         "facet HalfSpace(normal=(1, 0), offset=True) has an offset that is not an integer"),
+        # a repeat passes every other check, and is named after them
+        (tuple(sorted(SQUARE)) + ((0, 0),), SQUARE_FACETS, "vertex (0, 0) is listed twice"),
+        (((0, 0), (1, 0), (2, 0), (1, 0), (0, 2), (2, 2)), from_points(
+            [(0, 0), (2, 0), (0, 2), (2, 2)]).facets, "listed point (1, 0) is not extreme"),
+        (tuple(sorted(SQUARE)), SQUARE_FACETS + SQUARE_FACETS[2:3],
+         "facet HalfSpace(normal=(0, 1), offset=1) is listed twice"),
+    ])
+    def test_non_integer_or_repeated_item(self, vertices, facets, message):
+        with pytest.raises(GeometryError) as err:
+            Polytope(vertices, 2, facets)
+        assert str(err.value) == message
+
+    def test_repeats_in_larger_inputs(self):
+        # with its vertex listed twice, bruns:4 would count n = 9 vertices
+        # in the theorem bound; with a facet listed twice, the 2x2 square
+        # would have three tight normals at two vertices, so not be smooth
+        p = bruns_gubeladze(4)
+        with pytest.raises(GeometryError, match=r"^vertex \(0, 0, 1\) is listed twice$"):
+            Polytope(p.vertices + ((0, 0, 1),), 3, p.facets)
+        square = from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
+        with pytest.raises(GeometryError, match=r"^facet .* is listed twice$"):
+            Polytope(square.vertices, 2, square.facets[:1] + square.facets)
+
 
 class TestHRep:
     def test_unit_square(self):

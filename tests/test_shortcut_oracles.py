@@ -80,7 +80,21 @@
   the two facets' inequalities into the new one; the oracle,
   hull_tight_sets_by_ridge_rank, pairs every visible facet with every
   kept one, takes the rank of r - p over the shared points and solves the
-  new facet by _halfspace, and the tight sets must be equal.
+  new facet by _halfspace, and the tight sets must be equal.  A visible
+  facet tight at exactly d points finds the neighbour across each ridge
+  as the intersection of the index entries of d-1 of its points, and any
+  other visible facet takes the facets in the index entries of its
+  points as candidates; the oracle, hull_tight_sets_by_shared_count,
+  counts the points every facet shares with a visible one (Counter), on
+  every cloud above, the catalog and the four clouds of the CI hull
+  steps.
+- Polytope._validate checks types and lengths in one pass, computes
+  slacks by sum(map(mul, ...)), ranks lifted tight vertices and tight
+  normals by one lean elimination each, and rejects repeats last; the
+  oracle, validate_by_table, is the replaced validator (dot products, a
+  facet × vertex table read by column, echelon ranks), and the two must
+  accept and reject the same seeded mutations of catalog and cloud
+  polytopes with the same messages, except for the new checks.
 - from_points reads the vertices off the hull's tight sets, a point being
   a vertex when the tight sets through it meet in it alone; the oracle
   ranks the normals of the facets tight at every input point.
@@ -90,8 +104,10 @@
   outside P in the point cache must still fail that check.
 """
 
+import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -133,6 +149,7 @@ from polynorm.invariants import (
 from polynorm.polytope import (
     GeometryError,
     HalfSpace,
+    Polytope,
     _halfspace,
     _hull_tight_sets,
     from_points,
@@ -1595,3 +1612,246 @@ def test_hull_tight_sets_are_complete():
         for f, on_f in tight.items():
             assert on_f == {x for x in pts if slack(f, x) == 0}, (cloud, f)
     assert min(complete.values()) >= 14 and sum(complete.values()) >= 250, complete
+
+
+# -- hull: ridges of simplex facets from the index against counted shared points --
+
+
+def hull_tight_sets_by_shared_count(pts, visible_sizes=None):
+    """The ridge step that _hull_tight_sets replaced, point for point the
+    same up to it: each visible facet f counts, over the point-to-facets
+    index of its points, the points every facet shares with it
+    (collections.Counter), and each facet g that is not visible, shares at
+    least d-1 points and has no third facet holding them all is a horizon
+    neighbour; the slack of p in g is computed again for each ridge, and a
+    kept facet that a cone merges into takes the whole ridge.  In d = 1
+    every facet is a candidate.  visible_sizes, when given, counts the
+    visible facets by the size of their tight sets against d: 'd' or 'more'."""
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise GeometryError("points of mixed dimension")
+    origin = pts[0]
+    simplex, basis = [0], []
+    for i in range(1, len(pts)):
+        if extend_echelon(basis, sub(pts[i], origin)):
+            simplex.append(i)
+            if len(simplex) == d + 1:
+                break
+    if len(simplex) <= d:
+        raise GeometryError("point set is not full-dimensional "
+                            f"(affine rank {len(simplex) - 1} < {d})")
+    corners = [pts[i] for i in simplex]
+    inside = tuple(map(sum, zip(*corners)))
+    offset, tight = {}, {}
+    through = [set() for _ in pts]
+    for i in range(d + 1):
+        face = corners[:i] + corners[i + 1:]
+        h = _halfspace(face[0], echelon(sub(q, face[0]) for q in face[1:]), inside)
+        offset[h.normal] = h.offset
+        tight[h.normal] = set(simplex[:i] + simplex[i + 1:])
+        for x in tight[h.normal]:
+            through[x].add(h.normal)
+    skip = set(simplex)
+    for i, p in enumerate(pts):
+        if i in skip:
+            continue
+        visible = {}
+        for n, c in offset.items():
+            s = c - sum(map(operator.mul, n, p))
+            if s < 0:
+                visible[n] = s
+        new = {}
+        for f, s_f in visible.items():
+            on_f = tight[f]
+            if visible_sizes is not None:
+                visible_sizes["d" if len(on_f) == d else "more"] += 1
+            shared = (Counter(h for x in on_f for h in through[x]) if d > 1
+                      else dict.fromkeys(offset, 0))
+            for g, k in shared.items():
+                if k < d - 1 or g in visible:
+                    continue
+                ridge = on_f & tight[g]
+                if any(ridge <= tight[h] for x in itertools.islice(ridge, 1)
+                       for h in through[x] if h != f and h != g):
+                    continue
+                s_g = offset[g] - sum(map(operator.mul, g, p))
+                normal = [s_g * a - s_f * b for a, b in zip(f, g)]
+                q = gcd(*normal)
+                c = (s_g * offset[f] - s_f * offset[g]) // q
+                new.setdefault(tuple(a // q for a in normal), (c, {i}))[1].update(ridge)
+        for f in visible:
+            del offset[f]
+            for x in tight.pop(f):
+                through[x].discard(f)
+        for n, (c, on_n) in new.items():
+            if n in tight:
+                tight[n] |= on_n
+            else:
+                offset[n], tight[n] = c, on_n
+            for x in on_n:
+                through[x].add(n)
+    return {HalfSpace(n, c): {pts[x] for x in tight[n]} for n, c in offset.items()}
+
+
+def ci_hull_clouds():
+    """The four seeded clouds of the timed CI hull steps: 1000 points in
+    [-30, 30]^3, 60 in [-10, 10]^4, 300 in [-10, 10]^4 and 40 in [-6, 6]^5."""
+    for seed, d, n, bound in ((3, 3, 1000, 30), (4, 4, 60, 10), (40, 4, 300, 10),
+                              (5, 5, 40, 6)):
+        rng = SplitMix64(seed)
+        yield [tuple(rng.below(2 * bound + 1) - bound for _ in range(d)) for _ in range(n)]
+
+
+def test_hull_ridges_match_shared_count(poly):
+    sizes = Counter()
+    clouds = itertools.chain((poly(spec).vertices for spec in CATALOG_SPECS), point_clouds(),
+                             degenerate_clouds(), five_dim_clouds(), ONE_DIM_CLOUDS,
+                             ci_hull_clouds())
+    full = 0
+    for cloud in clouds:
+        pts = sorted(set(cloud))
+        want = hull_or_error(functools.partial(hull_tight_sets_by_shared_count,
+                                               visible_sizes=sizes), pts)
+        assert hull_or_error(_hull_tight_sets, pts) == want, cloud
+        full += not isinstance(want, str)
+    # both ridge steps must run often: visible facets tight at d points
+    # (simplices, their neighbours read off the index) and at more
+    assert full >= 270
+    assert sizes["d"] >= 10_000 and sizes["more"] >= 800, sizes
+
+
+# -- validator: lean rank checks against the slack table and echelon ranks -------
+
+
+def reaches_rank_by_echelon(vectors, r):
+    """The reaches_rank that the lean elimination replaced: extend_echelon
+    on each vector in turn, every kept row made primitive."""
+    basis = []
+    vectors = iter(vectors)
+    while len(basis) < r:
+        v = next(vectors, None)
+        if v is None:
+            return False
+        extend_echelon(basis, v)
+    return True
+
+
+def validate_by_table(vertices, d, facets):
+    """The Polytope._validate that the lean one replaced, check for check:
+    the shapes, then facet by facet a primitive normal, no violated vertex
+    and d affinely independent tight vertices, from a facet × vertex slack
+    table by dot; then every vertex extreme, read off the table by column;
+    each rank by reaches_rank_by_echelon on generators."""
+    if not vertices or not facets:
+        raise GeometryError("polytope needs vertices and facets")
+    for v in vertices:
+        if len(v) != d:
+            raise GeometryError(f"vertex {v} does not have {d} coordinates")
+    for f in facets:
+        if len(f.normal) != d:
+            raise GeometryError(f"facet {f} does not have a normal of {d} coordinates")
+        if not any(f.normal):
+            raise GeometryError(f"facet {f} has the zero normal")
+    table = []
+    for f in facets:
+        if primitive(f.normal) != f.normal:
+            raise GeometryError(f"facet normal {f.normal} is not primitive")
+        slacks = [f.offset - dot(f.normal, v) for v in vertices]
+        for v, s in zip(vertices, slacks):
+            if s < 0:
+                raise GeometryError(f"vertex {v} violates facet {f}")
+        tight = [v for v, s in zip(vertices, slacks) if s == 0]
+        if len(tight) < d or not reaches_rank_by_echelon(
+                (sub(p, tight[0]) for p in tight[1:]), d - 1):
+            raise GeometryError(f"facet {f} is not tight at d affinely independent vertices")
+        table.append(slacks)
+    for j, v in enumerate(vertices):
+        active = (f.normal for f, slacks in zip(facets, table) if slacks[j] == 0)
+        if not reaches_rank_by_echelon(active, d):
+            raise GeometryError(f"listed point {v} is not extreme")
+
+
+def validation_outcome(validate, vertices, d, facets):
+    try:
+        validate(vertices, d, facets)
+    except GeometryError as e:
+        return str(e)
+    return None
+
+
+def replaced(items, i, item):
+    return items[:i] + (item,) + items[i + 1:]
+
+
+def validator_mutations(p, others, rng):
+    """(kind, vertices, facets): one seeded mutation of p of each kind;
+    others are lattice points of p that are not vertices."""
+    vertices, facets, d = p.vertices, p.facets, p.dim
+    i, j = rng.below(len(facets)), rng.below(len(vertices))
+    f = facets[i]
+    yield "drop a facet", vertices, facets[:i] + facets[i + 1:]
+    yield "double a normal", vertices, replaced(facets, i, HalfSpace(scale(2, f.normal), f.offset))
+    yield "shift an offset up", vertices, replaced(facets, i, HalfSpace(f.normal, f.offset + 1))
+    yield "shift an offset down", vertices, replaced(facets, i, HalfSpace(f.normal, f.offset - 1))
+    if others:
+        k = rng.below(len(vertices) + 1)
+        point = others[rng.below(len(others))]
+        yield "list a non-extreme lattice point", vertices[:k] + (point,) + vertices[k:], facets
+    yield "drop a vertex coordinate", replaced(vertices, j, vertices[j][:-1]), facets
+    yield "drop a normal coordinate", vertices, replaced(facets, i, HalfSpace(f.normal[:-1],
+                                                                            f.offset))
+    yield "use a zero normal", vertices, replaced(facets, i, HalfSpace((0,) * d, f.offset))
+    yield "use a list normal", vertices, replaced(facets, i, HalfSpace(list(f.normal), f.offset))
+    yield "repeat a vertex", vertices[:j] + (vertices[j],) + vertices[j:], facets
+    yield "repeat a facet", vertices, facets[:i] + (f,) + facets[i:]
+
+
+def changed_messages(kind, vertices, facets):
+    """(lean validator's message, replaced validator's outcome) for the
+    kinds that the checks added to the lean validator name: a list normal,
+    which the replaced one called not primitive, and repeats, which it
+    accepted.  None for every other kind, where the two must agree."""
+    if kind == "use a list normal":
+        f = next(f for f in facets if isinstance(f.normal, list))
+        return (f"facet {f} has a normal that is not a tuple of integers",
+                f"facet normal {f.normal} is not primitive")
+    if kind == "repeat a vertex":
+        v = next(v for k, v in enumerate(vertices) if v in vertices[:k])
+        return f"vertex {v} is listed twice", None
+    if kind == "repeat a facet":
+        f = next(f for k, f in enumerate(facets) if f in facets[:k])
+        return f"facet {f} is listed twice", None
+    return None
+
+
+def test_validator_matches_slack_table_on_mutations(poly):
+    rng = SplitMix64(27)
+    cases = []  # (polytope, its lattice points that are not vertices)
+    for spec in CATALOG_SPECS + ("higashitani:4,2",):
+        p = poly(spec)
+        cases.append((p, sorted(p.lattice_points(1) - set(p.vertices))))
+    # the clouds' own points, since a dim-5 cloud of coordinates up to 18
+    # has millions of lattice points
+    for cloud in itertools.chain(point_clouds(), degenerate_clouds(), five_dim_clouds(),
+                                 ONE_DIM_CLOUDS):
+        try:
+            p = from_points(cloud)
+        except GeometryError:
+            continue
+        cases.append((p, sorted(set(cloud) - set(p.vertices))))
+    outcomes = Counter()
+    for p, others in cases:
+        assert validation_outcome(validate_by_table, p.vertices, p.dim, p.facets) is None
+        for _ in range(2):
+            for kind, vertices, facets in validator_mutations(p, others, rng):
+                got = validation_outcome(Polytope, vertices, p.dim, facets)
+                want = validation_outcome(validate_by_table, vertices, p.dim, facets)
+                changed = changed_messages(kind, vertices, facets)
+                assert (got, want) == (changed or (want, want)), (kind, vertices, facets)
+                outcomes[kind, got is None] += 1
+    # every kind is rejected somewhere, and dropping a facet is also accepted
+    # somewhere: a vertex on more than d facets keeps rank d without one
+    assert {kind for kind, accepted in outcomes if not accepted} == {
+        kind for kind, _ in outcomes}
+    assert outcomes["drop a facet", True] >= 10 and outcomes["drop a facet", False] >= 10
+    assert outcomes["list a non-extreme lattice point", False] >= 100

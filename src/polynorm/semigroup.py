@@ -22,6 +22,10 @@ pack(x, d_P) + (j - d_P)·pack(v, 1).  For a very ample P the tower that
 compute_k_P builds up to k_P decides every pair, since m_P <= k_P.  The BFS
 certifies the extremal pair, and searches the pairs the tower leaves open
 when the scan stops early, one at a time, until one is infeasible.
+
+For d_P = 1, the normal case, no tower and no search are needed: every
+x != v of P∩M makes x - v a generator, so sigma is 1 on every pair and m_P
+is 1, certified by the one part x - v.
 """
 
 from __future__ import annotations
@@ -224,6 +228,14 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     and (x, v) is the witness, the first infeasible x in sorted order at the
     first vertex, in vertex order, that has one.
 
+    d_P = 1 is settled in closed form, after the tangent-cone check below
+    and before any tower level or generator set is built.  Every x != v of
+    1·P∩M makes x - v one generator, so sigma(x, v) = 1 on every pair, for
+    any P once d_P = 1 is passed in, and m_P = 1.  The witness is the pair
+    the scan below would pick, the first of sigma 1: the first vertex and
+    the first x != v in sorted order, certified by the one part x - v.  P
+    is full-dimensional, so that x exists.
+
     The tower decides most pairs.  With S_j the j-fold sumset of P∩M and
     y_j = x + (j - d_P)·v, sigma(x, d_P·v) is the least j with y_j in S_j:
     a representation by j generators u_i - v gives y_j = Σ u_i, and padding
@@ -284,6 +296,11 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
                 f"lattice point {u} violates facet {f}: a generator escapes "
                 "the tangent cone (bug)")
     xs = sorted(p.lattice_points(d_P))
+    if d_P == 1:
+        v = vertices[0]
+        x = next(x for x in xs if x != v)
+        target = sub(x, v)
+        return MPResult(True, 1, MPWitness(x, v, ReprCertificate(target, (target,))), None)
     apexes = {v: scale(d_P, v) for v in vertices}
     open_xs = {v: [x for x in xs if x != apexes[v]] for v in vertices}
     best = 0, None, None

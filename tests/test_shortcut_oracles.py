@@ -7,7 +7,9 @@
   as a polytope of its own from the scaled vertices and facet offsets
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
-  threshold from every m = 1..d_P.
+  threshold from every m = 1..d_P.  Given d_P >= 3, it tests (d_P - 1)P
+  by one fill test at k = 1 (dilate_below_d_P_is_normal); the oracle is
+  dilate_is_normal, which tests every k = 1..dim-2.
 - Polytope.lattice_rows recurses over the coordinates, carrying each
   facet's residual and cutting each coordinate's range by the least value
   of the rest over the box; the oracle tests every point of the bounding
@@ -60,6 +62,10 @@
   counter shows that every search has one target, that the searches of a
   not very ample input stop at its witness, and that an uncapped very
   ample input searches its extremal pair alone.
+- With d_P = 1, compute_m_P returns m_P = 1 and compute_k_P returns 1 in
+  closed form, with no tower, generator set or search; the oracle is the
+  per-vertex search with d_P = 1, on normal inputs and on inputs whose
+  d_P exceeds 1.
 - smooth_data reads smoothness, gamma and m_prime off the facets tight at
   each vertex; the oracle builds each vertex's edge fan and solves for the
   edge coefficients of every difference u - v.
@@ -306,7 +312,10 @@ def test_m_P_matches_per_vertex_search(poly, monkeypatch):
         got = compute_m_P(p, d_P)
         expected, largest = m_P_per_vertex(p, d_P)
         assert got == expected, p.name
-        if got.very_ample:
+        if d_P == 1:
+            # sigma is 1 on every pair, so nothing is searched
+            assert searches == [], p.name
+        elif got.very_ample:
             # m_P <= k_P, so the tower decides every pair, and the one
             # search is the single-target certificate of the extremal pair
             assert searches == [1], p.name
@@ -327,7 +336,7 @@ def test_m_P_searches_one_pair_at_a_time(poly, monkeypatch):
     """Every search compute_m_P runs has one target.  A not very ample input
     searches its open pairs in vertex order and then sorted x, and stops at
     the failure pair; an uncapped very ample one searches its extremal pair
-    alone."""
+    alone, unless d_P = 1, where nothing is searched."""
     calls = []
 
     def counting(gs, targets):
@@ -341,6 +350,9 @@ def test_m_P_searches_one_pair_at_a_time(poly, monkeypatch):
         d_P = compute_d_P(p)
         calls.clear()
         got = compute_m_P(p, d_P)
+        if d_P == 1:
+            assert calls == [], p.name
+            continue
         assert calls and all(len(targets) == 1 for _, targets in calls), p.name
         pairs = [(add(t, scale(d_P, v)), v) for v, (t,) in calls]
         if got.very_ample:
@@ -373,6 +385,91 @@ def test_m_P_scan_capped_at_max_k_hands_pairs_to_the_search(monkeypatch):
     assert len(targets) > 1 and set(targets) == {1}  # one search per pair
     assert got == uncapped == m_P_per_vertex(p, d_P)[0]
     assert got.m_P == 9
+
+
+def explore_random_pool():
+    """The 120 polygons of the explore-random workload, each drawn from its
+    seed as explore --dim 2 --bound 6 --count 1 does."""
+    pool = SplitMix64(0)
+    children = [SplitMix64(pool.next_u64()).next_u64() for _ in range(120)]
+    return [random_polytope(2, 6, 7, child) for child in children]
+
+
+def test_m_P_closed_form_at_d_P_one_matches_per_vertex_search(poly, monkeypatch):
+    """With d_P = 1, compute_m_P returns m_P = 1 with no tower, generator
+    set or search, and the witness of the full per-vertex search, and
+    compute_k_P returns the k_P of the tuple scan, 1; on normal inputs, and
+    on inputs whose d_P exceeds 1, reeve not very ample, called with
+    d_P = 1."""
+    normal = explore_random_pool() + [poly(s) for s in ("cube:2", "cube:3", "cube:4",
+                                                         "simplex:3")]
+    other = [poly(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
+    other += [build_family(s) for s in ("random:4,3,9,11", "random:3,3,7,5")]
+    assert all(compute_d_P(p) == 1 for p in normal)
+    assert all(compute_d_P(p) > 1 for p in other)
+    assert not compute_m_P(poly("reeve"), compute_d_P(poly("reeve"))).very_ample
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(semigroup, "generator_set",
+                        counting("generator_set", generator_set))
+    monkeypatch.setattr(semigroup, "shortest_representations",
+                        counting("search", shortest_representations))
+    for p in normal + other:
+        fresh = from_points(p.vertices, name=p.name)
+        calls.clear()
+        got = compute_m_P(fresh, 1)
+        assert calls == [] and fresh._tower is None, p.name
+        expected, largest = m_P_per_vertex(p, 1)
+        assert got == expected, p.name
+        assert got.m_P == 1 and set(largest.values()) == {1}, p.name
+        assert compute_k_P(fresh, 1, 1) == k_P_tuple_scan(p, 1, 1) == 1, p.name
+        assert fresh._tower is None, p.name
+
+
+def test_full_report_builds_no_tower_at_d_P_one():
+    """A normal input is reported with no sumset tower; bruns:6, with
+    d_P = 2, still builds one."""
+    for spec in ("cube:2", "cube:3", "simplex:3", "random:2,6,7,5"):
+        p = build_family(spec)
+        r = full_report(p)
+        assert (r.d_P, r.m_P, r.k_P) == (1, 1, 1), spec
+        assert p._tower is None, spec
+    p = build_family("bruns:6")
+    assert full_report(p).d_P == 2
+    assert p._tower is not None
+
+
+def ci_five_dim_sample():
+    """Ten seeded points in [0, 3]^5, the sample of the 5-d CI step:
+    d_P = 4 and 3P normal."""
+    rng = SplitMix64(6960854651289091237)
+    return from_points([tuple(rng.below(4) for _ in range(5)) for _ in range(10)])
+
+
+def test_gap_dilate_test_matches_full_scan(poly):
+    """explore_flags tests (d_P - 1)P by one fill test at k = 1; the oracle
+    is dilate_is_normal, which scans every k = 1..dim-2.  No oracle case has
+    d_P >= 3, so seeded 4-d draws with d_P = 3 join them."""
+    rng = SplitMix64(1)
+    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
+    cases = [(p, compute_d_P(p)) for p in oracle_cases(poly) + deep]
+    cases = [(p, d_P) for p, d_P in cases if d_P >= 3]
+    assert len(cases) >= 3
+    sample = ci_five_dim_sample()
+    cases.append((sample, compute_d_P(sample)))
+    assert cases[-1][1] == 4
+    got = [invariants.dilate_below_d_P_is_normal(p, d_P) for p, d_P in cases]
+    assert got == [invariants.dilate_is_normal(p, d_P - 1) for p, d_P in cases]
+    # the comparison must reach a normal and a non-normal dilate
+    assert got[-1] and not all(got)
+    with pytest.raises(ValueError, match="d_P >= 3"):
+        invariants.dilate_below_d_P_is_normal(poly("bruns:6"), 2)
 
 
 @pytest.fixture(scope="module")
@@ -440,11 +537,15 @@ def test_generator_sets_only_where_searched(poly, monkeypatch):
     for p in cases:
         built.clear()
         searched.clear()
-        got = compute_m_P(p, compute_d_P(p))
-        # one generator set per searched vertex, the extremal one included
+        d_P = compute_d_P(p)
+        got = compute_m_P(p, d_P)
+        # one generator set per searched vertex, the extremal one included,
+        # and none when d_P = 1
         assert len(built) == len(set(built)), p.name
         assert set(built) == set(searched), p.name
-        if got.very_ample:
+        if d_P == 1:
+            assert built == [], p.name
+        elif got.very_ample:
             assert got.witness.vertex in built, p.name
         total_vertices += p.num_vertices
         total_built += len(built)

@@ -392,9 +392,8 @@ def explore_flags(p: Polytope, report) -> tuple[str, ...]:
     # The least n with mP normal for all m >= n differs from d_P exactly
     # when (d_P - 1)P is normal: d_P·P and every larger dilate are normal
     # (peel units, (k+1)P∩M = P∩M + kP∩M for k >= d_P, then group them in
-    # blocks of m), and P itself is not normal when d_P > 1.  Given d_P,
-    # one fill test at k = 1 decides whether (d_P - 1)P is normal.
-    if report.d_P >= 3 and inv.dilate_below_d_P_is_normal(p, report.d_P):
+    # blocks of m), and P itself is not normal when d_P > 1.
+    if report.d_P >= 3 and inv.dilate_is_normal(p, report.d_P - 1):
         flags.append("d_P_minimality_gap")
     return tuple(flags)
 

@@ -420,24 +420,6 @@ def dilate_is_normal(p: Polytope, m: int) -> bool:
     return all(_fills_next_dilate(p, summand, k, m) for k in range(1, p.dim - 1))
 
 
-def dilate_below_d_P_is_normal(p: Polytope, d_P: int) -> bool:
-    """Whether (d_P - 1)P is normal, for d_P >= 3, by one fill test at k = 1.
-
-    With S_m the m-fold sumset of P∩M: by the definition of d_P,
-    jP∩M + P∩M = (j+1)P∩M for every j >= d_P, and applying that m times
-    gives kmP∩M + S_m = (k+1)mP∩M whenever km >= d_P.  S_m lies in mP∩M,
-    so the fill mP∩M + kmP∩M = (k+1)mP∩M then holds, and mP is normal
-    exactly when it holds for the k <= dim-2 with km < d_P.  For
-    m = d_P - 1 >= 2, 2m >= d_P, so only k = 1 is left, and it is in that
-    range, as d_P <= dim-1.  dilate_is_normal(p, d_P - 1), which tests
-    every k, gives the same answer without d_P.
-    """
-    if d_P < 3:
-        raise ValueError("the one-level dilate test needs d_P >= 3")
-    m = d_P - 1
-    return _fills_next_dilate(p, p.lattice_points(m), 1, m)
-
-
 def degree(p: Polytope) -> int:
     """Degree of P: dim if P has interior lattice points, else the smallest i
     such that kP is interior-point-free for 1 <= k <= dim - i.

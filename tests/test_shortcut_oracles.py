@@ -7,9 +7,7 @@
   as a polytope of its own from the scaled vertices and facet offsets
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
-  threshold from every m = 1..d_P.  Given d_P >= 3, it tests (d_P - 1)P
-  by one fill test at k = 1 (dilate_below_d_P_is_normal); the oracle is
-  dilate_is_normal, which tests every k = 1..dim-2.
+  threshold from every m = 1..d_P.
 - Polytope.lattice_rows recurses over the coordinates, carrying each
   facet's residual and cutting each coordinate's range by the least value
   of the rest over the box; the oracle tests every point of the bounding
@@ -443,33 +441,6 @@ def test_full_report_builds_no_tower_at_d_P_one():
     p = build_family("bruns:6")
     assert full_report(p).d_P == 2
     assert p._tower is not None
-
-
-def ci_five_dim_sample():
-    """Ten seeded points in [0, 3]^5, the sample of the 5-d CI step:
-    d_P = 4 and 3P normal."""
-    rng = SplitMix64(6960854651289091237)
-    return from_points([tuple(rng.below(4) for _ in range(5)) for _ in range(10)])
-
-
-def test_gap_dilate_test_matches_full_scan(poly):
-    """explore_flags tests (d_P - 1)P by one fill test at k = 1; the oracle
-    is dilate_is_normal, which scans every k = 1..dim-2.  No oracle case has
-    d_P >= 3, so seeded 4-d draws with d_P = 3 join them."""
-    rng = SplitMix64(1)
-    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
-    cases = [(p, compute_d_P(p)) for p in oracle_cases(poly) + deep]
-    cases = [(p, d_P) for p, d_P in cases if d_P >= 3]
-    assert len(cases) >= 3
-    sample = ci_five_dim_sample()
-    cases.append((sample, compute_d_P(sample)))
-    assert cases[-1][1] == 4
-    got = [invariants.dilate_below_d_P_is_normal(p, d_P) for p, d_P in cases]
-    assert got == [invariants.dilate_is_normal(p, d_P - 1) for p, d_P in cases]
-    # the comparison must reach a normal and a non-normal dilate
-    assert got[-1] and not all(got)
-    with pytest.raises(ValueError, match="d_P >= 3"):
-        invariants.dilate_below_d_P_is_normal(poly("bruns:6"), 2)
 
 
 @pytest.fixture(scope="module")

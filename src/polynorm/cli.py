@@ -160,8 +160,9 @@ def _write_cache_entry(path: Path, key: str, data: dict) -> None:
     # start-up that only a cache write needs
     import tempfile
 
+    # compact, so json takes its C encoder; an indented entry reads the same
     payload = json.dumps({"key": key, "tool_version": __version__, "value": data},
-                         indent=2)
+                         separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w") as fh:

@@ -9,7 +9,8 @@ is its bit count.  jP has no holes exactly when that count is |jP∩M|, which
 is read off the Ehrhart polynomial at every level j alike; the polynomial
 comes from the levels up to ceil(dim/2), listed, and by Ehrhart-Macdonald
 reciprocity from the interior points of the levels up to floor(dim/2),
-counted by rows, so no level above ceil(dim/2) is listed for a count.  Hole
+counted on the same row scans that list those levels, so each node of the
+polynomial costs one scan and no level above ceil(dim/2) is listed.  Hole
 points are decoded only when asked for.  The same shifted union decides the
 decomposition thresholds d_P and nu_P, each test at a level j under a
 packing of its own.  The mask of jP∩M there is packed from listed points
@@ -180,8 +181,9 @@ def _ehrhart(p: Polytope) -> tuple[int, ...]:
     By Ehrhart's theorem L is a polynomial of degree dim in k with L(0) = 1,
     and by Ehrhart-Macdonald reciprocity L(-k) = (-1)^dim·|int(kP)∩M|.  With
     h = floor(dim/2), the dim+1 nodes k = -h..ceil(dim/2) fix L: the levels
-    1..ceil(dim/2) are listed, and the interior counts of levels 1..h are
-    sums of row lengths of the scan of int(kP), with no tuple built.  The
+    1..ceil(dim/2) are listed, and since h <= ceil(dim/2) the interior
+    counts of levels 1..h are read off the memo that the same row scans
+    fill, `Polytope._interior`, so each node costs one scan.  The
     forward differences at the node -h are integers, and since E^h = (1+Δ)^h
     the base moves to 0 by Δ^i L(0) = Σ_j C(h, j)·Δ^(i+j) L(-h), where
     Δ^(i+j) vanishes above dim.  Newton's form then writes
@@ -191,11 +193,8 @@ def _ehrhart(p: Polytope) -> tuple[int, ...]:
     if deltas is None:
         d = p.dim
         h = d // 2
-        interior = [sum(hi - lo + 1 for _, lo, hi in
-                        p._rows(k, [k * f.offset - 1 for f in p.facets]))
-                    for k in range(h, 0, -1)]
-        row = ([(-1) ** d * count for count in interior] + [1]
-               + [len(p.lattice_points(k)) for k in range(1, d - h + 1)])
+        listed = [len(p.lattice_points(k)) for k in range(1, d - h + 1)]
+        row = [(-1) ** d * p._interior[k] for k in range(h, 0, -1)] + [1] + listed
         shifted = []
         while row:
             shifted.append(row[0])

@@ -44,9 +44,12 @@ class HalfSpace:
 class Polytope:
     """Full-dimensional lattice polytope.
 
-    Immutable after construction except for four internal memos, all safe
-    for concurrent readers: the lattice points per dilation factor, filled
-    idempotently; the facet-slack table of `slack_table` and the Ehrhart
+    Immutable after construction except for five internal memos, all safe
+    for concurrent readers: the lattice points per dilation factor and,
+    next to them, the number of lattice points in the interior of each
+    listed dilate, both filled idempotently by one row scan, the count
+    before the points, so a reader who finds the points finds the count;
+    the facet-slack table of `slack_table` and the Ehrhart
     polynomial of `invariants`, each computed the same way by every caller
     and set by one assignment; and the k-normality tower of `invariants`,
     an immutable state that is replaced whole by one assignment, so a
@@ -55,7 +58,7 @@ class Polytope:
     """
 
     __slots__ = ("vertices", "dim", "facets", "name", "_vertex_set", "_point_cache",
-                 "_slacks", "_ehrhart", "_tower")
+                 "_interior", "_slacks", "_ehrhart", "_tower")
 
     def __init__(self, vertices: tuple[Vector, ...], dim: int,
                  facets: tuple[HalfSpace, ...], name: str | None = None):
@@ -66,6 +69,7 @@ class Polytope:
         self._validate()
         self._vertex_set = frozenset(vertices)
         self._point_cache: dict[int, frozenset[Vector]] = {}
+        self._interior: dict[int, int] = {}
         self._slacks = None
         self._ehrhart = None
         self._tower = None
@@ -181,15 +185,20 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def lattice_points(self, k: int = 1) -> frozenset[Vector]:
-        """All lattice points of the k-th dilate, read off `lattice_rows`."""
+        """All lattice points of the k-th dilate, read off the rows of `_rows`,
+        whose interior lengths are summed into the memo `_interior[k]`,
+        |int(kP)∩M|, on the same scan."""
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
         cached = self._point_cache.get(k)
         if cached is not None:
             return cached
-        points = frozenset(prefix + (z,) for prefix, lo, hi in self.lattice_rows(k)
+        rows = list(self._rows(k))
+        points = frozenset(prefix + (z,) for prefix, lo, hi, _ in rows
                            for z in range(lo, hi + 1))
-        # setdefault keeps the fill idempotent under concurrent callers
+        # setdefault keeps the fill idempotent under concurrent callers; the
+        # count is published first, so a reader of the points finds it
+        self._interior.setdefault(k, sum(row[3] for row in rows))
         return self._point_cache.setdefault(k, points)
 
     def slack_table(self) -> dict[Vector, tuple[int, ...]]:
@@ -208,63 +217,135 @@ class Polytope:
         prefix + (z,) for lo <= z <= hi, in lexicographic order, where the
         prefix is the first dim-1 coordinates and no row is empty.
 
-        The scan recurses over the coordinates x_0, x_1, ... and carries each
-        facet's residual r_f = k·c_f - a_f·prefix, so fixing a coordinate
-        subtracts one column of the normals.  Let floor_f(i+1) =
-        Σ_{j>i} min(a_{f,j}·k·lo_j, a_{f,j}·k·hi_j) be the least value of the
-        rest of a_f·x over the bounding box of kP.  At depth i, x_i runs over
-        the box range cut by every facet: r_f - a_{f,i}·x_i >= floor_f(i+1),
-        that is x_i <= (r_f - floor) // a when a = a_{f,i} > 0 and
+        The scan walks the prefixes depth first over the coordinates x_0,
+        x_1, ... and carries each facet's residual r_f = k·c_f - a_f·prefix,
+        so fixing a coordinate subtracts one column of the normals.  Let
+        floor_f(i+1) = Σ_{j>i} min(a_{f,j}·k·lo_j, a_{f,j}·k·hi_j) be the
+        least value of the rest of a_f·x over the bounding box of kP.  At
+        depth i, x_i runs over the box range cut by every facet:
+        r_f - a_{f,i}·x_i >= floor_f(i+1), that is
+        x_i <= (r_f - floor) // a when a = a_{f,i} > 0 and
         x_i >= -((r_f - floor) // -a) when a < 0, in exact integer division;
         a facet with a = 0 either admits every x_i (r_f >= floor) or none.
         A value outside that range violates facet f for every completion
         inside the box, so no point is lost, and since the values inside it
         are visited in increasing order the rows come out in lexicographic
         order, each non-empty row exactly once.  At the last coordinate
-        floor_f = 0, so its range is exactly the row.
+        floor_f = 0, so its range is exactly the row.  The rows come one at
+        a time, so a reader that stops early scans no further.
         """
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
-        return self._rows(k, [k * f.offset for f in self.facets])
+        return ((prefix, lo, hi) for prefix, lo, hi, _ in self._rows(k))
 
-    def _rows(self, k: int, rhs: list[int]):
-        """The non-empty rows of {x : a_f·x <= rhs[f] for every facet f}
-        inside the bounding box of kP, scanned as in `lattice_rows`.
+    def _rows(self, k: int):
+        """The rows of `lattice_rows`, each with the number of its points
+        that lie in the interior of kP: (prefix, lo, hi, inner).
 
-        With rhs[f] = k·c_f that set is kP.  With k·c_f - 1 it is int(kP),
-        exactly: normals and offsets are integers, so a lattice point has
-        a_f·x < k·c_f exactly when a_f·x <= k·c_f - 1.
+        One generator frame walks the prefixes depth first over an explicit
+        stack: prefix[i] is x_i, ends[i] the top of its range and
+        residual[i] the residuals once x_0 .. x_(i-1) are fixed, so stepping
+        x_i subtracts one column from residual[i+1].  The cuts are plain
+        loops over the facets that bound a coordinate from above, from
+        below or not at all.  At the last depth the row's range is exact,
+        and so is its interior: normals and offsets are integers, so a
+        lattice point x has a_f·x < k·c_f exactly when a_f·x <= k·c_f - 1,
+        that is a·z <= r_f - 1 for the last coordinate z and a = a_{f,d-1},
+        and a facet with a = 0 holds the whole row strictly exactly when
+        r_f >= 1.  The interior of a row lies in the row, so its range
+        starts from the row's; every interior point lies in kP, so its row
+        is scanned, and summing inner over the rows counts int(kP)∩M.
         """
         d = self.dim
         normals = [f.normal for f in self.facets]
         box = [(k * min(c), k * max(c)) for c in zip(*self.vertices)]
         floor = [0] * len(normals)
-        cuts = [None] * d  # per depth: (above, below, flat, column, box range)
+        cuts = [None] * d  # per depth: (above, below, flat, box range)
+        columns = [None] * d
         for i in reversed(range(d)):
             lo, hi = box[i]
-            column = [a[i] for a in normals]
+            column = columns[i] = [a[i] for a in normals]
             cuts[i] = ([(f, a, floor[f]) for f, a in enumerate(column) if a > 0],
                        [(f, -a, floor[f]) for f, a in enumerate(column) if a < 0],
                        [(f, floor[f]) for f, a in enumerate(column) if a == 0],
-                       column, lo, hi)
+                       lo, hi)
             floor = [fl + min(a * lo, a * hi) for fl, a in zip(floor, column)]
-
-        def scan(i, prefix, residual):
-            above, below, flat, column, lo, hi = cuts[i]
-            if any(residual[f] < fl for f, fl in flat):
-                return
-            hi = min([hi] + [(residual[f] - fl) // a for f, a, fl in above])
-            lo = -min([-lo] + [(residual[f] - fl) // b for f, b, fl in below])
-            if i == d - 1:
+        last = d - 1
+        # at the last depth every floor is 0
+        above_z = [(f, a) for f, a, _ in cuts[last][0]]
+        below_z = [(f, b) for f, b, _ in cuts[last][1]]
+        flat_z = [f for f, _ in cuts[last][2]]
+        lo_z, hi_z = box[last]
+        prefix = [0] * last
+        ends = [0] * last
+        residual = [None] * d
+        residual[0] = [k * f.offset for f in self.facets]
+        i = 0
+        while True:
+            r = residual[i]
+            if i < last:
+                above, below, flat, lo, hi = cuts[i]
+                for f, fl in flat:
+                    if r[f] < fl:
+                        hi = lo - 1
+                        break
+                else:
+                    for f, a, fl in above:
+                        t = (r[f] - fl) // a
+                        if t < hi:
+                            hi = t
+                    for f, b, fl in below:
+                        t = -((r[f] - fl) // b)
+                        if t > lo:
+                            lo = t
                 if lo <= hi:
-                    yield prefix, lo, hi
+                    prefix[i] = lo
+                    ends[i] = hi
+                    i += 1
+                    residual[i] = [x - a * lo for x, a in zip(r, columns[i - 1])]
+                    continue
+            else:
+                for f in flat_z:
+                    if r[f] < 0:
+                        break
+                else:
+                    lo, hi = lo_z, hi_z
+                    for f, a in above_z:
+                        t = r[f] // a
+                        if t < hi:
+                            hi = t
+                    for f, b in below_z:
+                        t = -(r[f] // b)
+                        if t > lo:
+                            lo = t
+                    if lo <= hi:
+                        inner = 0
+                        for f in flat_z:
+                            if r[f] < 1:
+                                break
+                        else:
+                            ilo, ihi = lo, hi
+                            for f, a in above_z:
+                                t = (r[f] - 1) // a
+                                if t < ihi:
+                                    ihi = t
+                            for f, b in below_z:
+                                t = -((r[f] - 1) // b)
+                                if t > ilo:
+                                    ilo = t
+                            if ilo <= ihi:
+                                inner = ihi - ilo + 1
+                        yield tuple(prefix), lo, hi, inner
+            # step the deepest coordinate that is below the top of its range
+            i -= 1
+            while i >= 0 and prefix[i] == ends[i]:
+                i -= 1
+            if i < 0:
                 return
-            residual = [r - a * (lo - 1) for r, a in zip(residual, column)]
-            for x in range(lo, hi + 1):
-                residual = [r - a for r, a in zip(residual, column)]
-                yield from scan(i + 1, prefix + (x,), residual)
-
-        return scan(0, (), list(rhs))
+            prefix[i] += 1
+            column = columns[i]
+            i += 1
+            residual[i] = [x - a for x, a in zip(residual[i], column)]
 
 
 def _integer_tuple(v) -> bool:
@@ -316,10 +397,12 @@ def _halfspace(point: Vector, basis, inside: Vector) -> HalfSpace:
     return HalfSpace(normal, offset)
 
 
-def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
+def _hull_tight_sets(pts: list[Vector]) -> tuple[dict[HalfSpace, set[Vector]],
+                                                  tuple[Vector, ...]]:
     """Each facet of the convex hull of a full-dimensional point set, mapped
-    to its tight set, the points of pts that lie on it.  pts is sorted,
-    without repeats and not empty.
+    to its tight set, the points of pts that lie on it; and the vertices of
+    the hull, in sorted order.  pts is sorted, without repeats and not
+    empty.
 
     Exact-integer beneath-beyond with the update step of the double
     description method.  The first affinely independent points in sorted
@@ -407,7 +490,15 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
     so the result is the set of facets of conv(points): the same primitive
     inequalities, sorted, as keeping every d-subset hyperplane with all
     points on one side.  Every point is inserted, so each tight set is
-    complete: it holds every point of pts on the facet.
+    complete: it holds every point of pts on the facet, and the index maps
+    each point to every facet through it.
+
+    A point is a vertex exactly when the tight sets of the facets through
+    it intersect in that point alone.  A vertex is the intersection of the
+    facets through it.  A point in the relative interior of a face G of
+    positive dimension lies only on facets that contain G, so every facet
+    through it also holds the vertices of G, which are points of pts.  A
+    point on no facet is interior.
     """
     d = len(pts[0])
     if len(set(map(len, pts))) > 1:
@@ -486,36 +577,24 @@ def _hull_tight_sets(pts: list[Vector]) -> dict[HalfSpace, set[Vector]]:
                 offset[n], tight[n] = c, on_n
                 for x in on_n:
                     through[x].add(n)
-    return {HalfSpace(n, c): set(map(pts.__getitem__, tight[n])) for n, c in offset.items()}
+    vertices = tuple(pts[i] for i, on in enumerate(through)
+                     if on and len(set.intersection(*map(tight.__getitem__, on))) == 1)
+    return ({HalfSpace(n, c): set(map(pts.__getitem__, tight[n])) for n, c in offset.items()},
+            vertices)
 
 
 def from_points(points, name: str | None = None) -> Polytope:
     """Validated polytope from any full-dimensional set of lattice points,
-    each with at least one coordinate.
-
-    A point is a vertex exactly when the tight sets of the facets through
-    it intersect in that point alone.  A vertex is the intersection of the
-    facets through it.  A point in the relative interior of a face G of
-    positive dimension lies only on facets that contain G, so every facet
-    through it also holds the vertices of G, which are points of pts.  The
-    hull's tight sets are complete, so they list every point's facets; a
-    point on none is interior.
-    """
+    each with at least one coordinate, with the facets and vertices of
+    `_hull_tight_sets`."""
     pts = sorted({vec(p) for p in points})
     if not pts:
         raise GeometryError("empty point set")
     d = len(pts[0])
     if d == 0:
         raise GeometryError("points must have at least one coordinate")
-    tight = _hull_tight_sets(pts)
-    facets = tuple(sorted(tight))
-    through: dict[Vector, list[set[Vector]]] = {}
-    for on_f in tight.values():
-        for x in on_f:
-            through.setdefault(x, []).append(on_f)
-    verts = tuple(p for p in pts
-                  if p in through and len(set.intersection(*through[p])) == 1)
-    return Polytope(verts, d, facets, name)
+    tight, vertices = _hull_tight_sets(pts)
+    return Polytope(vertices, d, tuple(sorted(tight)), name)
 
 
 # -- input formats ---------------------------------------------------------------

@@ -260,6 +260,24 @@ class TestCache:
         assert len(files) == 1
         assert files[0].stem == cache_key(bruns_gubeladze(4))
 
+    def test_indented_entry_is_a_hit(self, capsys, tmp_path):
+        # entries are written compact; one written with indentation, as
+        # earlier versions did, is read as it is and stays a hit
+        cache = tmp_path / "cache"
+        _, plain, _ = run(capsys, "analyze", "bruns:4", "--format", "json")
+        run(capsys, "analyze", "bruns:4", "--format", "json", "--cache-dir", str(cache))
+        entry = next(cache.glob("*.json"))
+        stored = json.loads(entry.read_bytes())
+        assert entry.read_bytes() == json.dumps(stored, separators=(",", ":")).encode()
+        indented = json.dumps(stored, indent=2).encode()
+        entry.write_bytes(indented)
+        code, out, _ = run(capsys, "analyze", "bruns:4", "--format", "json",
+                           "--cache-dir", str(cache))
+        assert code == EXIT_OK
+        assert out == plain
+        assert entry.read_bytes() == indented
+        assert list(cache.iterdir()) == [entry]
+
     def test_same_vertices_other_name_misses(self, capsys, tmp_path):
         # the report holds the name, so a vertex file with cube:2's vertices
         # must not be answered with cube:2's entry

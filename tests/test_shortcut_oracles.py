@@ -8,11 +8,17 @@
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
   threshold from every m = 1..d_P.
-- Polytope.lattice_rows recurses over the coordinates, carrying each
-  facet's residual and cutting each coordinate's range by the least value
-  of the rest over the box; the oracle tests every point of the bounding
-  box.  The same scan with right-hand sides k·c - 1 counts the interior
-  points of kP; the oracle filters the points of kP by strict slack.
+- Polytope.lattice_rows walks the prefixes depth first in one generator
+  frame over an explicit stack, carrying each facet's residual and cutting
+  each coordinate's range by the least value of the rest over the box; the
+  oracle tests every point of the bounding box, and rows_by_recursion, the
+  recursion with one frame per coordinate that it replaced, must give the
+  same rows at every level full_report lists.  Each row of that scan also
+  reports its interior length, from a·z <= r_f - 1 at every facet, and
+  lattice_points sums them into Polytope._interior; the oracles filter the
+  points of kP by strict slack, row by row, and scan int(kP) a second time
+  by rows_by_recursion with right-hand sides k·c - 1.  A counter shows that
+  full_report scans each level it lists once and int(kP) never.
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
   Holes are decoded by a row scan of the mask; the oracle filters the
@@ -99,9 +105,9 @@
   facet × vertex table read by column, echelon ranks), and the two must
   accept and reject the same seeded mutations of catalog and cloud
   polytopes with the same messages, except for the new checks.
-- from_points reads the vertices off the hull's tight sets, a point being
-  a vertex when the tight sets through it meet in it alone; the oracle
-  ranks the normals of the facets tight at every input point.
+- _hull_tight_sets reads the vertices off its own point-to-facets index,
+  a point being a vertex when the tight sets through it meet in it alone;
+  the oracle ranks the normals of the facets tight at every input point.
 - compute_m_P builds generator sets only at searched vertices and the
   extremal one, and checks the tangent cones by one pass over facets and
   lattice points; a counter shows where generator_set runs, and a point
@@ -769,6 +775,47 @@ SEGMENT = ((0,), (1,))
 SKEWED = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (7, 3, 8))
 
 
+def rows_by_recursion(p, k, rhs):
+    """The non-empty rows of {x : a_f·x <= rhs[f] for every facet f} inside
+    the bounding box of kP, by the scan that the one-frame _rows replaced: a
+    recursion over the coordinates, one generator frame per depth, that
+    carries each facet's residual and cuts each coordinate's box range by
+    the least value of the rest over the box, taking a min over a list at
+    every prefix.  With rhs[f] = k·c_f the rows are those of kP; with
+    k·c_f - 1 they are those of int(kP), which that route scanned a second
+    time for the interior counts of the Ehrhart polynomial."""
+    d = p.dim
+    normals = [f.normal for f in p.facets]
+    box = [(k * min(c), k * max(c)) for c in zip(*p.vertices)]
+    floor = [0] * len(normals)
+    cuts = [None] * d
+    for i in reversed(range(d)):
+        lo, hi = box[i]
+        column = [a[i] for a in normals]
+        cuts[i] = ([(f, a, floor[f]) for f, a in enumerate(column) if a > 0],
+                   [(f, -a, floor[f]) for f, a in enumerate(column) if a < 0],
+                   [(f, floor[f]) for f, a in enumerate(column) if a == 0],
+                   column, lo, hi)
+        floor = [fl + min(a * lo, a * hi) for fl, a in zip(floor, column)]
+
+    def scan(i, prefix, residual):
+        above, below, flat, column, lo, hi = cuts[i]
+        if any(residual[f] < fl for f, fl in flat):
+            return
+        hi = min([hi] + [(residual[f] - fl) // a for f, a, fl in above])
+        lo = -min([-lo] + [(residual[f] - fl) // b for f, b, fl in below])
+        if i == d - 1:
+            if lo <= hi:
+                yield prefix, lo, hi
+            return
+        residual = [r - a * (lo - 1) for r, a in zip(residual, column)]
+        for x in range(lo, hi + 1):
+            residual = [r - a for r, a in zip(residual, column)]
+            yield from scan(i + 1, prefix + (x,), residual)
+
+    return scan(0, (), list(rhs))
+
+
 def row_scan_cases(poly):
     """The catalog, the random shapes and those shapes moved so that every
     coordinate range crosses zero."""
@@ -796,12 +843,51 @@ def test_interior_row_scan_matches_filtered_points(poly):
     nonzero = 0
     for p in cases:
         for k in range(1, 4):
-            rows = p._rows(k, [k * f.offset - 1 for f in p.facets])
-            count = sum(hi - lo + 1 for _, lo, hi in rows)
-            assert count == len(interior_lattice_points(p, k)), (p.name, k)
+            p.lattice_points(k)
+            count = p._interior[k]
+            interior = interior_lattice_points(p, k)
+            assert count == len(interior), (p.name, k)
+            # row by row, and against the second scan of int(kP) it replaces
+            inside = Counter(x[:-1] for x in interior)
+            for prefix, lo, hi, inner in p._rows(k):
+                assert inner == inside.pop(prefix, 0), (p.name, k, prefix)
+            assert not inside, (p.name, k)
+            rows = rows_by_recursion(p, k, [k * f.offset - 1 for f in p.facets])
+            assert count == sum(hi - lo + 1 for _, lo, hi in rows), (p.name, k)
             nonzero += count > 0
     # the comparison must reach dilates with and without interior points
     assert 0 < nonzero < 3 * len(cases)
+
+
+def test_full_report_scans_each_listed_level_once(monkeypatch):
+    scans, partial = Counter(), Counter()
+    scan, rows = Polytope._rows, Polytope.lattice_rows
+
+    def counted_scan(self, k):
+        scans[k] += 1
+        return scan(self, k)
+
+    def counted_rows(self, k=1):
+        partial[k] += 1
+        return rows(self, k)
+
+    monkeypatch.setattr(Polytope, "_rows", counted_scan)
+    monkeypatch.setattr(Polytope, "lattice_rows", counted_rows)
+    cases = [build_family(s) for s in CATALOG_SPECS + ("random:4,3,9,11", "cube:5")]
+    cases += [from_points(SKEWED), from_points(SEGMENT)]
+    for p in cases:
+        scans.clear()
+        partial.clear()
+        full_report(p)
+        # the report's hole witness reads rows of its own; every other scan
+        # lists a level, once, and the interior counts of the Ehrhart
+        # polynomial come off those scans, with no scan of int(kP)
+        assert scans - partial == Counter(dict.fromkeys(p._point_cache, 1)), p.name
+        assert set(range(1, p.dim // 2 + 1)) <= set(p._interior) == set(p._point_cache)
+        # and the rows are those of the recursion that the one-frame scan replaced
+        for k in sorted(p._point_cache) + [max(p._point_cache) + 1]:
+            rhs = [k * f.offset for f in p.facets]
+            assert list(rows(p, k)) == list(rows_by_recursion(p, k, rhs)), (p.name, k)
 
 
 def test_dilation_factor_below_one_is_rejected(poly):
@@ -1482,6 +1568,11 @@ def hull_facets(points):
     return from_points(points).facets
 
 
+def hull_tight_sets(pts):
+    """The tight sets of _hull_tight_sets, without the vertices."""
+    return _hull_tight_sets(pts)[0]
+
+
 def hull_or_error(hull, points):
     try:
         return hull(points)
@@ -1676,7 +1767,7 @@ def test_hull_tight_sets_are_complete():
     for cloud in itertools.chain(point_clouds(), degenerate_clouds(), five_dim_clouds(),
                                  ONE_DIM_CLOUDS):
         pts = sorted(set(cloud))
-        tight = hull_or_error(_hull_tight_sets, pts)
+        tight = hull_or_error(hull_tight_sets, pts)
         assert tight == hull_or_error(hull_tight_sets_by_ridge_rank, pts), cloud
         if isinstance(tight, str):
             continue
@@ -1784,7 +1875,7 @@ def test_hull_ridges_match_shared_count(poly):
         pts = sorted(set(cloud))
         want = hull_or_error(functools.partial(hull_tight_sets_by_shared_count,
                                                visible_sizes=sizes), pts)
-        assert hull_or_error(_hull_tight_sets, pts) == want, cloud
+        assert hull_or_error(hull_tight_sets, pts) == want, cloud
         full += not isinstance(want, str)
     # both ridge steps must run often: visible facets tight at d points
     # (simplices, their neighbours read off the index) and at more

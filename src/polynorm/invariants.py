@@ -32,8 +32,9 @@ triangulation, which the test suite requires to agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .exactmath import Vector, det_exact, dot, rank, sub
 # unused here; perfbench's tracer test reads it as an aliased import
@@ -84,6 +85,10 @@ class _Packing:
     and W_i the product of the radices C·w_l + 1 below place i, is the
     product up to i minus the product below i, so Σ w_i·W_i telescopes to
     (Π (C·w_i + 1) - 1) / C in any order.
+
+    pack takes W·x by `sum(map(mul, ...))`, with no length check: every
+    caller passes a point of some dilate of P, whose length Polytope's
+    validation and the row scan have fixed at dim.
     """
 
     widths: tuple[int, ...]
@@ -92,7 +97,7 @@ class _Packing:
     origin: int
 
     def pack(self, x: Vector, j: int) -> int:
-        return dot(x, self.weights) - j * self.origin
+        return sum(map(mul, x, self.weights)) - j * self.origin
 
     def top(self, j: int) -> int:
         """pack of the top corner of the box of jP, the largest value."""
@@ -156,22 +161,21 @@ class _Tower:
     masks: tuple[int, ...]
 
 
-def _level(p: Polytope, k: int, reach: int = 0) -> tuple[_Packing, int]:
+def _level(p: Polytope, k: int) -> tuple[_Packing, int]:
     """The packing and the bitmask of S_k, under a packing injective up to
-    level max(k, reach).  A level or reach above the capacity builds the
-    tower again from S_0 under a packing for max(2k, reach, _MIN_LEVELS)
-    levels.  A level above it at least doubles the capacity, so a deepest
-    level K costs at most log2(K / _MIN_LEVELS) + 1 rebuilds, and a reach
-    above it rebuilds once for that reach; each build and each shifted
-    union S_(j+1) = S_j + P∩M is published by one assignment."""
+    level k.  A level above the capacity builds the tower again from S_0
+    under a packing for max(2k, _MIN_LEVELS) levels, so the capacity at
+    least doubles and a deepest level K costs at most
+    log2(K / _MIN_LEVELS) + 1 rebuilds; each build and each shifted union
+    S_(j+1) = S_j + P∩M is published by one assignment of a new _Tower."""
     tower = p._tower
-    if tower is None or max(k, reach) > tower.packing.capacity:
-        packing = _packing(p, max(2 * k, reach, _MIN_LEVELS))
+    if tower is None or k > tower.packing.capacity:
+        packing = _packing(p, max(2 * k, _MIN_LEVELS))
         shifts = tuple(sorted(packing.pack(x, 1) for x in p.lattice_points(1)))
         tower = p._tower = _Tower(packing, shifts, (1,))
     while len(tower.masks) <= k:
         top = _shifted_union(tower.masks[-1], tower.shifts)
-        tower = p._tower = replace(tower, masks=tower.masks + (top,))
+        tower = p._tower = _Tower(tower.packing, tower.shifts, tower.masks + (top,))
     return tower.packing, tower.masks[k]
 
 
@@ -235,6 +239,26 @@ def iter_holes(p: Polytope, k: int):
             i = row.find("0", i + 1)
 
 
+def sorted_holes(p: Polytope, k: int) -> list[Vector]:
+    """The holes of kP in sorted order, one bit test per listed point.
+
+    Unlike iter_holes, this lists kP through the point cache, so it scans
+    no rows when kP is listed already, as it is at k = d_P after the
+    threshold stages: the dilate tests list jP whenever (j-1)P∩M + P∩M
+    falls short of it, and at j = d_P it does.
+    """
+    if k < 1:
+        raise ValueError("dilation factor must be >= 1")
+    packing, mask = _level(p, k)
+    buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
+    holes = []
+    for x in sorted(p.lattice_points(k)):
+        i = packing.pack(x, k)
+        if not buf[i >> 3] >> (i & 7) & 1:
+            holes.append(x)
+    return holes
+
+
 def hole_count(p: Polytope, k: int) -> int:
     """Number of holes of kP, the lattice points that are not sums of k
     lattice points of P.
@@ -251,47 +275,45 @@ def hole_count(p: Polytope, k: int) -> int:
 
 
 def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
-    """Decide, one tower level at a time, which translates x + (j - d)·v lie
-    in S_j.
+    """Decide, one tower level j > d at a time, which translates
+    x + (j - d)·v lie in S_j.
 
     groups maps lattice points v of P to sorted lists of lattice points x of
-    dP.  For j = 1, 2, ..., through last when given, the generator yields j
-    and a dict that maps each v with pairs open before level j, in the order
-    of groups, to two sorted lists: the x decided at level j and the x still
-    open after it.  It returns once no pair is open.
+    dP.  For j = d + 1, d + 2, ..., through last when given, the generator
+    yields j and a dict that maps each v with pairs open before level j, in
+    the order of groups, to two sorted lists: the x decided at level j and
+    the x still open after it.  It returns once no pair is open, and reads
+    no level when last <= d.
 
     With q = pack(x, d), a pair is decided at level j when bit
     q + (j - d)·pack(v, 1) of S_j is set, read from the level's bytes.  By
-    linearity that position is pack(x + (j - d)·v, j), and for j >= d the
-    point lies in jP, where the packing is injective, so the bit is set
-    exactly when the point is in S_j.  For j < d every level is read under a
-    packing for at least d levels.  A set bit in [0, top(j)] is pack(z, j)
-    for some z in S_j, and then pack(z + (d - j)·v, d) = q.  Both
-    z + (d - j)·v and x lie in dP, where the packing is injective, so
-    z = x - (d - j)·v.  Positions outside [0, top(j)] hold no point of S_j.
-    The positions q and steps pack(v, 1) are computed again from the open x
-    only when the tower is rebuilt under a new packing.
+    linearity that position is pack(x + (j - d)·v, j), and the point lies
+    in jP, as x lies in dP and v in P.  The level is read under a packing
+    for at least j > d levels, injective on jP, so the bit is set exactly
+    when the point is in S_j, and the position lies in [0, top(j)], so the
+    read needs no bound test.  The positions q and steps pack(v, 1) are
+    computed again from the open x only when the tower is rebuilt under a
+    new packing.
     """
     open_xs = {v: xs for v, xs in groups.items() if xs}
     packing = None
-    j = 0
+    j = d
     while open_xs and (last is None or j < last):
         j += 1
-        level_packing, mask = _level(p, j, reach=d)
+        level_packing, mask = _level(p, j)
         if level_packing is not packing:
             packing = level_packing
             steps = {v: packing.pack(v, 1) for v in open_xs}
             # the groups share their points, so each is packed once
             positions = {x: packing.pack(x, d) for x in set().union(*open_xs.values())}
-        top = packing.top(j)
-        buf = mask.to_bytes(top // 8 + 1, "little")
+        buf = mask.to_bytes(packing.top(j) // 8 + 1, "little")
         decided = {}
         for v, xs in open_xs.items():
             offset = (j - d) * steps[v]
             hits, misses = [], []
             for x in xs:
                 i = positions[x] + offset
-                if 0 <= i <= top and buf[i >> 3] >> (i & 7) & 1:
+                if buf[i >> 3] >> (i & 7) & 1:
                     hits.append(x)
                 else:
                     misses.append(x)

@@ -18,10 +18,13 @@ m_P reads minimal lengths off the k-normality sumset tower of `invariants`
 instead: x - d_P·v is a sum of at most j generators exactly when
 x + (j - d_P)·v is a sum of j lattice points of P, and one tower answers
 that for every vertex at once, one bit per pair and level at the position
-pack(x, d_P) + (j - d_P)·pack(v, 1).  For a very ample P the tower that
-compute_k_P builds up to k_P decides every pair, since m_P <= k_P.  The BFS
-certifies the extremal pair, and searches the pairs the tower leaves open
-when the scan stops early, one at a time, until one is infeasible.
+pack(x, d_P) + (j - d_P)·pack(v, 1).  The pairs of sigma above d_P, or of
+none, are exactly those whose x is a hole of d_P·P, so level d_P is read
+once to list those holes, and only their pairs are scanned, at the levels
+above d_P.  For a very ample P the tower that compute_k_P builds up to k_P
+decides every pair, since m_P <= k_P.  The BFS certifies the extremal pair,
+and searches the pairs the tower leaves open when the scan stops early, one
+at a time, until one is infeasible.
 
 For d_P = 1, the normal case, no tower and no search are needed: every
 x != v of P∩M makes x - v a generator, so sigma is 1 on every pair and m_P
@@ -231,43 +234,61 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     d_P = 1 is settled in closed form, after the tangent-cone check below
     and before any tower level or generator set is built.  Every x != v of
     1·P∩M makes x - v one generator, so sigma(x, v) = 1 on every pair, for
-    any P once d_P = 1 is passed in, and m_P = 1.  The witness is the pair
-    the scan below would pick, the first of sigma 1: the first vertex and
+    any P once d_P = 1 is passed in, and m_P = 1.  The witness is the first
+    pair of sigma 1 in vertex order and then sorted x: the first vertex and
     the first x != v in sorted order, certified by the one part x - v.  P
     is full-dimensional, so that x exists.
 
     The tower decides most pairs.  With S_j the j-fold sumset of P∩M and
     y_j = x + (j - d_P)·v, sigma(x, d_P·v) is the least j with y_j in S_j:
     a representation by j generators u_i - v gives y_j = Σ u_i, and padding
-    with u_i = v turns a shorter one into j points.  S_0 = {0}, so sigma is
-    0 exactly when x = d_P·v; for j >= d_P, y_j lies in jP, as x lies in
-    d_P·P and v in P.
+    with u_i = v turns a shorter one into j points.  For j >= d_P, y_j lies
+    in jP, as x lies in d_P·P and v in P.
 
-    Depth.  Levels j = 1, 2, ... are read upward through
-    invariants.translate_scan, which tests bit pack(x, d_P) +
-    (j - d_P)·pack(v, 1) of S_j for each open pair.  For j >= d_P that is
-    the bit of y_j, a point of jP, where the packing is injective.  For
-    j < d_P a set bit is pack(z, j) for a z in S_j with
-    z + (d_P - j)·v = x, as both sides lie in d_P·P, where the packing is
-    injective as well; that is the same statement, y_j in S_j.  So a pair is
-    decided at level sigma, never before.  For a very ample P, m_P <= k_P.
-    First d_P <= k_P: for k >= k_P, (k+1)P∩M = S_(k+1) = S_k + P∩M lies in
+    Holes.  With d = d_P >= 2, let H be the holes of dP, the points of
+    dP∩M outside S_d.
+    (a) sigma(x, d·v) <= d exactly when x is in S_d.  If y_j =
+        x - (d - j)·v is in S_j for some j <= d, then x lies in
+        S_j + (d - j)·(P∩M) ⊆ S_d; if x is in S_d, then j = d works.  So
+        the pairs that are infeasible or have sigma > d are exactly
+        H × vertices.  d·v lies in S_d, so it is never in H.
+    (b) H is not empty.  S_d ⊆ (d-1)P∩M + P∩M, and that sum misses some
+        point of dP∩M, because k = d - 1 fails the test that defines d_P.
+    So the non-saturation witness, the first infeasible pair, lies in
+    H × vertices, and for a very ample P so does the first pair of the
+    largest sigma, as by (b) that sigma exceeds d.  Level d of the tower is
+    read once, by invariants.sorted_holes, to list H in sorted order, and
+    every later step sees only the pairs of H × vertices, in vertex order
+    and then sorted x, the order in which a scan of all pairs would meet
+    them.  H must not be empty, which is asserted: for a d that is not d_P
+    the scan could otherwise report no pair.  Level d is built even under a
+    max_k below it.  That is at most dim - 1 levels, as d_P <= dim - 1, and
+    the result is the same: a cap only hands pairs from the tower to the
+    searches.
+
+    Depth.  Levels j = d + 1, d + 2, ... are read upward through
+    invariants.translate_scan, which tests bit pack(x, d) +
+    (j - d)·pack(v, 1) of S_j for each open pair, the bit of y_j, a point of
+    jP, where the packing is injective.  So a pair is decided at level
+    sigma, never before.  For a very ample P, m_P <= k_P.  First
+    d_P <= k_P: for k >= k_P, (k+1)P∩M = S_(k+1) = S_k + P∩M lies in
     kP∩M + P∩M.  So for j >= k_P, y_j lies in jP∩M = S_j.  The tower
     compute_k_P builds up to k_P thus decides every pair, and the scan
-    builds no level that compute_k_P would not.  The scan stops
+    builds no level above d that compute_k_P would not.  The scan stops
     - when no pair is open;
     - at level max_k, when given, the last level compute_k_P reads before
-      it refuses;
-    - at the first level j > d_P where some vertex with open pairs decides
-      none of them.  The tower has then stopped gaining on that vertex, as
-      it does for good once only infeasible pairs are open there, and the
-      BFS decides what is left.
+      it refuses, and at once when max_k <= d;
+    - at the first level where some vertex with open pairs decides none of
+      them.  The tower has then stopped gaining on that vertex, as it does
+      for good once only infeasible pairs are open there, and the BFS
+      decides what is left.
 
     BFS.  The pairs the scan left open are searched one at a time, through
     sigma, in vertex order and then sorted x; their lengths exceed the last
-    level read.  The first infeasible one is the witness.  Then one more
-    search gives the certificate of the extremal pair: the first pair, in
-    vertex order and then sorted x, of the largest sigma.
+    level read, d when none above it was.  The first infeasible one is the
+    witness.  Then one more search gives the certificate of the extremal
+    pair: the first pair, in vertex order and then sorted x, of the largest
+    sigma.
 
     The scan keeps (sigma, v, x) of the first pair seen at the largest
     sigma, replaced only by a strictly larger one.  That is the first such
@@ -275,8 +296,7 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     decided in one pass that visits them in that order: the tower reads its
     levels upward, each in vertex order and sorted x, every BFS length
     exceeds the last level read (asserted), and the searches run in the same
-    order.  The pairs x = d_P·v, of sigma 0, are skipped: P is
-    full-dimensional, so every vertex has a pair of sigma >= 1.
+    order.
 
     Generator sets are built only for the searches.  Their assertion that
     every generator u - v lies in the tangent cone at v is checked for all
@@ -295,22 +315,23 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
             raise AssertionError(
                 f"lattice point {u} violates facet {f}: a generator escapes "
                 "the tangent cone (bug)")
-    xs = sorted(p.lattice_points(d_P))
     if d_P == 1:
         v = vertices[0]
-        x = next(x for x in xs if x != v)
+        x = next(x for x in sorted(p.lattice_points(1)) if x != v)
         target = sub(x, v)
         return MPResult(True, 1, MPWitness(x, v, ReprCertificate(target, (target,))), None)
-    apexes = {v: scale(d_P, v) for v in vertices}
-    open_xs = {v: [x for x in xs if x != apexes[v]] for v in vertices}
+    holes = inv.sorted_holes(p, d_P)
+    if not holes:
+        raise AssertionError(f"{d_P}P has no holes, so d_P = {d_P} is not its threshold (bug)")
+    open_xs = dict.fromkeys(vertices, holes)
     best = 0, None, None
-    depth = 0
+    depth = d_P
     for depth, decided in inv.translate_scan(p, d_P, open_xs, max_k):
         for v, (hits, still_open) in decided.items():
             if hits and depth > best[0]:
                 best = depth, v, hits[0]
             open_xs[v] = still_open
-        if depth > d_P and not all(hits for hits, _ in decided.values()):
+        if not all(hits for hits, _ in decided.values()):
             break
 
     searches = {}
@@ -318,8 +339,9 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
         if not open_xs[v]:
             continue
         gs = searches[v] = generator_set(p, v)
+        apex = scale(d_P, v)
         for x in open_xs[v]:
-            cert = sigma(gs, sub(x, apexes[v]))
+            cert = sigma(gs, sub(x, apex))
             if cert is None:
                 return MPResult(False, None, None, (x, v))
             if cert.length <= depth:
@@ -332,7 +354,7 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     if v is None:
         raise AssertionError("m_P scan decided no (x, vertex) pair (bug)")
     gs = searches.get(v) or generator_set(p, v)
-    cert = sigma(gs, sub(x, apexes[v]))
+    cert = sigma(gs, sub(x, scale(d_P, v)))
     if cert is None or cert.length != length:
         raise AssertionError(f"extremal certificate {cert} disagrees with sigma (bug)")
     return MPResult(True, cert.length, MPWitness(x, v, cert), None)

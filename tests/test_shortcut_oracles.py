@@ -53,19 +53,29 @@
 - The BFS of shortest_representations stops once its target is reached;
   the oracle runs it to exhaustion, and the certificates must agree part
   for part.  A third oracle for sigma reads minimal lengths off the tower.
-- translate_scan decides each pair (x, v) of the m_P scan by one bit of
-  S_j at the packed position pack(x, d_P) + (j - d_P)·pack(v, 1), below
-  level d_P too; the oracle is the BFS length of every pair, which must be
-  the level that decides it, and an infeasible pair must stay open.
-- compute_m_P reads sigma off that tower until no pair is open, searches
-  the pairs left open when the scan stops early (at max_k, or where a
-  vertex stops gaining) one at a time up to the first infeasible one, and
-  certifies the extremal pair alone, which it keeps during the scan; the
-  oracle searches every target at every vertex and takes the first pair
-  of the largest sigma, and the results must agree part for part.  A
-  counter shows that every search has one target, that the searches of a
-  not very ample input stop at its witness, and that an uncapped very
-  ample input searches its extremal pair alone.
+- With d = d_P >= 2, the pairs (x, v) of sigma > d or none are exactly
+  those with x a hole of dP, and dP has holes; the oracle is the BFS
+  length of every pair and the tuple holes of dP.  sorted_holes lists
+  those holes by one bit test per listed point; the oracle filters the
+  listed points by a shift of the mask.
+- translate_scan decides each pair (x, v) of holes x of d_P·P by one bit
+  of S_j at the packed position pack(x, d_P) + (j - d_P)·pack(v, 1), at
+  the levels j > d_P only; the oracle is the BFS length of every pair,
+  which must be the level that decides it, and an infeasible pair must
+  stay open.
+- compute_m_P lists the holes of d_P·P, reads sigma off that tower above
+  d_P for their pairs alone until no pair is open, searches the pairs left
+  open when the scan stops early (at max_k, or where a vertex stops
+  gaining) one at a time up to the first infeasible one, and certifies the
+  extremal pair alone, which it keeps during the scan.  One oracle
+  searches every target at every vertex and takes the first pair of the
+  largest sigma; another, m_P_from_level_one, reads the tower from level
+  1 on every pair with x != d_P·v, each bit position bound-tested under a
+  packing for at least d_P levels.  The results must agree part for part,
+  under max_k None, 1, 2 and 3 for the second.  A counter shows that every
+  search has one target, that the searches of a not very ample input stop
+  at its witness, and that an uncapped very ample input searches its
+  extremal pair alone.
 - With d_P = 1, compute_m_P returns m_P = 1 and compute_k_P returns 1 in
   closed form, with no tower, generator set or search; the oracle is the
   per-vertex search with d_P = 1, on normal inputs and on inputs whose
@@ -449,14 +459,105 @@ def test_full_report_builds_no_tower_at_d_P_one():
     assert p._tower is not None
 
 
+def translate_scan_from_level_one(p, d, groups, last=None):
+    """translate_scan as it read the tower before it started above d:
+    levels j = 1, 2, ..., the first one read after level d has been built,
+    so every level is read under a packing for at least d levels, and every
+    position bound-tested.  For j < d a set bit in [0, top(j)] is pack(z, j)
+    for some z in S_j with z + (d - j)·v = x, as both sides lie in dP,
+    where the packing is injective."""
+    invariants._level(p, d)
+    open_xs = {v: xs for v, xs in groups.items() if xs}
+    j = 0
+    while open_xs and (last is None or j < last):
+        j += 1
+        packing, mask = invariants._level(p, j)
+        top = packing.top(j)
+        buf = mask.to_bytes(top // 8 + 1, "little")
+        decided = {}
+        for v, xs in open_xs.items():
+            offset = (j - d) * packing.pack(v, 1)
+            hits, misses = [], []
+            for x in xs:
+                i = packing.pack(x, d) + offset
+                if 0 <= i <= top and buf[i >> 3] >> (i & 7) & 1:
+                    hits.append(x)
+                else:
+                    misses.append(x)
+            decided[v] = hits, misses
+        open_xs = {v: misses for v, (_, misses) in decided.items() if misses}
+        yield j, decided
+
+
+def m_P_from_level_one(p, d_P, max_k=None):
+    """compute_m_P as it was before it listed the holes of d_P·P: every pair
+    (x, v) with x != d_P·v is read off the tower from level 1, d_P = 1
+    included, and the stop rule applies above level d_P."""
+    apexes = {v: scale(d_P, v) for v in p.vertices}
+    xs = sorted(p.lattice_points(d_P))
+    open_xs = {v: [x for x in xs if x != apexes[v]] for v in p.vertices}
+    best = 0, None, None
+    depth = 0
+    for depth, decided in translate_scan_from_level_one(p, d_P, open_xs, max_k):
+        for v, (hits, still_open) in decided.items():
+            if hits and depth > best[0]:
+                best = depth, v, hits[0]
+            open_xs[v] = still_open
+        if depth > d_P and not all(hits for hits, _ in decided.values()):
+            break
+    for v in p.vertices:
+        gs = generator_set(p, v)
+        for x in open_xs[v]:
+            cert = sigma(gs, sub(x, apexes[v]))
+            if cert is None:
+                return MPResult(False, None, None, (x, v))
+            assert cert.length > depth
+            if cert.length > best[0]:
+                best = cert.length, v, x
+    length, v, x = best
+    cert = sigma(generator_set(p, v), sub(x, apexes[v]))
+    assert cert.length == length
+    return MPResult(True, length, MPWitness(x, v, cert), None)
+
+
+def deep_draws():
+    """The first 12 draws of random_polytope(4, 3, 9, ·) from SplitMix64(1):
+    none very ample, d_P = 3 on four of them."""
+    rng = SplitMix64(1)
+    return [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
+
+
+def test_m_P_matches_the_scan_from_level_one(poly):
+    cases = oracle_cases(poly) + deep_draws()
+    cases += [build_family(s) for s in ("bruns:10", "random:4,6,9,7958955049054603978")]
+    compared = Counter()
+    for p in cases:
+        d_P = compute_d_P(p)
+        for max_k in (None, 1, 2, 3):
+            got = compute_m_P(from_points(p.vertices, name=p.name), d_P, max_k)
+            expected = m_P_from_level_one(from_points(p.vertices, name=p.name), d_P, max_k)
+            assert got == expected, (p.name, max_k)
+            compared[d_P, got.very_ample] += 1
+    # both verdicts at d_P = 2 and 3, and very ample inputs above d_P = 1
+    assert {(2, True), (2, False), (3, False)} <= compared.keys()
+
+
+def test_m_P_refuses_a_dilate_without_holes():
+    """k_P = 3 for bruns:4, so 3P has no holes and its pairs would all have
+    sigma <= 3; called with d = 3, compute_m_P finds no pair to scan."""
+    p = build_family("bruns:4")
+    assert (compute_d_P(p), hole_count(p, 3)) == (2, 0)
+    with pytest.raises(AssertionError, match="no holes"):
+        compute_m_P(p, 3)
+
+
 @pytest.fixture(scope="module")
 def pair_sigmas():
     """Polytopes with the BFS length of every m_P pair (x, v), None when
-    infeasible, searched once for both runs of the translate_scan test."""
-    rng = SplitMix64(1)
-    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(12)]
+    infeasible, searched once for the tests of the holes of d_P·P and of
+    translate_scan."""
     cases = [build_family(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
-    cases += [p for p in deep if compute_d_P(p) == 3][1:3]
+    cases += [p for p in deep_draws() if compute_d_P(p) == 3][1:3]
     cases += [translated(p, (-2, 1, 3, -1)[:p.dim]) for p in cases]
     out = []
     for p in cases:
@@ -470,30 +571,57 @@ def pair_sigmas():
     return out
 
 
+def test_pairs_above_d_P_are_the_holes_of_d_P_P(pair_sigmas):
+    """(a) and (b) of compute_m_P: with d = d_P >= 2, dP has holes, and the
+    pairs (x, v) that are infeasible or of sigma > d are exactly those with
+    x a hole of dP; sorted_holes lists those holes in sorted order."""
+    holes_total = 0
+    for p, sigmas in pair_sigmas:
+        d_P = compute_d_P(p)
+        assert d_P >= 2, p.name
+        holes = tuple_holes(p, d_P, lambda p, k: p.lattice_points(k))[-1]
+        assert holes, p.name
+        above = {pair for pair, s in sigmas.items() if s is None or s > d_P}
+        assert above == {(x, v) for x in holes for v in p.vertices}, p.name
+        assert invariants.sorted_holes(p, d_P) == sorted(holes), p.name
+        holes_total += len(holes)
+    assert holes_total >= 100
+
+
 @pytest.mark.parametrize("min_levels", [None, 2])
 def test_translate_scan_decides_each_pair_at_sigma(pair_sigmas, monkeypatch, min_levels):
-    """Every pair (x, v) is decided at level sigma(x, d_P·v), and an
-    infeasible one never; levels j < d_P are read under a packing injective
-    on d_P·P even when a fresh packing would serve fewer levels."""
+    """Fed the holes of d_P·P at every vertex, translate_scan reads only the
+    levels above d_P, decides every pair (x, v) at level sigma(x, d_P·v),
+    and an infeasible one never.  Each tower is first built by a query for
+    level 1, so its packing serves four levels, or two under
+    min_levels = 2, and the scan rebuilds it above d_P: on bruns:6 and the
+    4-d inputs, or on every input of d_P = 2."""
     if min_levels is not None:
         monkeypatch.setattr(invariants, "_MIN_LEVELS", min_levels)
-    checked = below = 0
+    checked = rebuilds = 0
     for p, sigmas in pair_sigmas:
         p = from_points(p.vertices, name=p.name)  # a fresh tower
         d_P = compute_d_P(p)
-        groups = {v: [x for x in sorted(p.lattice_points(d_P)) if x != scale(d_P, v)]
-                  for v in p.vertices}
-        assert sigmas.keys() == {(x, v) for v, xs in groups.items() for x in xs}, p.name
+        hole_count(p, 1)
+        holes = invariants.sorted_holes(p, d_P)
+        groups = dict.fromkeys(p.vertices, holes)
         last = max(s for s in sigmas.values() if s is not None) + 1
         levels = {}
+        read = []
+        capacities = {p._tower.packing.capacity}
         for j, decided in invariants.translate_scan(p, d_P, groups, last):
+            read.append(j)
+            capacities.add(p._tower.packing.capacity)
             for v, (hits, still_open) in decided.items():
                 levels.update(((x, v), j) for x in hits)
                 assert hits == sorted(hits) and still_open == sorted(still_open), p.name
-        assert levels == {pair: s for pair, s in sigmas.items() if s is not None}, p.name
+        assert read == list(range(d_P + 1, read[-1] + 1)), p.name
+        assert levels == {pair: s for pair, s in sigmas.items()
+                          if s is not None and s > d_P}, p.name
         checked += len(levels)
-        below += sum(j < d_P for j in levels.values())
-    assert checked >= 13000 and below >= 2800
+        rebuilds += len(capacities) - 1
+    # 1 188 pairs decided, and 6 rebuilds above d_P in either run
+    assert checked >= 1100 and rebuilds >= 4
 
 
 def test_generator_sets_only_where_searched(poly, monkeypatch):
@@ -1178,6 +1306,7 @@ def test_decoded_holes_match_filtered_points(report, monkeypatch, min_levels):
                         if not mask >> packing.pack(x, k) & 1]
             # the decoder yields the holes in lexicographic order
             assert list(iter_holes(p, k)) == filtered, (p.name, k)
+            assert invariants.sorted_holes(p, k) == filtered, (p.name, k)
             assert hole_count(p, k) == len(filtered)
             assert next(iter_holes(p, k), None) == (filtered[0] if filtered else None)
             decoded += len(filtered)

@@ -217,18 +217,29 @@ def _point_count(p: Polytope, k: int) -> int:
 
 
 def iter_holes(p: Polytope, k: int):
-    """The holes of kP in lexicographic order, decoded lazily.
+    """The holes of kP in lexicographic order.
 
-    The rows of kP come in lexicographic order, and a row is a run of
-    consecutive packed values, so it is a slice of the mask's bits, read
-    from the few bytes of the mask that hold it, least significant first;
-    its zeros are holes.
+    A level already in the point cache is decoded by one bit test per listed
+    point against the mask of S_k, and only the holes are sorted.  Any other
+    level is decoded lazily off the rows of `Polytope._rows`: they come in
+    lexicographic order, and a row is a run of consecutive packed values,
+    so it is a slice of the mask's bits, read from the few bytes of the mask
+    that hold it, least significant first; its zeros are holes.
     """
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
+    listed = p._point_cache.get(k)
     packing, mask = _level(p, k)
     buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
-    for prefix, lo, hi in p.lattice_rows(k):
+    if listed is not None:
+        holes = []
+        for x in listed:
+            i = packing.pack(x, k)
+            if not buf[i >> 3] >> (i & 7) & 1:
+                holes.append(x)
+        yield from sorted(holes)
+        return
+    for prefix, lo, hi, _ in p._rows(k):
         start = packing.pack(prefix + (lo,), k)
         n = hi - lo + 1
         bits = int.from_bytes(buf[start >> 3:((start + n - 1) >> 3) + 1], "little")
@@ -237,26 +248,6 @@ def iter_holes(p: Polytope, k: int):
         while i >= 0:
             yield prefix + (lo + i,)
             i = row.find("0", i + 1)
-
-
-def sorted_holes(p: Polytope, k: int) -> list[Vector]:
-    """The holes of kP in sorted order, one bit test per listed point.
-
-    Unlike iter_holes, this lists kP through the point cache, so it scans
-    no rows when kP is listed already, as it is at k = d_P after the
-    threshold stages: the dilate tests list jP whenever (j-1)P∩M + P∩M
-    falls short of it, and at j = d_P it does.
-    """
-    if k < 1:
-        raise ValueError("dilation factor must be >= 1")
-    packing, mask = _level(p, k)
-    buf = mask.to_bytes(packing.top(k) // 8 + 1, "little")
-    holes = []
-    for x in sorted(p.lattice_points(k)):
-        i = packing.pack(x, k)
-        if not buf[i >> 3] >> (i & 7) & 1:
-            holes.append(x)
-    return holes
 
 
 def hole_count(p: Polytope, k: int) -> int:
@@ -274,16 +265,16 @@ def hole_count(p: Polytope, k: int) -> int:
     return _point_count(p, k) - mask.bit_count()
 
 
-def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
+def translate_scan(p: Polytope, d: int, vertices, holes, last: int | None = None):
     """Decide, one tower level j > d at a time, which translates
     x + (j - d)·v lie in S_j.
 
-    groups maps lattice points v of P to sorted lists of lattice points x of
-    dP.  For j = d + 1, d + 2, ..., through last when given, the generator
-    yields j and a dict that maps each v with pairs open before level j, in
-    the order of groups, to two sorted lists: the x decided at level j and
-    the x still open after it.  It returns once no pair is open, and reads
-    no level when last <= d.
+    holes is a sorted list of lattice points x of dP, paired with each
+    lattice point v of P in vertices.  For j = d + 1, d + 2, ..., through
+    last when given, the generator yields j and a dict that maps each v
+    with pairs open before level j, in the order of vertices, to two sorted
+    lists: the x decided at level j and the x still open after it.  It
+    returns once no pair is open, and reads no level when last <= d.
 
     With q = pack(x, d), a pair is decided at level j when bit
     q + (j - d)·pack(v, 1) of S_j is set, read from the level's bytes.  By
@@ -291,11 +282,11 @@ def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
     in jP, as x lies in dP and v in P.  The level is read under a packing
     for at least j > d levels, injective on jP, so the bit is set exactly
     when the point is in S_j, and the position lies in [0, top(j)], so the
-    read needs no bound test.  The positions q and steps pack(v, 1) are
-    computed again from the open x only when the tower is rebuilt under a
+    read needs no bound test.  The positions q of holes and the steps
+    pack(v, 1) are computed again only when the tower is rebuilt under a
     new packing.
     """
-    open_xs = {v: xs for v, xs in groups.items() if xs}
+    open_xs = {v: holes for v in vertices if holes}
     packing = None
     j = d
     while open_xs and (last is None or j < last):
@@ -304,8 +295,7 @@ def translate_scan(p: Polytope, d: int, groups, last: int | None = None):
         if level_packing is not packing:
             packing = level_packing
             steps = {v: packing.pack(v, 1) for v in open_xs}
-            # the groups share their points, so each is packed once
-            positions = {x: packing.pack(x, d) for x in set().union(*open_xs.values())}
+            positions = {x: packing.pack(x, d) for x in holes}
         buf = mask.to_bytes(packing.top(j) // 8 + 1, "little")
         decided = {}
         for v, xs in open_xs.items():

@@ -212,10 +212,13 @@ class Polytope:
                 for u in self.lattice_points(1)}
         return table
 
-    def lattice_rows(self, k: int = 1):
-        """The lattice points of kP as rows (prefix, lo, hi): the points
-        prefix + (z,) for lo <= z <= hi, in lexicographic order, where the
-        prefix is the first dim-1 coordinates and no row is empty.
+    def _rows(self, k: int):
+        """The lattice points of kP as rows (prefix, lo, hi, inner): the
+        points prefix + (z,) for lo <= z <= hi, in lexicographic order, where
+        the prefix is the first dim-1 coordinates and no row is empty, and
+        inner is the number of the row's points that lie in the interior of
+        kP.  The rows come one at a time, so a reader that stops early scans
+        no further.
 
         The scan walks the prefixes depth first over the coordinates x_0,
         x_1, ... and carries each facet's residual r_f = k·c_f - a_f·prefix,
@@ -231,30 +234,21 @@ class Polytope:
         inside the box, so no point is lost, and since the values inside it
         are visited in increasing order the rows come out in lexicographic
         order, each non-empty row exactly once.  At the last coordinate
-        floor_f = 0, so its range is exactly the row.  The rows come one at
-        a time, so a reader that stops early scans no further.
-        """
-        if k < 1:
-            raise ValueError("dilation factor must be >= 1")
-        return ((prefix, lo, hi) for prefix, lo, hi, _ in self._rows(k))
+        floor_f = 0, so its range is exactly the row.
 
-    def _rows(self, k: int):
-        """The rows of `lattice_rows`, each with the number of its points
-        that lie in the interior of kP: (prefix, lo, hi, inner).
-
-        One generator frame walks the prefixes depth first over an explicit
-        stack: prefix[i] is x_i, ends[i] the top of its range and
-        residual[i] the residuals once x_0 .. x_(i-1) are fixed, so stepping
-        x_i subtracts one column from residual[i+1].  The cuts are plain
-        loops over the facets that bound a coordinate from above, from
-        below or not at all.  At the last depth the row's range is exact,
-        and so is its interior: normals and offsets are integers, so a
-        lattice point x has a_f·x < k·c_f exactly when a_f·x <= k·c_f - 1,
-        that is a·z <= r_f - 1 for the last coordinate z and a = a_{f,d-1},
-        and a facet with a = 0 holds the whole row strictly exactly when
-        r_f >= 1.  The interior of a row lies in the row, so its range
-        starts from the row's; every interior point lies in kP, so its row
-        is scanned, and summing inner over the rows counts int(kP)∩M.
+        One generator frame walks the prefixes over an explicit stack:
+        prefix[i] is x_i, ends[i] the top of its range and residual[i] the
+        residuals once x_0 .. x_(i-1) are fixed, so stepping x_i subtracts
+        one column from residual[i+1].  The cuts are plain loops over the
+        facets that bound a coordinate from above, from below or not at all.
+        The interior of a row is exact too: normals and offsets are
+        integers, so a lattice point x has a_f·x < k·c_f exactly when
+        a_f·x <= k·c_f - 1, that is a·z <= r_f - 1 for the last coordinate z
+        and a = a_{f,d-1}, and a facet with a = 0 holds the whole row
+        strictly exactly when r_f >= 1.  The interior of a row lies in the
+        row, so its range starts from the row's; every interior point lies
+        in kP, so its row is scanned, and summing inner over the rows counts
+        int(kP)∩M.
         """
         d = self.dim
         normals = [f.normal for f in self.facets]

@@ -20,8 +20,8 @@ x + (j - d_P)·v is a sum of j lattice points of P, and one tower answers
 that for every vertex at once, one bit per pair and level at the position
 pack(x, d_P) + (j - d_P)·pack(v, 1).  The pairs of sigma above d_P, or of
 none, are exactly those whose x is a hole of d_P·P, so level d_P is read
-once to list those holes, and only their pairs are scanned, at the levels
-above d_P.  For a very ample P the tower that compute_k_P builds up to k_P
+once, by invariants.iter_holes through the listed points of d_P·P, to list
+those holes, and only their pairs are scanned, at the levels above d_P.  For a very ample P the tower that compute_k_P builds up to k_P
 decides every pair, since m_P <= k_P.  The BFS certifies the extremal pair,
 and searches the pairs the tower leaves open when the scan stops early, one
 at a time, until one is infeasible.
@@ -257,14 +257,17 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     So the non-saturation witness, the first infeasible pair, lies in
     H × vertices, and for a very ample P so does the first pair of the
     largest sigma, as by (b) that sigma exceeds d.  Level d of the tower is
-    read once, by invariants.sorted_holes, to list H in sorted order, and
-    every later step sees only the pairs of H × vertices, in vertex order
-    and then sorted x, the order in which a scan of all pairs would meet
-    them.  H must not be empty, which is asserted: for a d that is not d_P
-    the scan could otherwise report no pair.  Level d is built even under a
-    max_k below it.  That is at most dim - 1 levels, as d_P <= dim - 1, and
-    the result is the same: a cap only hands pairs from the tower to the
-    searches.
+    read once, by invariants.iter_holes, to list H in sorted order, one bit
+    per listed point of dP.  After the threshold stages dP is listed:
+    `_ehrhart` lists it when d <= ceil(dim/2), and otherwise compute_nu_P's
+    chain of shifted unions up to level dim - 1 does, as by (b) its union
+    at level d falls short of dP.  Every later step sees only the pairs of
+    H × vertices, in vertex order and then sorted x, the order in which a
+    scan of all pairs would meet them.  H must not be empty, which is
+    asserted: for a d that is not d_P the scan could otherwise report no
+    pair.  Level d is built even under a max_k below it.  That is at most
+    dim - 1 levels, as d_P <= dim - 1, and the result is the same: a cap
+    only hands pairs from the tower to the searches.
 
     Depth.  Levels j = d + 1, d + 2, ... are read upward through
     invariants.translate_scan, which tests bit pack(x, d) +
@@ -320,13 +323,13 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
         x = next(x for x in sorted(p.lattice_points(1)) if x != v)
         target = sub(x, v)
         return MPResult(True, 1, MPWitness(x, v, ReprCertificate(target, (target,))), None)
-    holes = inv.sorted_holes(p, d_P)
+    holes = list(inv.iter_holes(p, d_P))
     if not holes:
         raise AssertionError(f"{d_P}P has no holes, so d_P = {d_P} is not its threshold (bug)")
     open_xs = dict.fromkeys(vertices, holes)
     best = 0, None, None
     depth = d_P
-    for depth, decided in inv.translate_scan(p, d_P, open_xs, max_k):
+    for depth, decided in inv.translate_scan(p, d_P, vertices, holes, max_k):
         for v, (hits, still_open) in decided.items():
             if hits and depth > best[0]:
                 best = depth, v, hits[0]

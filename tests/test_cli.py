@@ -492,10 +492,18 @@ class TestHoles:
         assert "k=4: 10 hole(s)" in out and "k=5: no holes" in out
 
     def test_listed_holes_must_match_the_count(self, capsys, monkeypatch):
-        # higashitani:3,3 has 3 holes at k = 2, so a witness survives the drop
-        decode = invariants.iter_holes
-        monkeypatch.setattr(invariants, "iter_holes",
-                            lambda p, k: itertools.islice(decode(p, k), 1, None))
+        # higashitani:3,3 has 3 holes at k = 2, so a witness survives the drop;
+        # the decoder is patched once the report is built, as its m_P stage
+        # lists the holes of 2P through it too
+        decode, report = invariants.iter_holes, cli.full_report
+
+        def report_then_drop_a_hole(*args, **kwargs):
+            r = report(*args, **kwargs)
+            monkeypatch.setattr(invariants, "iter_holes",
+                                lambda p, k: itertools.islice(decode(p, k), 1, None))
+            return r
+
+        monkeypatch.setattr(cli, "full_report", report_then_drop_a_hole)
         with pytest.raises(AssertionError, match=r"listed 2 holes at k=2, counted 3 \(bug\)"):
             main(["holes", "higashitani:3,3"])
 

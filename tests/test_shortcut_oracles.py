@@ -8,21 +8,25 @@
   (constructions.dilate) and takes compute_d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
   threshold from every m = 1..d_P.
-- Polytope.lattice_rows walks the prefixes depth first in one generator
-  frame over an explicit stack, carrying each facet's residual and cutting
-  each coordinate's range by the least value of the rest over the box; the
+- Polytope._rows walks the prefixes depth first in one generator frame
+  over an explicit stack, carrying each facet's residual and cutting each
+  coordinate's range by the least value of the rest over the box; the
   oracle tests every point of the bounding box, and rows_by_recursion, the
   recursion with one frame per coordinate that it replaced, must give the
   same rows at every level full_report lists.  Each row of that scan also
   reports its interior length, from a·z <= r_f - 1 at every facet, and
   lattice_points sums them into Polytope._interior; the oracles filter the
   points of kP by strict slack, row by row, and scan int(kP) a second time
-  by rows_by_recursion with right-hand sides k·c - 1.  A counter shows that
-  full_report scans each level it lists once and int(kP) never.
+  by rows_by_recursion with right-hand sides k·c - 1.  A counter of _rows
+  shows that full_report scans each level it lists once and int(kP) never,
+  that its hole witness at k_P - 1 scans rows only when that level is not
+  listed, and that the m_P hole listing of d_P·P scans none.
 - hole_count and compute_k_P read a memoized tower of sumset bitmasks;
   the oracle rebuilds tuple sumsets of the lattice points level by level.
-  Holes are decoded by a row scan of the mask; the oracle filters the
-  enumerated points of kP by a bit test of the mask read through _level.
+  iter_holes decodes the holes of a listed level by one bit test per
+  listed point, and of any other level by a row scan of the mask; the
+  oracle filters the enumerated points of kP by a bit test of the mask
+  read through _level, and each level is decoded by both routes.
 - `holes` writes each level as iter_holes decodes it; the oracle renders
   the listing from the tuple hole sets, sorted level by level.
 - Point counts above ceil(dim/2) come from the Ehrhart polynomial in
@@ -55,10 +59,10 @@
   for part.  A third oracle for sigma reads minimal lengths off the tower.
 - With d = d_P >= 2, the pairs (x, v) of sigma > d or none are exactly
   those with x a hole of dP, and dP has holes; the oracle is the BFS
-  length of every pair and the tuple holes of dP.  sorted_holes lists
-  those holes by one bit test per listed point; the oracle filters the
-  listed points by a shift of the mask.
-- translate_scan decides each pair (x, v) of holes x of d_P·P by one bit
+  length of every pair and the tuple holes of dP, which iter_holes must
+  list in sorted order.
+- translate_scan takes the sorted holes of d_P·P once for every vertex
+  and decides each pair (x, v) of a hole x and a vertex v by one bit
   of S_j at the packed position pack(x, d_P) + (j - d_P)·pack(v, 1), at
   the levels j > d_P only; the oracle is the BFS length of every pair,
   which must be the level that decides it, and an infeasible pair must
@@ -70,12 +74,13 @@
   extremal pair alone, which it keeps during the scan.  One oracle
   searches every target at every vertex and takes the first pair of the
   largest sigma; another, m_P_from_level_one, reads the tower from level
-  1 on every pair with x != d_P·v, each bit position bound-tested under a
-  packing for at least d_P levels.  The results must agree part for part,
-  under max_k None, 1, 2 and 3 for the second.  A counter shows that every
-  search has one target, that the searches of a not very ample input stop
-  at its witness, and that an uncapped very ample input searches its
-  extremal pair alone.
+  1 on every pair of a point x of d_P·P and a vertex v, each bit position
+  bound-tested under a packing for at least d_P levels, and leaves the
+  pairs x = d_P·v, which level 1 decides, out of its extremal pair.  The
+  results must agree part for part, under max_k None, 1, 2 and 3 for the
+  second.  A counter shows that every search has one target, that the
+  searches of a not very ample input stop at its witness, and that an
+  uncapped very ample input searches its extremal pair alone.
 - With d_P = 1, compute_m_P returns m_P = 1 and compute_k_P returns 1 in
   closed form, with no tower, generator set or search; the oracle is the
   per-vertex search with d_P = 1, on normal inputs and on inputs whose
@@ -459,15 +464,16 @@ def test_full_report_builds_no_tower_at_d_P_one():
     assert p._tower is not None
 
 
-def translate_scan_from_level_one(p, d, groups, last=None):
+def translate_scan_from_level_one(p, d, vertices, xs, last=None):
     """translate_scan as it read the tower before it started above d:
     levels j = 1, 2, ..., the first one read after level d has been built,
     so every level is read under a packing for at least d levels, and every
     position bound-tested.  For j < d a set bit in [0, top(j)] is pack(z, j)
     for some z in S_j with z + (d - j)·v = x, as both sides lie in dP,
-    where the packing is injective."""
+    where the packing is injective.  xs, sorted points of dP, are paired
+    with every v of vertices."""
     invariants._level(p, d)
-    open_xs = {v: xs for v, xs in groups.items() if xs}
+    open_xs = {v: xs for v in vertices if xs}
     j = 0
     while open_xs and (last is None or j < last):
         j += 1
@@ -492,14 +498,17 @@ def translate_scan_from_level_one(p, d, groups, last=None):
 def m_P_from_level_one(p, d_P, max_k=None):
     """compute_m_P as it was before it listed the holes of d_P·P: every pair
     (x, v) with x != d_P·v is read off the tower from level 1, d_P = 1
-    included, and the stop rule applies above level d_P."""
+    included, and the stop rule applies above level d_P.  The scan reads
+    every x of d_P·P at every v; the pair x = d_P·v is decided at level 1,
+    as x - (d_P - 1)·v = v lies in S_1, and is left out of the hits."""
     apexes = {v: scale(d_P, v) for v in p.vertices}
     xs = sorted(p.lattice_points(d_P))
-    open_xs = {v: [x for x in xs if x != apexes[v]] for v in p.vertices}
+    open_xs = dict.fromkeys(p.vertices, xs)
     best = 0, None, None
     depth = 0
-    for depth, decided in translate_scan_from_level_one(p, d_P, open_xs, max_k):
+    for depth, decided in translate_scan_from_level_one(p, d_P, p.vertices, xs, max_k):
         for v, (hits, still_open) in decided.items():
+            hits = [x for x in hits if x != apexes[v]]
             if hits and depth > best[0]:
                 best = depth, v, hits[0]
             open_xs[v] = still_open
@@ -574,7 +583,7 @@ def pair_sigmas():
 def test_pairs_above_d_P_are_the_holes_of_d_P_P(pair_sigmas):
     """(a) and (b) of compute_m_P: with d = d_P >= 2, dP has holes, and the
     pairs (x, v) that are infeasible or of sigma > d are exactly those with
-    x a hole of dP; sorted_holes lists those holes in sorted order."""
+    x a hole of dP; iter_holes lists those holes in sorted order."""
     holes_total = 0
     for p, sigmas in pair_sigmas:
         d_P = compute_d_P(p)
@@ -583,7 +592,7 @@ def test_pairs_above_d_P_are_the_holes_of_d_P_P(pair_sigmas):
         assert holes, p.name
         above = {pair for pair, s in sigmas.items() if s is None or s > d_P}
         assert above == {(x, v) for x in holes for v in p.vertices}, p.name
-        assert invariants.sorted_holes(p, d_P) == sorted(holes), p.name
+        assert list(iter_holes(p, d_P)) == sorted(holes), p.name
         holes_total += len(holes)
     assert holes_total >= 100
 
@@ -603,13 +612,12 @@ def test_translate_scan_decides_each_pair_at_sigma(pair_sigmas, monkeypatch, min
         p = from_points(p.vertices, name=p.name)  # a fresh tower
         d_P = compute_d_P(p)
         hole_count(p, 1)
-        holes = invariants.sorted_holes(p, d_P)
-        groups = dict.fromkeys(p.vertices, holes)
+        holes = list(iter_holes(p, d_P))
         last = max(s for s in sigmas.values() if s is not None) + 1
         levels = {}
         read = []
         capacities = {p._tower.packing.capacity}
-        for j, decided in invariants.translate_scan(p, d_P, groups, last):
+        for j, decided in invariants.translate_scan(p, d_P, p.vertices, holes, last):
             read.append(j)
             capacities.add(p._tower.packing.capacity)
             for v, (hits, still_open) in decided.items():
@@ -958,7 +966,7 @@ def test_row_scan_matches_box_scan(poly):
     cases += [(from_points(SEGMENT), 4), (poly("cube:5"), 3), (from_points(SKEWED), 4)]
     for p, levels in cases:
         for k in range(1, levels + 1):
-            rows = list(p.lattice_rows(k))
+            rows = [row[:3] for row in p._rows(k)]
             assert all(lo <= hi for _, lo, hi in rows), (p.name, k)
             # no prefix twice and every point once, in lexicographic order
             points = [prefix + (z,) for prefix, lo, hi in rows for z in range(lo, hi + 1)]
@@ -988,40 +996,55 @@ def test_interior_row_scan_matches_filtered_points(poly):
 
 
 def test_full_report_scans_each_listed_level_once(monkeypatch):
-    scans, partial = Counter(), Counter()
-    scan, rows = Polytope._rows, Polytope.lattice_rows
+    scans = Counter()
+    scan = Polytope._rows
 
     def counted_scan(self, k):
         scans[k] += 1
         return scan(self, k)
 
-    def counted_rows(self, k=1):
-        partial[k] += 1
-        return rows(self, k)
-
     monkeypatch.setattr(Polytope, "_rows", counted_scan)
-    monkeypatch.setattr(Polytope, "lattice_rows", counted_rows)
     cases = [build_family(s) for s in CATALOG_SPECS + ("random:4,3,9,11", "cube:5")]
     cases += [from_points(SKEWED), from_points(SEGMENT)]
+    witness_scans = {}
     for p in cases:
         scans.clear()
-        partial.clear()
-        full_report(p)
-        # the report's hole witness reads rows of its own; every other scan
-        # lists a level, once, and the interior counts of the Ehrhart
-        # polynomial come off those scans, with no scan of int(kP)
-        assert scans - partial == Counter(dict.fromkeys(p._point_cache, 1)), p.name
+        r = full_report(p)
+        listed = Counter(dict.fromkeys(p._point_cache, 1))
+        # the report's hole witness at k_P - 1 scans rows of its own only
+        # when that level is not listed; every other scan lists a level,
+        # once, and the interior counts of the Ehrhart polynomial come off
+        # those scans, with no scan of int(kP)
+        witness = r.k_P is not None and r.k_P > 1 and r.k_P - 1 not in listed
+        assert scans == listed + Counter({r.k_P - 1: 1} if witness else {}), p.name
+        witness_scans[p.name] = witness
         assert set(range(1, p.dim // 2 + 1)) <= set(p._interior) == set(p._point_cache)
         # and the rows are those of the recursion that the one-frame scan replaced
         for k in sorted(p._point_cache) + [max(p._point_cache) + 1]:
             rhs = [k * f.offset for f in p.facets]
-            assert list(rows(p, k)) == list(rows_by_recursion(p, k, rhs)), (p.name, k)
+            assert ([row[:3] for row in scan(p, k)]
+                    == list(rows_by_recursion(p, k, rhs))), (p.name, k)
+    assert witness_scans["bruns:6"]
+    assert not witness_scans["bruns:4"] and not witness_scans["higashitani:3,3"]
+    # the threshold stages list d_P·P, so the m_P hole listing scans no
+    # rows: in dim 4, _ehrhart lists it at d_P = 2, and compute_nu_P's chain
+    # of shifted unions at d_P = 3
+    deep = next(p for p in deep_draws() if compute_d_P(p) == 3)
+    thresholds = []
+    for p in (build_family("random:4,3,9,11"), from_points(deep.vertices)):
+        d_P = compute_d_P(p)
+        compute_nu_P(p)
+        scans.clear()
+        compute_m_P(p, d_P)
+        assert not scans, (p.name, d_P)
+        thresholds.append(d_P)
+    assert thresholds == [2, 3]
 
 
 def test_dilation_factor_below_one_is_rejected(poly):
     p = poly("bruns:4")
     for k in (0, -1, -2):
-        for call in (p.lattice_points, p.lattice_rows, lambda k: list(iter_holes(p, k)),
+        for call in (p.lattice_points, lambda k: list(iter_holes(p, k)),
                      lambda k: hole_count(p, k)):
             with pytest.raises(ValueError, match="dilation factor must be >= 1"):
                 call(k)
@@ -1161,7 +1184,7 @@ def test_packing_round_trips_at_box_corners(report, monkeypatch, min_levels):
             # packed order is lexicographic order, and each row is a run
             packed = [packing.pack(x, level) for x in sorted(p.lattice_points(level))]
             assert all(a < b for a, b in zip(packed, packed[1:])), (p.name, level)
-            for prefix, lo, hi in p.lattice_rows(level):
+            for prefix, lo, hi, _ in p._rows(level):
                 start = packing.pack(prefix + (lo,), level)
                 row = [packing.pack(prefix + (z,), level) for z in range(lo, hi + 1)]
                 assert row == list(range(start, start + hi - lo + 1)), (p.name, prefix)
@@ -1287,7 +1310,7 @@ def test_slack_table_matches_facet_slacks(poly):
         assert p.slack_table() is table
 
 
-# -- hole decoding: row scan of the mask against filtering the points -----------
+# -- hole decoding: both routes of iter_holes against filtering the points -----
 
 
 @pytest.mark.parametrize("min_levels", [None, 2])
@@ -1301,14 +1324,22 @@ def test_decoded_holes_match_filtered_points(report, monkeypatch, min_levels):
     decoded = above_dim = 0
     for p, levels in cases:
         for k in range(1, levels + 1):
+            # each level on fresh polytopes first, by the rows route, and
+            # again once it is listed, by the listed route
+            fresh = [from_points(p.vertices, name=p.name) for _ in range(2)]
+            assert not any(q._point_cache for q in fresh)
+            rows_first = next(iter_holes(fresh[0], k), None)
+            rows_all = list(iter_holes(fresh[1], k))
             packing, mask = invariants._level(p, k)
             filtered = [x for x in sorted(p.lattice_points(k))
                         if not mask >> packing.pack(x, k) & 1]
-            # the decoder yields the holes in lexicographic order
+            first = filtered[0] if filtered else None
+            # both routes yield the holes in lexicographic order
+            assert rows_all == filtered and rows_first == first, (p.name, k)
+            assert k in p._point_cache
             assert list(iter_holes(p, k)) == filtered, (p.name, k)
-            assert invariants.sorted_holes(p, k) == filtered, (p.name, k)
+            assert next(iter_holes(p, k), None) == first, (p.name, k)
             assert hole_count(p, k) == len(filtered)
-            assert next(iter_holes(p, k), None) == (filtered[0] if filtered else None)
             decoded += len(filtered)
             above_dim += len(filtered) * (k > p.dim)
     # 973 holes, 773 of them above dim, where hole_count reads the Ehrhart

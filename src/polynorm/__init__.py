@@ -31,9 +31,8 @@ from .catalog import (
 )
 from .invariants import (
     SmoothData,
-    compute_d_P,
     compute_k_P,
-    compute_nu_P,
+    decomposition_thresholds,
     degree,
     volume_ehrhart,
     volume_triangulation,
@@ -58,7 +57,7 @@ __all__ = [
     "report_to_dict", "smooth_bounds", "theorem_bound",
     "bruns_gubeladze", "cube", "higashitani", "parse_family",
     "random_polytope", "reeve_like", "standard_simplex",
-    "SmoothData", "compute_d_P", "compute_k_P", "compute_nu_P",
+    "SmoothData", "compute_k_P", "decomposition_thresholds",
     "degree", "volume_ehrhart", "volume_triangulation",
     "GeometryError", "HalfSpace", "Polytope", "from_points",
     "GeneratorSet", "ReprCertificate", "compute_m_P", "generator_set",

@@ -172,8 +172,7 @@ def full_report(p: Polytope, max_k: int | None = None) -> InvariantReport:
             raise PipelineError(tag, e) from e
 
     num_points = stage("geometry", lambda: len(p.lattice_points(1)))
-    d_P = stage("decomposition-thresholds", lambda: inv.compute_d_P(p))
-    nu_P = stage("decomposition-thresholds", lambda: inv.compute_nu_P(p))
+    d_P, nu_P = stage("decomposition-thresholds", lambda: inv.decomposition_thresholds(p))
     mres = stage("semigroup", lambda: sg.compute_m_P(p, d_P, max_k=max_k))
     k_P = None
     holes_witness = None

@@ -12,21 +12,22 @@ reciprocity from the interior points of the levels up to floor(dim/2),
 counted on the same row scans that list those levels, so each node of the
 polynomial costs one scan and no level above ceil(dim/2) is listed.  Hole
 points are decoded only when asked for.  The same shifted union decides the
-decomposition thresholds d_P and nu_P, each test at a level j under a
-packing of its own.  The mask of jP∩M there is packed from listed points
-only for j <= ceil(dim/2); above that it is the mask of level j-1 shifted
-by the packed points of P∩M, which lies in jP∩M and is accepted when its
-count is |jP∩M|, and jP is listed only when it falls short, for j-1 < d_P.
-The thresholds come out of the finite failure ranges k <= dim-2 and
-k <= dim-1 (for a d-dimensional polytope the map P∩M + kP∩M -> (k+1)P∩M is
-onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M is onto for every k >= d,
-so larger k never fail).  The vertex bound is
+decomposition thresholds d_P and nu_P, on one chain of masks of jP∩M,
+j = 1..dim-1, under one packing: the mask of level j is that of level j-1
+shifted by the packed points of P∩M, which lies in jP∩M and is kept when
+its count is |jP∩M|.  That count is the d_P test at k = j-1, and jP is
+listed only when it falls short, for j <= d_P; nu_P shifts the kept masks
+by the packed vertices.  The thresholds come out of the finite failure
+ranges k <= dim-2 and k <= dim-1 (for a d-dimensional polytope the map
+P∩M + kP∩M -> (k+1)P∩M is onto for every k >= d-1, and V + kP∩M -> (k+1)P∩M
+is onto for every k >= d, so larger k never fail).  The vertex bound is
 Carathéodory's theorem: a lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at
 most d+1 nonzero λ_i, so some λ_i >= 1/(d+1), and for k >= d the point x - v_i
 has the nonnegative coefficients (k+1)λ_j - [j = i] summing to k, hence lies in
 kP∩M.  A dilate mP is normal when its threshold is 1, which the same test
-decides at level m on P's own lattice points.  Normalized volume is computed
-by two independent routes, point-count interpolation and pulling
+decides at level m on P's own lattice points, each test under a packing of
+its own, on a chain from level ceil(dim/2) or below.  Normalized volume is
+computed by two independent routes, point-count interpolation and pulling
 triangulation, which the test suite requires to agree exactly.
 """
 
@@ -313,27 +314,58 @@ def translate_scan(p: Polytope, d: int, vertices, holes, last: int | None = None
         yield j, decided
 
 
-def _dilate_mask(p: Polytope, packing: _Packing, j: int) -> int:
-    """The bitmask of jP∩M under packing, injective up to level j or more.
+def _dilate_masks(p: Polytope, packing: _Packing, first: int, top: int):
+    """Yield (j, the bitmask of jP∩M, fills) for j = first..max(first, top),
+    under packing, injective on every level yielded.
 
-    Levels j <= ceil(dim/2) are packed from the listed points, which
-    `_ehrhart` lists anyway.  A level above that is the mask of level j-1,
-    built the same way, shifted by the packed points of P∩M, and it is kept
-    when it has |jP∩M| bits set; only otherwise is jP listed.  The union is
-    (j-1)P∩M + P∩M, which lies in jP∩M, where the packing is injective, so
-    equal counts mean equal sets.  For j-1 >= d_P the sum is onto, so the
-    counts agree on every level above max(d_P, ceil(dim/2)).
+    Level first is packed from the listed points, and its fills is False.
+    Each higher level is the mask of the level below shifted by the packed
+    points of P∩M.  That union is (j-1)P∩M + P∩M, which lies in jP∩M, where
+    the packing is injective, so it is jP∩M exactly when it has |jP∩M| bits
+    set.  It is kept then, and fills is True; only otherwise is jP listed
+    and packed.  So fills at j > first is the d_P test at k = j - 1,
+    P∩M + (j-1)P∩M = jP∩M.  For j - 1 >= d_P the sum is onto, so no level
+    above max(d_P, first) is listed; with first <= ceil(dim/2), which
+    `_ehrhart` lists anyway, none above max(d_P, ceil(dim/2)) is.
     """
-    level = min(j, (p.dim + 1) // 2)
-    mask = _bitmask(packing.pack(x, level) for x in p.lattice_points(level))
-    if level < j:
-        shifts = [packing.pack(b, 1) for b in p.lattice_points(1)]
-    while level < j:
-        level += 1
+    mask = _bitmask(packing.pack(x, first) for x in p.lattice_points(first))
+    yield first, mask, False
+    shifts = [packing.pack(b, 1) for b in p.lattice_points(1)]
+    for j in range(first + 1, top + 1):
         mask = _shifted_union(mask, shifts)
-        if mask.bit_count() != _point_count(p, level):
-            mask = _bitmask(packing.pack(x, level) for x in p.lattice_points(level))
-    return mask
+        fills = mask.bit_count() == _point_count(p, j)
+        if not fills:
+            mask = _bitmask(packing.pack(x, j) for x in p.lattice_points(j))
+        yield j, mask, fills
+
+
+def decomposition_thresholds(p: Polytope) -> tuple[int, int]:
+    """(d_P, nu_P).  d_P is the smallest n with P∩M + kP∩M = (k+1)P∩M for
+    every k >= n, and nu_P its analogue with the vertex set as the added
+    summand.
+
+    Only k <= dim-2 can fail for d_P and only k <= dim-1 for nu_P, so both
+    scans are finite.  By Carathéodory a lattice point x of (k+1)P is
+    (k+1)·Σλ_i v_i with at most dim+1 nonzero λ_i, so some λ_i >= 1/(dim+1);
+    for k >= dim, x - v_i = Σμ_j v_j with μ_i = (k+1)λ_i - 1 >= 0, the other
+    μ_j = (k+1)λ_j and Σμ_j = k, so x - v_i is a lattice point of kP.  Since
+    n >= dim+1, this range is never longer than the k <= n-2 that the same
+    argument gives with n in place of dim+1.
+
+    One packing for dim levels serves both.  The chain of `_dilate_masks`
+    from level 1 to dim - 1 counts the d_P test at every k <= dim - 2 as it
+    builds the masks, so d_P is the highest level whose union falls short,
+    or 1, the chain's first level.  nu_P shifts the kept mask of kP∩M by
+    the packed vertices, for k = dim-1 down to the first k whose image
+    misses a point of (k+1)P∩M.
+    """
+    packing = _packing(p, p.dim)
+    chain = list(_dilate_masks(p, packing, 1, p.dim - 1))
+    shifts = [packing.pack(v, 1) for v in p.vertices]
+    # in dim 1 the chain is level 1 alone, and no k is tested
+    nu_P = next((k + 1 for k, mask, _ in reversed(chain[:p.dim - 1])
+                 if _shifted_union(mask, shifts).bit_count() != _point_count(p, k + 1)), 1)
+    return max(j for j, _, fills in chain if not fills), nu_P
 
 
 def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:
@@ -344,46 +376,16 @@ def _fills_next_dilate(p: Polytope, summand, k: int, m: int) -> bool:
     pack(x, km) + pack(b, m) = pack(x + b, (k+1)m), so under a packing
     injective up to level (k+1)m the packed sum is the shifted union of the
     mask of kmP∩M by the packed summand, and the two sets are equal exactly
-    when it has |(k+1)mP∩M| bits set.  The mask of kmP∩M comes from
-    `_dilate_mask` under that packing: above ceil(dim/2) it is the level
-    below shifted by P∩M, accepted when its count is |kmP∩M|, so the
-    levels above max(d_P, ceil(dim/2)) are never listed.
+    when it has |(k+1)mP∩M| bits set.  The mask of kmP∩M is the last of the
+    `_dilate_masks` chain under that packing from level min(km, ceil(dim/2)),
+    so the levels above max(d_P, ceil(dim/2)) are never listed.  A plain
+    loop takes it, so no level below the one built from stays alive.
     """
     packing = _packing(p, (k + 1) * m)
-    mask = _dilate_mask(p, packing, k * m)
+    for _, mask, _ in _dilate_masks(p, packing, min(k * m, (p.dim + 1) // 2), k * m):
+        pass
     image = _shifted_union(mask, [packing.pack(b, m) for b in summand])
     return image.bit_count() == _point_count(p, (k + 1) * m)
-
-
-def _last_failing(p: Polytope, summand, m: int, top: int) -> int:
-    """The largest k in 1..top with summand + kmP∩M != (k+1)mP∩M, or 0 when
-    every such k fills the next dilate; the scan runs down from top and stops
-    at the first failure."""
-    return next((k for k in range(top, 0, -1)
-                 if not _fills_next_dilate(p, summand, k, m)), 0)
-
-
-def compute_d_P(p: Polytope) -> int:
-    """Smallest n with P∩M + kP∩M = (k+1)P∩M for every k >= n.
-
-    Only k <= dim-2 can fail, so the scan is finite; dimensions <= 2 always
-    give 1.
-    """
-    return _last_failing(p, p.lattice_points(1), 1, p.dim - 2) + 1
-
-
-def compute_nu_P(p: Polytope) -> int:
-    """Analogue of d_P with the vertex set as the added summand.
-
-    Only k <= dim-1 can fail, so nu_P <= max(dim, 1).  By Carathéodory a
-    lattice point x of (k+1)P is (k+1)·Σλ_i v_i with at most dim+1 nonzero
-    λ_i, so some λ_i >= 1/(dim+1); for k >= dim, x - v_i = Σμ_j v_j with
-    μ_i = (k+1)λ_i - 1 >= 0, the other μ_j = (k+1)λ_j and Σμ_j = k, so
-    x - v_i is a lattice point of kP.  Since n >= dim+1, this range is never
-    longer than the k <= n-2 that the same argument gives with n in place of
-    dim+1.
-    """
-    return _last_failing(p, p.vertices, 1, p.dim - 1) + 1
 
 
 def compute_k_P(p: Polytope, m_P: int, d_P: int, max_k: int | None = None) -> int:
@@ -425,7 +427,8 @@ def dilate_is_normal(p: Polytope, m: int) -> bool:
     when mP∩M + kmP∩M = (k+1)mP∩M for k = 1..dim-2, which is decided on P's
     own lattice points.  Any order of k gives that answer, so the scan runs
     upward, from the cheapest level, and stops at the first failing k;
-    _last_failing scans down because d_P and nu_P need the largest one.
+    decomposition_thresholds scans nu_P down because it needs the largest
+    one.
     """
     summand = p.lattice_points(m)
     return all(_fills_next_dilate(p, summand, k, m) for k in range(1, p.dim - 1))

@@ -259,9 +259,9 @@ def compute_m_P(p: Polytope, d_P: int, max_k: int | None = None) -> MPResult:
     largest sigma, as by (b) that sigma exceeds d.  Level d of the tower is
     read once, by invariants.iter_holes, to list H in sorted order, one bit
     per listed point of dP.  After the threshold stages dP is listed:
-    `_ehrhart` lists it when d <= ceil(dim/2), and otherwise compute_nu_P's
-    chain of shifted unions up to level dim - 1 does, as by (b) its union
-    at level d falls short of dP.  Every later step sees only the pairs of
+    `_ehrhart` lists it when d <= ceil(dim/2), and otherwise the chain of
+    shifted unions of invariants.decomposition_thresholds, up to level
+    dim - 1, does, as by (b) its union at level d falls short of dP.  Every later step sees only the pairs of
     H × vertices, in vertex order and then sorted x, the order in which a
     scan of all pairs would meet them.  H must not be empty, which is
     asserted: for a d that is not d_P the scan could otherwise report no

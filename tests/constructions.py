@@ -7,15 +7,20 @@ check those shortcuts build and list them here.  The pipeline counts holes
 and lists them lazily; k_normality gathers a level's flag and hole set.
 The facet slack of a point (slack), membership in a dilate (contains) and
 the greedy split of a point of kP into a point of d_P·P plus units
-(decompose_point) serve the tests only, as does build_family: the command
-line takes specs through parse_family.
+(decompose_point) serve the tests only, as do build_family (the command
+line takes specs through parse_family) and d_P_of, d_P alone.
 """
 
 from types import SimpleNamespace
 
 from polynorm.catalog import parse_family
 from polynorm.exactmath import dot, scale, sub
-from polynorm.invariants import InvariantError, hole_count, iter_holes
+from polynorm.invariants import (
+    InvariantError,
+    decomposition_thresholds,
+    hole_count,
+    iter_holes,
+)
 from polynorm.polytope import HalfSpace, Polytope, from_points
 
 # The one-point polytope {()}.  polynorm builds no 0-dimensional polytope;
@@ -28,6 +33,11 @@ def build_family(spec: str) -> Polytope:
     """Instantiate a textual family spec."""
     builder, params = parse_family(spec)
     return builder(*params)
+
+
+def d_P_of(p: Polytope) -> int:
+    """d_P, the first of decomposition_thresholds."""
+    return decomposition_thresholds(p)[0]
 
 
 def dilate(p: Polytope, m: int) -> Polytope:

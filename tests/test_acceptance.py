@@ -151,11 +151,12 @@ def test_criterion_08_theorem_suite(report):
 def test_criterion_09_random_sweeps():
     with criterion(9, "200 random polygons trivial; 50 random 3-polytopes clean"):
         start = time.monotonic()
-        from polynorm.invariants import compute_d_P, compute_k_P
+        from polynorm.invariants import compute_k_P
         from polynorm.semigroup import compute_m_P
+        from constructions import d_P_of
         for seed in range(200):
             p = random_polytope(2, 4, 7, seed)
-            d_P = compute_d_P(p)
+            d_P = d_P_of(p)
             mres = compute_m_P(p, d_P)
             assert mres.very_ample
             k_P = compute_k_P(p, mres.m_P, d_P)

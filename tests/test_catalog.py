@@ -92,10 +92,9 @@ class TestRandom:
             assert p.dim == 3
 
     def test_polygons_normal(self):
-        from polynorm.invariants import compute_d_P
-        from constructions import k_normality
+        from constructions import d_P_of, k_normality
         p = random_polytope(2, 3, 6, seed=42)
-        assert compute_d_P(p) == 1
+        assert d_P_of(p) == 1
         assert k_normality(p, 2)[0]
 
     def test_bad_parameters(self):

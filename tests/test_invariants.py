@@ -12,9 +12,8 @@ from polynorm.catalog import (
 from polynorm.invariants import (
     InvariantError,
     SmoothData,
-    compute_d_P,
     compute_k_P,
-    compute_nu_P,
+    decomposition_thresholds,
     degree,
     dilate_is_normal,
     smooth_data,
@@ -26,6 +25,7 @@ from polynorm.polytope import from_points
 from conftest import CATALOG_SPECS, VERY_AMPLE_SPECS
 from constructions import (
     contains,
+    d_P_of,
     decompose_point,
     dilate,
     interior_lattice_points,
@@ -78,12 +78,12 @@ class TestDecompositionThresholds:
         assert report("cube:3").d_P == 1
         assert report("bruns:4").d_P == 2
         for seed in range(5):
-            assert compute_d_P(random_polytope(2, 4, 6, seed)) == 1
+            assert d_P_of(random_polytope(2, 4, 6, seed)) == 1
 
     def test_nu_P_examples(self, report):
         assert report("bruns:4").nu_P == 2
-        assert compute_nu_P(SQUARE) == 1
-        assert compute_nu_P(standard_simplex(2)) == 1
+        assert decomposition_thresholds(SQUARE) == (1, 1)
+        assert decomposition_thresholds(standard_simplex(2)) == (1, 1)
 
     def test_ordering_on_catalog(self, report):
         for spec in CATALOG_SPECS:
@@ -285,7 +285,7 @@ class TestDilates:
             p = poly(spec)
             d_P = report(spec).d_P
             for m in range(d_P, 5):
-                assert compute_d_P(dilate(p, m)) == 1
+                assert d_P_of(dilate(p, m)) == 1
 
     def test_threshold_equals_d_P_dim_le_3(self, poly, report):
         for spec in ("cube:2", "cube:3", "bruns:4", "bruns:5",

@@ -5,7 +5,6 @@ import pytest
 from polynorm import semigroup
 from polynorm.catalog import SplitMix64
 from polynorm.exactmath import add, dot, scale, sub
-from polynorm.invariants import compute_d_P
 from polynorm.semigroup import (
     ReprCertificate,
     compute_m_P,
@@ -16,7 +15,7 @@ from polynorm.semigroup import (
 from polynorm.polytope import from_points
 
 from conftest import VERY_AMPLE_SPECS
-from constructions import contains
+from constructions import contains, d_P_of
 
 SQUARE = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -180,10 +179,9 @@ class TestVeryAmple:
 
     def test_bruns_7_very_ample_not_normal(self):
         from polynorm.catalog import bruns_gubeladze
-        from polynorm.invariants import compute_d_P
         from constructions import k_normality
         p = bruns_gubeladze(7)
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         assert compute_m_P(p, d_P).very_ample
         flag, holes = k_normality(p, 5)
         assert not flag and (1, 1, 6) in holes
@@ -207,7 +205,7 @@ class TestVeryAmple:
         # covered every open pair of a vertex
         rng = SplitMix64(seed)
         p = from_points([tuple(rng.below(4) for _ in range(5)) for _ in range(10)])
-        assert compute_d_P(p) == d_P
+        assert d_P_of(p) == d_P
         res = compute_m_P(p, d_P)
         assert not res.very_ample
         assert res.failure == failure

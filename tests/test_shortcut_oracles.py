@@ -1,11 +1,17 @@
 """The slow paths behind the shortcuts, kept as oracles.
 
-- compute_nu_P scans k = 1..dim-1 (Carathéodory); the oracle scans the
-  original k = 1..n-2 range, n the number of vertices.
+- decomposition_thresholds reads d_P off the count checks of one chain of
+  masks of jP∩M, j = 1..dim-1, and nu_P off the vertex shifts of the kept
+  masks, scanning k = dim-1 down (Carathéodory).  One oracle is the route
+  it replaced: a fill test under a packing of its own for each k, scanned
+  down from the top of each failure range to the first failure
+  (last_failing); the other, d_P_full_scan and nu_P_full_scan, tests
+  every k of the original k = 1..n-2 range, n the number of vertices, by
+  tuple sums, or of the failure range on the 4-d draws and 5-d clouds.
 - dilate_is_normal decides the normality of a dilate mP on P's own
   lattice points, at level m of a packing of P's box; the oracle builds mP
   as a polytope of its own from the scaled vertices and facet offsets
-  (constructions.dilate) and takes compute_d_P of it.  explore_flags
+  (constructions.dilate) and takes d_P of it.  explore_flags
   decides d_P_minimality_gap from (d_P - 1)P alone; the oracle takes the
   threshold from every m = 1..d_P.
 - Polytope._rows walks the prefixes depth first in one generator frame
@@ -35,10 +41,11 @@
   enumerate the points, interpolate from the listed levels 0..dim
   (ehrhart_by_listing), and for the volume solve the Vandermonde system of
   the counts.
-- Above ceil(dim/2), the dilate tests take the mask of jP∩M from the
-  mask of level j-1 shifted by P∩M, accepted on its count; the oracle
-  packs the listed points of jP, and a level is listed exactly when tuple
-  sums of (j-1)P∩M and P∩M miss a point of jP∩M.
+- The chain of _dilate_masks takes the mask of jP∩M above its first
+  level from the mask of level j-1 shifted by P∩M, kept on its count;
+  the oracle packs the listed points of jP, a level is listed exactly
+  when tuple sums of (j-1)P∩M and P∩M miss a point of jP∩M, and the
+  chain's fills flag says whether they do.
 - Polytope.slack_table computes every facet slack of P∩M once; the oracle
   computes each entry on its own (constructions.slack).
 - shortest_representations runs one BFS per target over that target's
@@ -162,9 +169,8 @@ from polynorm.exactmath import (
 )
 from polynorm.invariants import (
     SmoothData,
-    compute_d_P,
     compute_k_P,
-    compute_nu_P,
+    decomposition_thresholds,
     hole_count,
     iter_holes,
     smooth_data,
@@ -193,6 +199,7 @@ from conftest import CATALOG_SPECS
 from constructions import (
     build_family,
     contains,
+    d_P_of,
     dilate,
     interior_lattice_points,
     k_normality,
@@ -219,15 +226,42 @@ def random_cases():
             yield random_polytope(d, bound, count, seed)
 
 
-def nu_P_full_scan(p):
-    """nu_P from the unshortened failure range k <= n-2."""
-    verts = p.vertices
+def threshold_full_scan(p, summand, top=None):
+    """One past the largest k <= top with summand + kP∩M != (k+1)P∩M, by
+    tuple sums at every k; top defaults to the unshortened range k <= n-2."""
+    top = p.num_vertices - 2 if top is None else top
     last_failing = 0
-    for k in range(1, p.num_vertices - 1):
-        image = {add(v, x) for v in verts for x in p.lattice_points(k)}
+    for k in range(1, top + 1):
+        image = {add(b, x) for b in summand for x in p.lattice_points(k)}
         if image != p.lattice_points(k + 1):
             last_failing = k
     return last_failing + 1
+
+
+def d_P_full_scan(p, top=None):
+    """d_P by tuple sums.  P∩M contains the vertices, so the sum is onto
+    wherever V + kP∩M is, and k <= n-2 bounds its failures too."""
+    return threshold_full_scan(p, p.lattice_points(1), top)
+
+
+def nu_P_full_scan(p, top=None):
+    """nu_P by tuple sums."""
+    return threshold_full_scan(p, p.vertices, top)
+
+
+def last_failing(p, summand, top):
+    """The largest k in 1..top with summand + kP∩M != (k+1)P∩M, or 0: the
+    replaced threshold route, a fill test under a packing of its own for
+    each k, scanned down from top and stopped at the first failure."""
+    return next((k for k in range(top, 0, -1)
+                 if not invariants._fills_next_dilate(p, summand, k, 1)), 0)
+
+
+def dim5_clouds():
+    """Six clouds of ten seeded points in [0, 3]^5."""
+    rng = SplitMix64(2)
+    return [from_points([tuple(rng.below(4) for _ in range(5)) for _ in range(10)],
+                        name=f"cloud5:{i}") for i in range(6)]
 
 
 def all_certificates(p, d_P):
@@ -245,21 +279,29 @@ def oracle_cases(poly):
     return [poly(s) for s in ORACLE_SPECS] + list(random_cases())
 
 
-def test_nu_P_matches_full_scan(poly):
-    deep = 0
-    for p in oracle_cases(poly):
-        nu = compute_nu_P(p)
-        assert nu == nu_P_full_scan(p), p.name
-        assert nu <= max(p.dim, 1)
-        deep += nu > 1
-    # the comparison must exercise failing k, not only nu_P = 1
-    assert deep >= 10
+def test_thresholds_match_both_oracles(poly):
+    cases = [(p, None) for p in oracle_cases(poly)]
+    cases += [(p, p.dim - 1) for p in deep_draws() + dim5_clouds()]
+    seen = Counter()
+    for p, top in cases:
+        d_P, nu_P = got = decomposition_thresholds(from_points(p.vertices, name=p.name))
+        top_down = (last_failing(p, p.lattice_points(1), p.dim - 2) + 1,
+                    last_failing(p, p.vertices, p.dim - 1) + 1)
+        assert got == top_down, p.name
+        assert got == (d_P_full_scan(p, top), nu_P_full_scan(p, top)), p.name
+        assert d_P <= nu_P <= max(p.dim, 1)
+        seen[p.dim, d_P, nu_P] += 1
+    # the comparison must exercise failing k, not only d_P = nu_P = 1, and
+    # reach d_P = 3 in dim 4 and d_P = 4 in dim 5
+    assert sum(n for (_, _, nu_P), n in seen.items() if nu_P > 1) >= 10
+    assert any(d_P == 3 for dim, d_P, _ in seen if dim == 4)
+    assert any(d_P == 4 for dim, d_P, _ in seen if dim == 5)
 
 
 def profile_of_fresh_dilates(p, d_P):
-    """The normality of each dilate mP, m = 1..d_P, from compute_d_P of mP
+    """The normality of each dilate mP, m = 1..d_P, from d_P of mP
     built as a polytope of its own, and the least threshold from it."""
-    flags = {m: compute_d_P(dilate(p, m)) == 1 for m in range(1, d_P + 1)}
+    flags = {m: d_P_of(dilate(p, m)) == 1 for m in range(1, d_P + 1)}
     threshold = d_P
     for m in range(d_P - 1, 0, -1):
         if not flags[m]:
@@ -279,7 +321,7 @@ def test_dilate_test_and_gap_flag_match_fresh_dilates(poly, report):
     # the count; translates that reach below the origin expose it.
     moved = [from_points([sub(v, (4, 4, 4)) for v in p.vertices], f"{p.name}-4")
              for p in wide]
-    cases += [(p, compute_d_P(p)) for p in wide + deep + moved]
+    cases += [(p, d_P_of(p)) for p in wide + deep + moved]
     flags = []
     for p, d_P in cases:
         threshold, fresh = profile_of_fresh_dilates(p, d_P)
@@ -326,7 +368,7 @@ def test_m_P_matches_per_vertex_search(poly, monkeypatch):
     monkeypatch.setattr(semigroup, "shortest_representations", counting)
     left_open, deep, tied = [], [], []
     for p in cases:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         searches.clear()
         got = compute_m_P(p, d_P)
         expected, largest = m_P_per_vertex(p, d_P)
@@ -366,7 +408,7 @@ def test_m_P_searches_one_pair_at_a_time(poly, monkeypatch):
     cases = oracle_cases(poly) + [build_family("random:4,3,9,11")]
     failing = 0
     for p in cases:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         calls.clear()
         got = compute_m_P(p, d_P)
         if d_P == 1:
@@ -396,7 +438,7 @@ def test_m_P_scan_capped_at_max_k_hands_pairs_to_the_search(monkeypatch):
 
     monkeypatch.setattr(semigroup, "shortest_representations", counting)
     p = build_family("bruns:10")
-    d_P = compute_d_P(p)
+    d_P = d_P_of(p)
     got = compute_m_P(p, d_P, max_k=3)
     # no level above the cap is built, and the very ample pairs of
     # sigma 4..9 go to the BFS
@@ -424,9 +466,9 @@ def test_m_P_closed_form_at_d_P_one_matches_per_vertex_search(poly, monkeypatch)
                                                          "simplex:3")]
     other = [poly(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
     other += [build_family(s) for s in ("random:4,3,9,11", "random:3,3,7,5")]
-    assert all(compute_d_P(p) == 1 for p in normal)
-    assert all(compute_d_P(p) > 1 for p in other)
-    assert not compute_m_P(poly("reeve"), compute_d_P(poly("reeve"))).very_ample
+    assert all(d_P_of(p) == 1 for p in normal)
+    assert all(d_P_of(p) > 1 for p in other)
+    assert not compute_m_P(poly("reeve"), d_P_of(poly("reeve"))).very_ample
     calls = []
 
     def counting(name, fn):
@@ -541,7 +583,7 @@ def test_m_P_matches_the_scan_from_level_one(poly):
     cases += [build_family(s) for s in ("bruns:10", "random:4,6,9,7958955049054603978")]
     compared = Counter()
     for p in cases:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         for max_k in (None, 1, 2, 3):
             got = compute_m_P(from_points(p.vertices, name=p.name), d_P, max_k)
             expected = m_P_from_level_one(from_points(p.vertices, name=p.name), d_P, max_k)
@@ -555,7 +597,7 @@ def test_m_P_refuses_a_dilate_without_holes():
     """k_P = 3 for bruns:4, so 3P has no holes and its pairs would all have
     sigma <= 3; called with d = 3, compute_m_P finds no pair to scan."""
     p = build_family("bruns:4")
-    assert (compute_d_P(p), hole_count(p, 3)) == (2, 0)
+    assert (d_P_of(p), hole_count(p, 3)) == (2, 0)
     with pytest.raises(AssertionError, match="no holes"):
         compute_m_P(p, 3)
 
@@ -566,11 +608,11 @@ def pair_sigmas():
     infeasible, searched once for the tests of the holes of d_P·P and of
     translate_scan."""
     cases = [build_family(s) for s in ("bruns:6", "higashitani:3,3", "reeve")]
-    cases += [p for p in deep_draws() if compute_d_P(p) == 3][1:3]
+    cases += [p for p in deep_draws() if d_P_of(p) == 3][1:3]
     cases += [translated(p, (-2, 1, 3, -1)[:p.dim]) for p in cases]
     out = []
     for p in cases:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         sigmas = {}
         for v, certs in all_certificates(p, d_P).items():
             for t, cert in certs.items():
@@ -586,7 +628,7 @@ def test_pairs_above_d_P_are_the_holes_of_d_P_P(pair_sigmas):
     x a hole of dP; iter_holes lists those holes in sorted order."""
     holes_total = 0
     for p, sigmas in pair_sigmas:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         assert d_P >= 2, p.name
         holes = tuple_holes(p, d_P, lambda p, k: p.lattice_points(k))[-1]
         assert holes, p.name
@@ -610,7 +652,7 @@ def test_translate_scan_decides_each_pair_at_sigma(pair_sigmas, monkeypatch, min
     checked = rebuilds = 0
     for p, sigmas in pair_sigmas:
         p = from_points(p.vertices, name=p.name)  # a fresh tower
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         hole_count(p, 1)
         holes = list(iter_holes(p, d_P))
         last = max(s for s in sigmas.values() if s is not None) + 1
@@ -650,7 +692,7 @@ def test_generator_sets_only_where_searched(poly, monkeypatch):
     for p in cases:
         built.clear()
         searched.clear()
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         got = compute_m_P(p, d_P)
         # one generator set per searched vertex, the extremal one included,
         # and none when d_P = 1
@@ -780,7 +822,7 @@ def assert_matches_tuple_search(gs, targets):
 def test_packed_search_matches_tuple_search(poly):
     searched = infeasible = 0
     for p in oracle_cases(poly):
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         for v in p.vertices:
             gs = generator_set(p, v)
             targets = dilate_targets(p, d_P, v)
@@ -850,7 +892,7 @@ def test_lanes_at_the_longest_chain_and_a_translate(poly, monkeypatch):
     shift = (40, 40, 400)
     moved = translated(p, shift)
     assert all(c < 0 for u in moved.lattice_points(1) for c in u)
-    d_P = compute_d_P(p)
+    d_P = d_P_of(p)
     got = compute_m_P(moved, d_P)
     assert (got.m_P, got.witness.x, got.witness.vertex) == (
         35, sub((1, 1, 35), scale(d_P, shift)), sub((0, 0, 0), shift))
@@ -867,7 +909,7 @@ def test_lanes_at_vertices_with_more_normals_than_dim(monkeypatch):
     cases = [(pyramid, (1, 1, 3), k) for k in (1, 2, 3)]
     # the first of the sample's vertices with 12 tight normals
     v = next(v for v in sample.vertices if len(generator_set(sample, v).cone_normals) == 12)
-    cases.append((sample, v, compute_d_P(sample)))
+    cases.append((sample, v, d_P_of(sample)))
     for p, v, k in cases:
         gs = generator_set(p, v)
         assert len(gs.cone_normals) > p.dim
@@ -878,7 +920,7 @@ def test_lanes_at_vertices_with_more_normals_than_dim(monkeypatch):
 def test_early_stop_gives_identical_certificates(poly, monkeypatch):
     # reeve and random:4,3,9,11 are not very ample, so some targets are
     # infeasible and their searches must still run to exhaustion
-    cases = [(p, compute_d_P(p))
+    cases = [(p, d_P_of(p))
              for p in oracle_cases(poly) + [build_family("random:4,3,9,11")]]
     stopped = [all_certificates(p, d_P) for p, d_P in cases]
     monkeypatch.setattr(semigroup, "_search", search_to_exhaustion)
@@ -1026,14 +1068,13 @@ def test_full_report_scans_each_listed_level_once(monkeypatch):
                     == list(rows_by_recursion(p, k, rhs))), (p.name, k)
     assert witness_scans["bruns:6"]
     assert not witness_scans["bruns:4"] and not witness_scans["higashitani:3,3"]
-    # the threshold stages list d_P·P, so the m_P hole listing scans no
-    # rows: in dim 4, _ehrhart lists it at d_P = 2, and compute_nu_P's chain
-    # of shifted unions at d_P = 3
-    deep = next(p for p in deep_draws() if compute_d_P(p) == 3)
+    # the threshold stage lists d_P·P, so the m_P hole listing scans no
+    # rows: in dim 4, _ehrhart lists it at d_P = 2, and the chain of
+    # shifted unions of decomposition_thresholds at d_P = 3
+    deep = next(p for p in deep_draws() if d_P_of(p) == 3)
     thresholds = []
     for p in (build_family("random:4,3,9,11"), from_points(deep.vertices)):
-        d_P = compute_d_P(p)
-        compute_nu_P(p)
+        d_P, _ = decomposition_thresholds(p)
         scans.clear()
         compute_m_P(p, d_P)
         assert not scans, (p.name, d_P)
@@ -1267,26 +1308,29 @@ def union_falls_short(p, j):
 
 
 def test_dilate_mask_matches_listed_points(poly):
-    rng = SplitMix64(1)
-    deep = [random_polytope(4, 3, 9, rng.next_u64()) for _ in range(4)]
     held = short = 0
-    for p in oracle_cases(poly) + deep:
+    for p in oracle_cases(poly) + deep_draws()[:4]:
         top = p.dim + 1
         half = (p.dim + 1) // 2
-        # a fresh polytope: only _ehrhart's levels are listed before the call
-        fresh = from_points(p.vertices, name=p.name)
-        invariants._ehrhart(fresh)
-        invariants._dilate_mask(fresh, invariants._packing(fresh, top), top)
-        falls_short = [j for j in range(half + 1, top + 1) if union_falls_short(p, j)]
-        # a level above ceil(dim/2) is listed exactly when the union falls short
-        assert sorted(fresh._point_cache) == list(range(1, half + 1)) + falls_short, p.name
-        held += top - half - len(falls_short)
-        short += len(falls_short)
-        for j in range(1, top + 1):
-            for capacity in (j, j + 1):
-                packing = invariants._packing(p, capacity)
-                listed = invariants._bitmask(packing.pack(x, j) for x in p.lattice_points(j))
-                assert invariants._dilate_mask(fresh, packing, j) == listed, (p.name, j)
+        falls_short = [j for j in range(2, top + 1) if union_falls_short(p, j)]
+        for first in (1, half):
+            for capacity in (top, top + 1):
+                # a fresh polytope: only _ehrhart's levels are listed before the chain
+                fresh = from_points(p.vertices, name=p.name)
+                invariants._ehrhart(fresh)
+                packing = invariants._packing(fresh, capacity)
+                chain = list(invariants._dilate_masks(fresh, packing, first, top))
+                assert [j for j, _, _ in chain] == list(range(first, top + 1)), p.name
+                for j, mask, fills in chain:
+                    listed = invariants._bitmask(packing.pack(x, j) for x in p.lattice_points(j))
+                    assert mask == listed, (p.name, first, j)
+                    # the first level is packed from the listed points
+                    assert fills == (j > first and j not in falls_short), (p.name, first, j)
+                # a level above ceil(dim/2) is listed exactly when the union falls short
+                above = [j for j in falls_short if j > half]
+                assert sorted(fresh._point_cache) == list(range(1, half + 1)) + above, p.name
+        held += top - half - len(above)
+        short += len(above)
     # both routes: levels the union fills, and levels of the dim-4 cases with
     # d_P = 3 where it falls short and jP is listed
     assert held >= 100
@@ -1299,6 +1343,14 @@ def test_full_report_lists_no_level_above_half():
     p = build_family("random:4,3,9,11")
     full_report(p)
     assert sorted(p._point_cache) == [1, 2]
+    # a 4-d draw of d_P = 3, not very ample: the chain's union falls short
+    # at level 3, so the threshold stage lists 3P, and nothing lists more
+    deep = next(p for p in deep_draws() if d_P_of(p) == 3)
+    p = from_points(deep.vertices)
+    assert decomposition_thresholds(p)[0] == 3
+    assert sorted(p._point_cache) == [1, 2, 3]
+    full_report(p)
+    assert sorted(p._point_cache) == [1, 2, 3]
 
 
 def test_slack_table_matches_facet_slacks(poly):
@@ -1409,7 +1461,7 @@ def test_sigma_matches_tower(poly):
     cases += [p for p in random_cases() if p.dim <= 3]
     pairs = 0
     for p in cases:
-        d_P = compute_d_P(p)
+        d_P = d_P_of(p)
         for v in p.vertices:
             gs = generator_set(p, v)
             for x in sorted(p.lattice_points(d_P)):

@@ -5,7 +5,10 @@ property violation or an unmet requirement (--require-kp on a
 non-very-ample polytope, safety cap reached, or a failed check).
 
 `main(argv)` can be called repeatedly in one process: it returns the exit
-code, and its argparse parser is built once, at import.
+code, and its argparse parser is built once, at import.  It parses a
+command line once, with its command's own parser, and runs the top-level
+parser only for top-level flags, an unknown command, `--`, an argument
+starting with `--=`, or leftover arguments.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -75,7 +79,11 @@ def resolve_input(text: str) -> Polytope:
     try:
         builder, params = parse_family(text)
     except ValueError as e:
-        if not path.is_file():
+        try:
+            is_file = path.is_file()
+        except OSError:  # a name the OS refuses, such as a component over 255 bytes
+            is_file = False
+        if not is_file:
             if text.partition(":")[0].strip() in FAMILIES:
                 raise InputError(str(e)) from e
             raise InputError(f"no such file or family: {text}") from None
@@ -401,8 +409,12 @@ def explore_flags(p: Polytope, report) -> tuple[str, ...]:
 
 def _check_store(store: Path) -> None:
     """Reject a store that can never be written as a file, before any sample
-    is computed and without creating anything."""
-    nearest = next((a for a in (store, *store.parents) if a.exists()), None)
+    is computed and without creating anything.  A path the OS refuses, such
+    as one with a component over 255 bytes, is rejected too."""
+    try:
+        nearest = next((a for a in chain((store,), store.parents) if a.exists()), None)
+    except OSError as e:
+        raise InputError(f"cannot write store {store}: {e}") from e
     if nearest == store and store.is_dir():
         raise InputError(f"cannot write store {store}: is a directory")
     if nearest not in (None, store) and not nearest.is_dir():
@@ -527,11 +539,37 @@ def build_parser() -> argparse.ArgumentParser:
 # Built once, at import: its help text is formatted when printed, and it
 # holds no command function, so main dispatches through the current bindings.
 _PARSER = build_parser()
+# The parser of each command, by name: the choices of the subparsers action.
+_COMMAND_PARSERS = next(action.choices for action in _PARSER._actions
+                        if isinstance(action, argparse._SubParsersAction))
 
 
 def main(argv=None) -> int:
+    """Run one command line (default: sys.argv[1:]) and return its exit code.
+    A usage error returns 1; --help and --version raise SystemExit(0).
+
+    A command line whose first word names a command is parsed once, by that
+    command's parser.  This gives what `_PARSER.parse_args(argv)` gives: the
+    subparsers action has nargs PARSER, so the top-level pass hands exactly
+    argv[1:] to the same parser object and copies its namespace, and a
+    leftover argument makes it a usage error.  Its only other work is to
+    check each argument against -h, --help and --version, which ends in that
+    same hand-off; the one exception is an argument starting with "--=", a
+    prefix of both long options, which the top-level parser reports as
+    ambiguous.  Such an argument, a "--" (which Python versions hand on
+    differently), a leftover argument, an empty argv and a first word that
+    names no command go to `_PARSER.parse_args(argv)`, so every usage error
+    and all --help and --version text still come from argparse's own code.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    one_pass = argv and not any(a == "--" or a.startswith("--=") for a in argv)
+    sub = _COMMAND_PARSERS.get(argv[0]) if one_pass else None
     try:
-        args = _PARSER.parse_args(argv)
+        if sub is not None:
+            args, extras = sub.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if sub is None or extras:
+            args = _PARSER.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, 0 on --help
         if e.code != 2:
             raise

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -618,18 +619,45 @@ class TestExplore:
         monkeypatch.setattr(cli, "full_report",
                             lambda p, **kw: reports.append(p.name) or compute(p, **kw))
         if where == "directory":
-            store = tmp_path
+            store, reason = tmp_path, "is a directory"
         else:
             (tmp_path / "file").write_text("")
             store = tmp_path / "file" / "r.jsonl"
+            reason = f"{tmp_path / 'file'} is not a directory"
         code, out, err = run(capsys, "explore", "--dim", "2", "--count", "1",
                              "--store", str(store))
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith(f"error: cannot write store {store}: ")
-        assert err.count("\n") == 1
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: cannot write store {store}: {reason}\n")
         # rejected before the first sample is computed
         assert reports == []
+
+    @pytest.mark.parametrize("where", ["relative", "under_missing_directories"])
+    def test_writable_store(self, capsys, tmp_path, monkeypatch, where):
+        # the store check walks up to the nearest existing ancestor and
+        # accepts a directory there; the store is made only for a flagged sample
+        monkeypatch.chdir(tmp_path)
+        store = "r.jsonl" if where == "relative" else str(tmp_path / "a" / "b" / "c" / "r.jsonl")
+        argv = ("explore", "--dim", "2", "--store", store)
+        code, out, err = run(capsys, *argv, "--count", "2")
+        assert (code, err) == (EXIT_OK, "") and "flagged=0" in out
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "explore_flags", lambda p, report: ("oda_gap",))
+        code, out, err = run(capsys, *argv, "--count", "1")
+        assert (code, err) == (EXIT_OK, "") and "flagged=1" in out
+        assert len((tmp_path / store).read_text().splitlines()) == 1
+
+    def test_store_path_the_os_refuses(self, capsys, tmp_path, monkeypatch):
+        # a path component over 255 bytes: an error line, not a traceback
+        monkeypatch.setattr(cli, "explore_flags", lambda p, report: ("oda_gap",))
+        store = tmp_path / ("a" * 300) / "x.jsonl"
+        code, out, err = run(capsys, "explore", "--dim", "2", "--count", "1",
+                             "--store", str(store))
+        assert (code, out) == (EXIT_INPUT, "")
+        # the store check reports it on Python < 3.13, whose Path.exists
+        # raises ENAMETOOLONG; from 3.13 on it returns False and the write fails
+        assert err.startswith(f"error: cannot write store {store}: "
+                              f"[Errno {errno.ENAMETOOLONG}] ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:
@@ -792,6 +820,101 @@ class TestDispatch:
         assert calls == ["cube:3"]
 
 
+# Command lines for the one-parse oracle, each with whether it reaches the
+# top-level parser: valid lines do not, nor do usage errors and --help inside
+# a command; top-level flags, unknown commands, "--", an argument starting
+# with "--=" and leftover arguments do.  "{tmp}" is a fresh directory.
+ONE_PARSE_ORACLE = (
+    (("gen", "cube:2"), False),
+    (("gen", "bruns:4"), False),
+    (("analyze", "cube:2"), False),
+    (("analyze", "cube:2", "--format=json"), False),
+    (("analyze", "cube:2", "--format", "csv", "--format", "table"), False),
+    (("analyze", "--form", "csv", "cube:2"), False),
+    (("analyze", "cube:2", "--max-k=3", "--max-k", "5"), False),
+    (("analyze", "cube:2", "--max", "4"), False),
+    (("analyze", "--cache-dir={tmp}/cache", "cube:2", "--format=json"), False),
+    (("analyze", "reeve", "--require-kp"), False),
+    (("analyze", "nosuch"), False),
+    (("check", "cube:2"), False),
+    (("check", "reeve", "--max-k=2"), False),
+    (("holes", "bruns:4"), False),
+    (("holes", "--max=5", "bruns:4"), False),
+    (("explore", "--dim", "2", "--count", "2", "--seed", "3", "--store", "{tmp}/r.jsonl"), False),
+    (("explore", "--dim=2", "--count=2", "--bound=2", "--seed=3", "--seed=-4",
+      "--store={tmp}/r.jsonl"), False),
+    (("explore", "--dim", "5", "--count", "1", "--store", "{tmp}/r.jsonl"), False),
+    (("gen", "cube:x"), False),
+    (("analyze", "-h"), False),
+    (("explore", "--help"), False),
+    (("gen", "-h", "cube:2"), False),
+    (("check", "--he"), False),
+    (("gen", "cube:2", "-h"), False),
+    (("analyze",), False),
+    (("analyze", "cube:2", "--max-k"), False),
+    (("analyze", "cube:2", "--max-k", "abc"), False),
+    (("analyze", "cube:2", "--format", "xml"), False),
+    (("analyze", "cube:2", "--require-kp=yes"), False),
+    (("explore", "--count", "1"), False),
+    (("explore", "--dim"), False),
+    (("gen",), False),
+    (("gen", "--version"), False),
+    (("gen", "-hx"), False),
+    (("analyze", "cube:2", "--no-such-flag"), True),
+    (("check", "cube:2", "extra"), True),
+    (("gen", "cube:2", "cube:3"), True),
+    (("explore", "--dim", "2", "-x", "--store", "{tmp}/r.jsonl"), True),
+    (("gen", "cube:2", "--version"), True),
+    (("holes", "bruns:4", "--vers"), True),
+    (("gen", "--=x"), True),
+    (("analyze", "cube:2", "--=json"), True),
+    (("--", "gen", "cube:2"), True),
+    (("gen", "--", "cube:2"), True),
+    (("gen", "cube:2", "--"), True),
+    (("analyze", "--", "-x"), True),
+    ((), True),
+    (("--version",), True),
+    (("--vers",), True),
+    (("-h",), True),
+    (("--help", "gen"), True),
+    (("--vers", "gen", "cube:2"), True),
+    (("-x", "gen", "cube:2"), True),
+    (("nosuch",), True),
+    (("ANALYZE", "cube:2"), True),
+    (("Gen", "cube:2"), True),
+)
+
+
+class TestOneParse:
+    """main parses a command line once, with its command's own parser; the
+    top-level parse it replaced is the oracle."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = ("SystemExit", e.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, reaches_top_level", ONE_PARSE_ORACLE,
+                             ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+    def test_same_as_the_top_level_route(self, capsys, tmp_path, monkeypatch,
+                                         argv, reaches_top_level):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        parse_args, calls = cli._PARSER.parse_args, []
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda *a, **kw: calls.append(a) or parse_args(*a, **kw))
+        got = self.outcome(capsys, argv)
+        assert bool(calls) == reaches_top_level
+        # the route main took before: with no command parsers to pick from,
+        # main hands every command line to a freshly built top-level parser
+        monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        assert got == self.outcome(capsys, argv)
+
+
 class TestGen:
     def test_roundtrip_through_analyze(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "bruns:4")
@@ -823,6 +946,13 @@ class TestGen:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith(f"error: family {spec.split(':')[0]!r} ")
         assert run(capsys, command, spec) == (code, out, err)
+
+    @pytest.mark.parametrize("command", ["analyze", "check", "holes"])
+    def test_input_path_the_os_refuses(self, capsys, tmp_path, command):
+        # a path component over 255 bytes names no file
+        text = str(tmp_path / ("c" * 300))
+        assert run(capsys, command, text) == (EXIT_INPUT, "",
+                                              f"error: no such file or family: {text}\n")
 
     def test_files_before_family_errors(self, capsys, tmp_path, monkeypatch):
         # an existing file is read although its name starts like a family
